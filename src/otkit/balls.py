@@ -176,17 +176,6 @@ class RealBall:
             return int(lo)
         return None
 
-    def definitely_less(self, other) -> bool:
-        o = other if isinstance(other, RealBall) else RealBall(other)
-        return self.upper < o.lower
-
-    def max_abs(self) -> mpf:
-        return max(abs(self.lower), abs(self.upper))
-
-
-def ball_from_fraction(q: Fraction) -> RealBall:
-    return RealBall(q)
-
 
 class ComplexBall:
     """Rectangle enclosure re + i*im with RealBall components."""
@@ -245,9 +234,6 @@ class ComplexBall:
 
     def mid(self):
         return mp.mpc(self.re.mid(), self.im.mid())
-
-    def max_side(self):
-        return max(self.re.rad(), self.im.rad())
 
     def __repr__(self):
         return f"ComplexBall({self.re!r}, {self.im!r})"

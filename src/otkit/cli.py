@@ -15,7 +15,7 @@ import sys
 
 from mpmath import mp
 
-from .config import RunConfig, precision
+from .config import PrecisionError, RunConfig, precision
 from .factorint import factor_string, trial_factor
 from .geometry import (SCAN_CSV_COLUMNS, field_volumes, fundamental_domain,
                        inoue_closed_form, mc_volume, min_volume_scan, ot_volume,
@@ -62,11 +62,27 @@ def _ball_dict(b) -> dict:
     return {"mid": mp.nstr(b.mid(), 24), "rad": mp.nstr(b.rad(), 6)}
 
 
-def _field_data(f: IntPolynomial, cfg: RunConfig):
+def _build(f: IntPolynomial):
     try:
-        mo = build_order(f)
+        return build_order(f)
     except ReduciblePolynomialError as exc:
         raise CliError(EXIT_REDUCIBLE, str(exc)) from exc
+    except ValueError as exc:
+        raise CliError(EXIT_ERROR, f"bad polynomial: {exc}") from exc
+
+
+def _build_for_volume(f: IntPolynomial):
+    """``_build`` for the commands that need a volume: the signature
+    (s >= 1, t = 1) is checked before any order or unit work."""
+    mo = _build(f)
+    sig = signature(f)
+    if sig.s < 1 or sig.t != 1:
+        raise CliError(EXIT_ERROR, "volumes need s >= 1 real places and one complex "
+                                   f"place, got (s, t) = ({sig.s}, {sig.t})")
+    return mo
+
+
+def _field_data(mo, cfg: RunConfig):
     order, index, order_cert = maximalize(mo)
     try:
         ug = unit_group(order, coord_bound=cfg.unit_search_bound or None)
@@ -91,7 +107,7 @@ def cmd_field(args) -> int:
     cfg = _config(args)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(f, cfg)
+        order, index, order_cert, ug = _field_data(_build_for_volume(f), cfg)
         sig = signature(f)
         gens = ug.totally_positive_generators
         J = j_ideal(order, gens)
@@ -155,7 +171,7 @@ def cmd_units(args) -> int:
     cfg = _config(args)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(f, cfg)
+        order, index, order_cert, ug = _field_data(_build(f), cfg)
         gens = ug.totally_positive_generators
         J = j_ideal(order, gens)
         tors = torsion_group(order, gens)
@@ -170,7 +186,7 @@ def cmd_jideal(args) -> int:
     cfg = _config(args)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(f, cfg)
+        order, index, order_cert, ug = _field_data(_build(f), cfg)
         J = j_ideal(order, ug.totally_positive_generators)
         factors, cofactor, certified = trial_factor(J.norm)
         out = {"poly": f.format(), "norm": str(J.norm),
@@ -193,7 +209,7 @@ def cmd_h1(args) -> int:
             if not args.poly:
                 raise CliError(EXIT_ERROR, "give either --poly or --presentation")
             f = _parse_poly(args.poly)
-            order, index, order_cert, ug = _field_data(f, _config(args))
+            order, index, order_cert, ug = _field_data(_build(f), _config(args))
             p = presentation_from_field(order, ug.totally_positive_generators)
             if args.save_presentation:
                 p.save(args.save_presentation)
@@ -210,7 +226,7 @@ def cmd_volume(args) -> int:
     cfg = _config(args)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(f, cfg)
+        order, index, order_cert, ug = _field_data(_build_for_volume(f), cfg)
         vols = field_volumes(order, ug)
         out = {"poly": f.format(), "disc": str(order.disc),
                "regulator": _ball_dict(ug.regulator),
@@ -224,7 +240,7 @@ def cmd_mcvol(args) -> int:
     cfg.validate_mc()
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(f, cfg)
+        order, index, order_cert, ug = _field_data(_build_for_volume(f), cfg)
         dom = fundamental_domain(order, ug)
         v = mc_volume(dom, cfg.mc_samples, cfg.seed)
         closed = ot_volume(dom.s, abs(order.disc), ug.regulator)
@@ -255,10 +271,11 @@ def cmd_bound(args) -> int:
     cfg = _config(args)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(f, cfg)
+        mo = _build(f)
         sig = signature(f)
         if (sig.s, sig.t) != (1, 1):
             raise CliError(EXIT_ERROR, "torsion bound applies to s = t = 1 fields")
+        order, index, order_cert, ug = _field_data(mo, cfg)
         vol = ot_volume(1, abs(order.disc), ug.regulator)
         bound = torsion_upper_bound(vol.value, abs(order.disc))
         tors = torsion_group(order, ug.totally_positive_generators)
@@ -304,8 +321,9 @@ def cmd_reconstruct(args) -> int:
             out["cubic_galois_closure_degree"] = cubic_galois_closure_degree(poly)
         if args.source:
             src = _parse_poly(args.source)
-            s_order, _, _, s_ug = _field_data(src, cfg)
-            r_order, _, _, r_ug = _field_data(poly, cfg) if primitive else (None,) * 4
+            s_order, _, _, s_ug = _field_data(_build(src), cfg)
+            r_order, _, _, r_ug = (_field_data(_build(poly), cfg) if primitive
+                                   else (None,) * 4)
             if primitive:
                 out["round_trip"] = {
                     "source_disc": str(s_order.disc),
@@ -447,15 +465,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _fail(code: int, message: str) -> int:
+    print(json.dumps({"error": message, "exit_code": code}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(json.dumps({"error": exc.message, "exit_code": exc.code}),
-              file=sys.stderr)
-        return exc.code
+        return _fail(exc.code, exc.message)
+    except PrecisionError as exc:
+        return _fail(EXIT_ERROR, str(exc))
     except BrokenPipeError:
         return EXIT_OK
 

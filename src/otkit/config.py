@@ -44,7 +44,7 @@ class PrecisionError(ArithmeticError):
     """A decision could not be made even after escalating precision."""
 
 
-def decide(compute, max_bits: int = 1 << 14):
+def decide(compute, max_bits: int):
     """Evaluate ``compute()`` at increasing precision until it returns non-None.
 
     ``compute`` must return None exactly when the current precision is

@@ -49,11 +49,6 @@ def basis_values(order: SubOrder, emb: EmbeddingSet):
     return real, cplx
 
 
-def element_real_values(order, emb, x: OrderElement) -> list[RealBall]:
-    real, _ = basis_values(order, emb)
-    return [_dot_real(row, x.coords) for row in real]
-
-
 def _dot_real(row, coords) -> RealBall:
     acc = RealBall(0)
     for v, c in zip(row, coords):

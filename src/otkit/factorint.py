@@ -20,10 +20,9 @@ def _perfect_power(n: int) -> tuple[int, int] | None:
     if n < 4:
         return None
     for k in range(2, n.bit_length() + 1):
-        m = round(n ** (1.0 / k))
-        for cand in (m - 1, m, m + 1):
-            if cand >= 2 and cand ** k == n:
-                return cand, k
+        m, exact = sympy.integer_nthroot(n, k)
+        if exact:
+            return m, k
     return None
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from mpmath import mp
 
 from .balls import RealBall, ball_det, ball_pi, ball_solve
-from .config import PrecisionError, precision, working_precision
+from .config import PrecisionError, decide
 from .embeddings import EmbeddingTable
 from .orders import SubOrder, build_order, maximalize, signature
 from .polynomials import IntPolynomial, integer_roots
@@ -43,9 +43,6 @@ class VolumeResult:
     method: str
     stderr: float | None = None
     meta: dict = field(default_factory=dict)
-
-    def mid_float(self) -> float:
-        return float(self.value.mid())
 
     def __repr__(self):
         return (f"VolumeResult({self.method}: {mp.nstr(self.value.mid(), 10)}"
@@ -242,17 +239,13 @@ def reduce_to_domain(point, dom: FundamentalDomainData):
         if not pts[j][1].is_positive():
             raise ValueError("upper-half-plane coordinates need positive imaginary part")
 
-    bits = working_precision()
-    while bits <= 1 << 14:
+    def attempt():
         try:
-            with precision(bits):
-                out = _reduce_once(pts, dom, s, order, table, n)
+            return _reduce_once(pts, dom, s, order, table, n)
         except ArithmeticError:
-            out = None
-        if out is not None:
-            return out
-        bits *= 2
-    raise PrecisionError("point reduction undecidable (cell boundary)")
+            return None
+
+    return decide(attempt, 1 << 14)
 
 
 def _reduce_once(pts, dom, s, order, table, n):
@@ -261,10 +254,7 @@ def _reduce_once(pts, dom, s, order, table, n):
     ns = _floor_vector(beta)
     if ns is None:
         return None
-    w = order.one()
-    for g, e in zip(dom.eps, ns):
-        if e:
-            w = w * (g ** (-e))
+    w = order.power_product(dom.eps, [-e for e in ns])
     scale_r = [table.real_value(w, j) for j in range(s)]
     scale_c = table.complex_value(w, 0)
     zs = []
@@ -311,10 +301,7 @@ def apply_group_element(point, elem, dom: FundamentalDomainData):
     a, exps, *_ = elem
     s = dom.s
     table = dom.table
-    w = dom.order.one()
-    for g, e in zip(dom.eps, exps):
-        if e:
-            w = w * (g ** e)
+    w = dom.order.power_product(dom.eps, exps)
     pts = _as_complex_list(point, s)
     out = []
     for j in range(s):

@@ -2,29 +2,22 @@
 
 Matrices are plain ``list[list[int]]`` in row-major layout.  Sizes here are
 tiny (at most ~12 rows), so everything uses arbitrary-precision pivoting and
-no modular shortcuts.
+no modular shortcuts.  All elimination over Z/Q goes through one
+fraction-free (Bareiss) routine, and all elimination over F_p through
+``kernel_mod_p``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import prod
 
 
 def identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> list[list[int]]:
-    return [[0] * cols for _ in range(rows)]
-
-
 def copy(M) -> list[list[int]]:
     return [row[:] for row in M]
-
-
-def transpose(M) -> list[list[int]]:
-    return [list(col) for col in zip(*M)]
 
 
 def mat_mul(A, B) -> list[list[int]]:
@@ -39,14 +32,6 @@ def mat_vec(A, v) -> list[int]:
 
 def mat_add(A, B) -> list[list[int]]:
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B) -> list[list[int]]:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_eq(A, B) -> bool:
-    return A == B
 
 
 def mat_pow(A, e: int) -> list[list[int]]:
@@ -64,29 +49,126 @@ def mat_pow(A, e: int) -> list[list[int]]:
     return out
 
 
-def det_bareiss(M) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
-    n = len(M)
-    if n == 0:
-        return 1
-    A = copy(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k] != 0:
+def stack_one_minus(mats) -> list[list[int]]:
+    """The block row ``[I - M_1 | I - M_2 | ...]`` of equal square matrices."""
+    n = len(mats[0])
+    return [[(i == j) - M[i][j] for M in mats for j in range(n)] for i in range(n)]
+
+
+# -- fraction-free elimination over Z/Q ----------------------------------------
+
+
+def _bareiss(A, n: int):
+    """Fraction-free (Bareiss) elimination of ``A = [M | B]`` on its first n columns.
+
+    The columns of ``M`` are taken in order, and elimination stops at the
+    first one that depends on those before it.  Returns ``(k, d, X)``:
+    columns ``0..k-1`` of ``M`` are independent, ``d`` is (up to sign) their
+    k-by-k minor in the pivot rows, exactly ``det M`` when ``M`` is square
+    and ``k == n``, and ``X`` has one integer column per remaining column
+    ``c >= k`` of ``A`` with ``d * A[:, c] = sum_i X[i][c - k] * A[:, i]``
+    whenever that column lies in the span of the first k.  Every
+    intermediate entry is a minor of ``A``, so each division below is exact.
+    """
+    A = [list(row) for row in A]
+    m = len(A)
+    width = len(A[0]) if m else 0
+    sign = prev = 1
+    k = 0
+    while k < n and k < m:
+        if not A[k][k]:
+            for i in range(k + 1, m):
+                if A[i][k]:
                     A[k], A[i] = A[i], A[k]
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
+                break
+        rk = A[k]
+        p = rk[k]
+        for ri in A[k + 1:]:
+            a = ri[k]
+            for j in range(k + 1, width):
+                ri[j] = (ri[j] * p - a * rk[j]) // prev
+        prev = p
+        k += 1
+    d = sign * prev
+    # back-substitution: A[i][i] X[i] = d A[i][c] - sum_{j > i} A[i][j] X[j]
+    X = [[0] * (width - k) for _ in range(k)]
+    for c in range(k, width):
+        for i in range(k - 1, -1, -1):
+            acc = d * A[i][c] - sum(A[i][j] * X[j][c - k] for j in range(i + 1, k))
+            X[i][c - k] = acc // A[i][i]
+    return k, d, X
+
+
+def det_bareiss(M) -> int:
+    """Exact determinant by fraction-free Gaussian elimination."""
+    n = len(M)
+    k, d, _ = _bareiss(M, n)
+    return d if k == n else 0
+
+
+def solve(M, B):
+    """``(X, d)`` with ``M X = d B`` and ``d = det M`` for square ``M``; None
+    when ``M`` is singular.  ``X / d`` is the exact rational solution, and
+    ``solve(M, identity(n))`` gives ``M^-1 = X / d``."""
+    n = len(M)
+    k, d, X = _bareiss([list(row) + list(b) for row, b in zip(M, B)], n)
+    return (X, d) if k == n else None
+
+
+def solve_int(M, b) -> list[int] | None:
+    """Integer solution of ``M x = b`` when one exists (M square, nonsingular)."""
+    sol = solve(M, [[v] for v in b])
+    if sol is None:
+        return None
+    X, d = sol
+    if any(row[0] % d for row in X):
+        return None
+    return [row[0] // d for row in X]
+
+
+def interpolate(xs, ys) -> list[int]:
+    """Ascending integer coefficients of the polynomial of degree < len(xs)
+    through the points ``(xs[i], ys[i])``."""
+    coeffs = solve_int([[x ** j for j in range(len(xs))] for x in xs], ys)
+    if coeffs is None:
+        raise ArithmeticError("interpolation of an integer polynomial went non-integral")
+    return coeffs
+
+
+def charpoly(M) -> list[int]:
+    """Characteristic polynomial ``det(x I - M)``, ascending coefficients.
+
+    Exact, by evaluating the determinant at ``n + 1`` integer points and
+    interpolating.
+    """
+    n = len(M)
+    pts = list(range(n + 1))
+    vals = [det_bareiss([[(x if i == j else 0) - M[i][j] for j in range(n)]
+                         for i in range(n)]) for x in pts]
+    return interpolate(pts, vals)
+
+
+def minpoly_matrix(M) -> list[int]:
+    """Minimal polynomial of an integer matrix, ascending integer coefficients.
+
+    It is the first linear relation among vec(I), vec(M), vec(M^2), ...
+    """
+    n = len(M)
+    powers = [identity(n)]
+    for _ in range(n):
+        powers.append(mat_mul(powers[-1], M))
+    _, d, X = _bareiss([[P[i][j] for P in powers] for i in range(n) for j in range(n)],
+                       n + 1)
+    # d M^k = sum_i X[i][0] M^i, and the monic relation is integral
+    if any(row[0] % d for row in X):
+        raise ArithmeticError("expected an integer minimal polynomial")
+    return [-(row[0] // d) for row in X] + [1]
+
+
+# -- Hermite and Smith normal forms -------------------------------------------
 
 
 def _xgcd(a: int, b: int):
@@ -166,14 +248,7 @@ def lattice_det(H) -> int:
     """Index of a full-rank column-HNF lattice inside Z^n (product of pivots)."""
     if not hnf_is_full_rank(H):
         raise ValueError("lattice is not of full rank")
-    return _prod(H[i][i] for i in range(len(H)))
-
-
-def _prod(it):
-    out = 1
-    for v in it:
-        out *= v
-    return out
+    return prod(H[i][i] for i in range(len(H)))
 
 
 def solve_hnf(H, v) -> list[int] | None:
@@ -295,6 +370,9 @@ def snf(M) -> tuple[list[int], int]:
     return factors, m - len(factors)
 
 
+# -- elimination over F_p -------------------------------------------------------
+
+
 def kernel_mod_p(M, p: int) -> list[list[int]]:
     """Basis of the right kernel of ``M`` over F_p (vectors with entries in [0, p))."""
     m = len(M)
@@ -328,211 +406,3 @@ def kernel_mod_p(M, p: int) -> list[list[int]]:
             v[pj] = (-A[pr][j]) % p
         basis.append(v)
     return basis
-
-
-def solve_exact(M, b) -> list[Fraction] | None:
-    """Solve ``M x = b`` over Q; None when ``M`` is singular."""
-    n = len(M)
-    A = [[Fraction(v) for v in row] + [Fraction(b[i])] for i, row in enumerate(M)]
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if A[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return None
-        A[k], A[piv] = A[piv], A[k]
-        for i in range(n):
-            if i != k and A[i][k]:
-                f = A[i][k] / A[k][k]
-                A[i] = [a - f * c for a, c in zip(A[i], A[k])]
-    return [A[i][n] / A[i][i] for i in range(n)]
-
-
-def inverse_fraction(M) -> list[list[Fraction]]:
-    n = len(M)
-    cols = []
-    for j in range(n):
-        e = [0] * n
-        e[j] = 1
-        x = solve_exact(M, e)
-        if x is None:
-            raise ValueError("matrix is singular")
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def solve_int(M, b) -> list[int] | None:
-    """Integer solution of ``M x = b`` when one exists (M square, nonsingular)."""
-    x = solve_exact(M, b)
-    if x is None:
-        return None
-    out = []
-    for v in x:
-        if v.denominator != 1:
-            return None
-        out.append(v.numerator)
-    return out
-
-
-def charpoly(M) -> list[int]:
-    """Characteristic polynomial ``det(x I - M)``, ascending coefficients.
-
-    Exact, by evaluating the determinant at ``n + 1`` integer points and
-    interpolating over Q.
-    """
-    n = len(M)
-    pts = list(range(n + 1))
-    vals = []
-    for x in pts:
-        B = [[(x if i == j else 0) - M[i][j] for j in range(n)] for i in range(n)]
-        vals.append(det_bareiss(B))
-    coeffs = _interpolate_integer(pts, vals, n)
-    return coeffs
-
-
-def _interpolate_integer(xs, ys, degree) -> list[int]:
-    n = degree + 1
-    A = [[Fraction(x) ** j for j in range(n)] for x in xs[:n]]
-    # solve Vandermonde system
-    rhs = [Fraction(y) for y in ys[:n]]
-    aug = [row + [rhs[i]] for i, row in enumerate(A)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if aug[i][k])
-        aug[k], aug[piv] = aug[piv], aug[k]
-        for i in range(n):
-            if i != k and aug[i][k]:
-                f = aug[i][k] / aug[k][k]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[k])]
-    out = []
-    for i in range(n):
-        v = aug[i][n] / aug[i][i]
-        if v.denominator != 1:
-            raise ArithmeticError("interpolation of an integer polynomial went non-integral")
-        out.append(v.numerator)
-    return out
-
-
-def minpoly_matrix(M) -> list[int]:
-    """Minimal polynomial of an integer matrix, ascending integer coefficients."""
-    n = len(M)
-    poly = [1]  # constant 1, the minimal polynomial of nothing; lcm below
-    for start in range(n):
-        e = [Fraction(1 if i == start else 0) for i in range(n)]
-        krylov = [e]
-        v = e
-        rel = None
-        for _ in range(n):
-            v = [sum(Fraction(M[i][j]) * v[j] for j in range(n)) for i in range(n)]
-            rel = _linear_relation(krylov, v)
-            if rel is not None:
-                break
-            krylov.append(v)
-        if rel is None:
-            raise ArithmeticError("no Krylov relation found")
-        local = rel + [Fraction(1)]
-        poly = _poly_lcm_fraction(poly, local)
-        if len(poly) == n + 1:
-            break
-    return _fraction_poly_to_int(poly)
-
-
-def _linear_relation(basis, v):
-    """Coefficients c with v + sum c_i basis_i = 0, or None if independent."""
-    n = len(v)
-    k = len(basis)
-    aug = [[basis[j][i] for j in range(k)] + [Fraction(v[i])] for i in range(n)]
-    piv_cols = []
-    r = 0
-    for j in range(k):
-        piv = None
-        for i in range(r, n):
-            if aug[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for i in range(n):
-            if i != r and aug[i][j]:
-                f = aug[i][j] / aug[r][j]
-                aug[i] = [a - f * c for a, c in zip(aug[i], aug[r])]
-        piv_cols.append(j)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k]:
-            return None  # v independent of basis
-    coeffs = [Fraction(0)] * k
-    for idx, j in enumerate(piv_cols):
-        coeffs[j] = aug[idx][k] / aug[idx][j]
-    return [-c for c in coeffs]
-
-
-def _poly_lcm_fraction(a, b):
-    g = _poly_gcd_fraction(a, b)
-    q, r = _poly_divmod_fraction(a, g)
-    assert not any(r), "gcd must divide"
-    return _poly_mul_fraction(q, b)
-
-
-def _poly_mul_fraction(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod_fraction(a, b):
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    while b and not b[-1]:
-        b.pop()
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] / b[-1]
-        d = len(r) - len(b)
-        q[d] = c
-        for i, bv in enumerate(b):
-            r[i + d] -= c * bv
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _poly_gcd_fraction(a, b):
-    a = [Fraction(v) for v in a]
-    b = [Fraction(v) for v in b]
-    while any(b):
-        _, r = _poly_divmod_fraction(a, b)
-        a, b = b, r
-    # normalize monic
-    while a and not a[-1]:
-        a.pop()
-    lead = a[-1]
-    return [v / lead for v in a]
-
-
-def _fraction_poly_to_int(p) -> list[int]:
-    lead = p[-1]
-    mon = [v / lead for v in p]
-    out = []
-    for v in mon:
-        if v.denominator != 1:
-            raise ArithmeticError("expected an integer minimal polynomial")
-        out.append(v.numerator)
-    return out
-
-
-def content(v) -> int:
-    g = 0
-    for a in v:
-        g = gcd(g, a)
-    return g

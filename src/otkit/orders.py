@@ -10,10 +10,11 @@ discriminant; an unfactored discriminant cofactor makes the result
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import intmat
 from .factorint import square_divisor_primes
-from .intmat import charpoly, det_bareiss, hnf, inverse_fraction, kernel_mod_p
+from .intmat import charpoly, det_bareiss, hnf, kernel_mod_p
 from .polynomials import IntPolynomial, count_real_roots, is_irreducible, poly_discriminant
 
 
@@ -119,9 +120,6 @@ class OrderElement:
     def __pow__(self, e: int):
         return self.order.power(self, e)
 
-    def is_one(self) -> bool:
-        return self == self.order.one()
-
     def is_pm_one(self) -> bool:
         return self == self.order.one() or self == -self.order.one()
 
@@ -135,10 +133,7 @@ class SubOrder:
     def __init__(self, ambient: MonogenicOrder, basis_num, den: int):
         self.ambient = ambient
         self.n = ambient.n
-        g = den
-        for row in basis_num:
-            for v in row:
-                g = _gcd(g, v)
+        g = gcd(den, *(v for row in basis_num for v in row))
         if g > 1:
             basis_num = [[v // g for v in row] for row in basis_num]
             den //= g
@@ -155,7 +150,7 @@ class SubOrder:
         if disc.denominator != 1:
             raise ValueError("discriminant-index relation failed")
         self.disc = int(disc)
-        self._binv = inverse_fraction(self.basis_num)
+        self._binv, self._binv_den = intmat.solve(self.basis_num, intmat.identity(self.n))
         self._table = self._structure_constants()
         self._one = self.from_power_coords([1] + [0] * (self.n - 1))
         if self._one is None:
@@ -189,19 +184,24 @@ class SubOrder:
         d2 = self.den * self.den
         for i in range(n):
             for j in range(i, n):
-                w = self._power_product(cols[i], cols[j])
-                z = []
-                for r in range(n):
-                    acc = Fraction(0)
-                    for k in range(n):
-                        acc += self._binv[r][k] * w[k]
-                    acc = acc * self.den / d2
-                    if acc.denominator != 1:
-                        raise ValueError("basis is not multiplicatively closed")
-                    z.append(int(acc))
+                z = self._basis_coords(self._power_product(cols[i], cols[j]), d2)
+                if z is None:
+                    raise ValueError("basis is not multiplicatively closed")
                 table[i][j] = tuple(z)
                 table[j][i] = tuple(z)
         return table
+
+    def _basis_coords(self, vec, den: int) -> list[int] | None:
+        """Coordinates of the power-basis vector ``vec / den`` in this basis, or
+        None when they are not integral."""
+        out = []
+        for row in self._binv:
+            q, r = divmod(sum(a * b for a, b in zip(row, vec)) * self.den,
+                          self._binv_den * den)
+            if r:
+                return None
+            out.append(q)
+        return out
 
     # -- elements ----------------------------------------------------------
 
@@ -222,16 +222,8 @@ class SubOrder:
 
     def from_power_coords(self, vec, den: int = 1) -> OrderElement | None:
         """Coerce a power-basis vector (over den) into this order, or None."""
-        out = []
-        for r in range(self.n):
-            acc = Fraction(0)
-            for k in range(self.n):
-                acc += self._binv[r][k] * vec[k]
-            acc = acc * self.den / den
-            if acc.denominator != 1:
-                return None
-            out.append(int(acc))
-        return OrderElement(self, out)
+        out = self._basis_coords(vec, den)
+        return None if out is None else OrderElement(self, out)
 
     def to_power_fractions(self, x: OrderElement) -> list[Fraction]:
         return [Fraction(sum(self.basis_num[r][c] * x.coords[c] for c in range(self.n)),
@@ -244,9 +236,7 @@ class SubOrder:
         if x.order.ambient.f != self.ambient.f:
             raise ValueError("element lives over a different defining polynomial")
         vec = x.order.to_power_fractions(x)
-        den = 1
-        for v in vec:
-            den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in vec))
         out = self.from_power_coords([int(v * den) for v in vec], den)
         if out is None:
             raise ValueError("element is not integral in the target order")
@@ -277,6 +267,14 @@ class SubOrder:
             e >>= 1
             if e:
                 base = base * base
+        return out
+
+    def power_product(self, gens, exps) -> OrderElement:
+        """The product of ``g ** e`` over paired generators and exponents."""
+        out = self.one()
+        for g, e in zip(gens, exps):
+            if e:
+                out = out * g ** e
         return out
 
     def inverse_unit(self, u: OrderElement) -> OrderElement:
@@ -342,13 +340,6 @@ class SubOrder:
                 f"disc={self.disc})")
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # -- maximalization -----------------------------------------------------------
 
 
@@ -405,21 +396,14 @@ def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
     """One multiplier-ring step at p; None when the order is already p-maximal."""
     n = order.n
     U = _p_radical(order, p)
-    Uinv = inverse_fraction(U)
+    Uinv, d = intmat.solve(U, intmat.identity(n))
     Vs = []
     for i in range(n):
         Mi = order.mult_matrix(order.element([1 if j == i else 0 for j in range(n)]))
-        prod = _frac_mat_mul(Uinv, Mi)
-        V = []
-        for r in range(n):
-            row = []
-            for c in range(n):
-                acc = sum(prod[r][k] * U[k][c] for k in range(n))
-                if acc.denominator != 1:
-                    raise ArithmeticError("radical is not an ideal of the order")
-                row.append(int(acc))
-            V.append(row)
-        Vs.append(V)
+        V = intmat.mat_mul(intmat.mat_mul(Uinv, Mi), U)
+        if any(v % d for row in V for v in row):
+            raise ArithmeticError("radical is not an ideal of the order")
+        Vs.append([[v // d for v in row] for row in V])
     big = [[Vs[i][r][c] % p for i in range(n)] for r in range(n) for c in range(n)]
     ker = kernel_mod_p(big, p)
     if not ker:
@@ -432,13 +416,6 @@ def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
     # new basis over the power basis: B * H / (den * p)
     newb = intmat.mat_mul(order.basis_num, H)
     return SubOrder(order.ambient, newb, order.den * p)
-
-
-def _frac_mat_mul(A, B):
-    n = len(A)
-    m = len(B[0])
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(m)]
-            for i in range(n)]
 
 
 def maximalize(mo: MonogenicOrder, bound: int = 10 ** 6):

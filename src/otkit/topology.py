@@ -39,19 +39,10 @@ class GroupPresentation:
                     raise ValueError("action matrices must commute")
         self.lattice_rank = n
         self.action_matrices = [intmat.copy(M) for M in matrices]
-        self._inverses = [self._int_inverse(M) for M in matrices]
-
-    @staticmethod
-    def _int_inverse(M):
-        n = len(M)
-        cols = []
-        for j in range(n):
-            e = [1 if i == j else 0 for i in range(n)]
-            x = intmat.solve_int(M, e)
-            if x is None:
-                raise ValueError("matrix is not invertible over Z")
-            cols.append(x)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        self._inverses = []
+        for M in matrices:
+            X, d = intmat.solve(M, intmat.identity(n))  # M^-1 = X / d, d = +-1
+            self._inverses.append([[v // d for v in row] for row in X])
 
     @property
     def free_rank(self) -> int:
@@ -140,19 +131,9 @@ def commutator(a: SemidirectElement, b: SemidirectElement,
     return group_multiply(group_multiply(ab, ia, p), ib, p)
 
 
-def _stacked_blocks(p: GroupPresentation):
-    n = p.lattice_rank
-    stacked = [[] for _ in range(n)]
-    for M in p.action_matrices:
-        for i in range(n):
-            for j in range(n):
-                stacked[i].append((1 if i == j else 0) - M[i][j])
-    return stacked
-
-
 def h1(p: GroupPresentation) -> tuple[int, AbelianGroupInvariants]:
     """First homology of the semidirect product: free rank and torsion."""
-    factors, defect = snf(_stacked_blocks(p))
+    factors, defect = snf(intmat.stack_one_minus(p.action_matrices))
     return p.free_rank + defect, AbelianGroupInvariants(0, factors)
 
 
@@ -283,16 +264,9 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
     deg = m * n
     last_error = None
     for c in range(1, 9):
-        pts = range(-(deg // 2) - 1, deg // 2 + 2)
-        vals = []
-        xs = []
-        for z0 in pts:
-            xs.append(z0)
-            vals.append(resultant(f, _compose_shifted(g, z0, c)))
-            if len(xs) == deg + 1:
-                break
-        coeffs = intmat._interpolate_integer(xs, vals, deg)
-        h = IntPolynomial(coeffs)
+        xs = range(-(deg // 2) - 1, deg - deg // 2)
+        vals = [resultant(f, _compose_shifted(g, z0, c)) for z0 in xs]
+        h = IntPolynomial(intmat.interpolate(xs, vals))
         if h.degree != deg or not h.is_monic():
             h = h.primitive()
         if h.degree != deg:
@@ -355,10 +329,7 @@ def mobius_action_check(order: SubOrder, gens, samples: int, table,
 
     def random_pair():
         u = order.element([rng.randint(-4, 4) for _ in range(n)])
-        w = order.one()
-        for g in gens:
-            w = w * (g ** rng.randint(-2, 2))
-        return u, w
+        return u, order.power_product(gens, [rng.randint(-2, 2) for _ in gens])
 
     hom_exact = True
     for _ in range(samples):

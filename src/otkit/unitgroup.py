@@ -20,7 +20,7 @@ from mpmath import mp
 
 from . import intmat
 from .balls import RealBall, ball_det
-from .config import PrecisionError, precision, working_precision
+from .config import PrecisionError, decide, precision, working_precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder
@@ -70,7 +70,6 @@ class UnitGroupData:
         self.regulator = regulator
         self.certified_index_bound = certified_index_bound
         self.totally_positive_generators = totally_positive
-        self.torsion_sign_present = True
         self.table = table
 
     @property
@@ -197,16 +196,6 @@ class _UnitLattice:
             raise PrecisionError("log vector not finite at this precision")
         return out
 
-    def log_matrix_balls(self):
-        return [self.table.log_vector(g)[: self.rank] for g in self.gens]
-
-    def _mul_power(self, u: OrderElement, exps) -> OrderElement:
-        out = u
-        for g, e in zip(self.gens, exps):
-            if e:
-                out = out * (g ** e)
-        return out
-
     @staticmethod
     def _lstsq(A, lam):
         try:
@@ -233,7 +222,7 @@ class _UnitLattice:
             q = np.rint(c).astype(int)
             if not q.any():
                 break
-            u = self._mul_power(u, [-int(t) for t in q])
+            u = u * self.order.power_product(self.gens, [-int(t) for t in q])
             if u.is_pm_one():
                 return False
         lam = np.array(self._logvec(u))
@@ -257,10 +246,7 @@ class _UnitLattice:
             if np.all(np.abs(dc - np.rint(dc)) < 1e-4):
                 q = [int(v) for v in np.rint(dc)]
                 lhs = u ** d
-                rhs = self.order.one()
-                for g, e in zip(self.gens, q):
-                    if e:
-                        rhs = rhs * (g ** e)
+                rhs = self.order.power_product(self.gens, q)
                 if lhs == rhs or lhs == -rhs:
                     return self._absorb(u, depth)
                 break
@@ -275,13 +261,6 @@ class _UnitLattice:
         for g in pool:
             changed |= self.insert(g, depth + 1)
         return changed
-
-    def element_from_exponents(self, exps) -> OrderElement:
-        out = self.order.one()
-        for g, e in zip(self.gens, exps):
-            if e:
-                out = out * (g ** e)
-        return out
 
 
 def regulator_of(table: EmbeddingTable, gens) -> RealBall:
@@ -583,7 +562,7 @@ def _certify_lattice(order, table, lattice, friedman_floor=None) -> UnitGroupDat
             improved = False
             for k in _primes_up_to(min(bound, max_k)):
                 for cls in _projective_classes(k, r):
-                    v = lattice.element_from_exponents(cls)
+                    v = order.power_product(lattice.gens, cls)
                     w = _try_kth_root(order, table, v, k)
                     if w is not None and lattice.insert(w):
                         reg = regulator_of(table, lattice.gens)
@@ -604,38 +583,13 @@ def _certify_lattice(order, table, lattice, friedman_floor=None) -> UnitGroupDat
 # -- totally positive subgroup -----------------------------------------------------
 
 
-def _solve_mod2(A, b):
-    """One solution of A x = b over F_2, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    piv = []
-    row = 0
-    for col in range(n):
-        sel = next((i for i in range(row, m) if M[i][col] & 1), None)
-        if sel is None:
-            continue
-        M[row], M[sel] = M[sel], M[row]
-        for i in range(m):
-            if i != row and M[i][col] & 1:
-                M[i] = [(a ^ c) for a, c in zip(M[i], M[row])]
-        piv.append(col)
-        row += 1
-    for i in range(row, m):
-        if M[i][n] & 1:
-            return None
-    x = [0] * n
-    for i, col in enumerate(piv):
-        x[col] = M[i][n] & 1
-    return x
-
-
 def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
                                 gens) -> list[OrderElement]:
     """Generators of the totally positive subgroup of <+-1, gens>.
 
-    Computed as the kernel of the sign map over F_2; each returned element is
-    verified positive at every real place.
+    Their exponent lattice is 2Z^r plus the first r coordinates of the
+    kernel of [signs | 1] over F_2 (sign vectors that are all-equal); each
+    returned element is verified positive at every real place.
     """
     s = table.s
     r = len(gens)
@@ -647,25 +601,15 @@ def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
         sign_cols.append(sv)
     if s == 0:
         return list(gens)
-    A = [[sign_cols[j][i] for j in range(r)] for i in range(s)]
-    ones = [1] * s
-    kernel = kernel_mod_p(A, 2)
-    part = _solve_mod2(A, ones)
+    A = [[sign_cols[j][i] for j in range(r)] + [1] for i in range(s)]
     cols = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    for v in kernel:
+    for v in kernel_mod_p(A, 2):
         for i in range(r):
-            cols[i].append(v[i] & 1)
-    if part is not None:
-        for i in range(r):
-            cols[i].append(part[i] & 1)
+            cols[i].append(v[i])
     H = hnf(cols)
     out = []
     for c in range(r):
-        exps = [H[i][c] for i in range(r)]
-        u = order.one()
-        for g, e in zip(gens, exps):
-            if e:
-                u = u * (g ** e)
+        u = order.power_product(gens, [H[i][c] for i in range(r)])
         sv = table.sign_vector(u)
         if sv is None:
             raise PrecisionError("undecided sign for totally positive generator")
@@ -681,24 +625,18 @@ def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
 # -- the ideal J(U) ------------------------------------------------------------------
 
 
-def _stacked_one_minus(order: SubOrder, gens):
-    n = order.n
-    stacked = [[] for _ in range(n)]
-    for g in gens:
-        if not order.is_unit(g):
-            raise ValueError("J(U) generators must be units")
-        M = order.mult_matrix(g)
-        for i in range(n):
-            for j in range(n):
-                stacked[i].append((1 if i == j else 0) - M[i][j])
-    return stacked
+def _j_relations(order: SubOrder, gens):
+    """The block row [I - M_g | ...] of multiplication matrices over the units g."""
+    if not gens:
+        raise ValueError("J(U) needs a nontrivial unit subgroup")
+    if not all(order.is_unit(g) for g in gens):
+        raise ValueError("J(U) generators must be units")
+    return intmat.stack_one_minus([order.mult_matrix(g) for g in gens])
 
 
 def j_ideal(order: SubOrder, gens) -> IdealHNF:
     """HNF of the ideal generated by 1-g over the given units g."""
-    if not gens:
-        raise ValueError("J(U) needs a nontrivial unit subgroup")
-    H = hnf(_stacked_one_minus(order, gens))
+    H = hnf(_j_relations(order, gens))
     if not intmat.hnf_is_full_rank(H):
         raise ValueError("unit subgroup is trivial: J(U) would be the zero ideal")
     return IdealHNF(order, H, lattice_det(H))
@@ -706,9 +644,7 @@ def j_ideal(order: SubOrder, gens) -> IdealHNF:
 
 def torsion_group(order: SubOrder, gens) -> AbelianGroupInvariants:
     """Invariant factors of O/J(U) (the torsion part of first homology)."""
-    if not gens:
-        raise ValueError("J(U) needs a nontrivial unit subgroup")
-    factors, defect = snf(_stacked_one_minus(order, gens))
+    factors, defect = snf(_j_relations(order, gens))
     if defect:
         raise ValueError("unit subgroup is trivial: quotient has free rank")
     return AbelianGroupInvariants(0, factors)
@@ -725,32 +661,33 @@ def default_coord_bound(n: int) -> int:
     return 2
 
 
+UNIT_GROUP_MAX_BITS = 8192
+
+
 def unit_group(order: SubOrder, emb: EmbeddingSet | None = None,
                coord_bound: int | None = None,
-               friedman_floor: Fraction | None = None,
-               max_bits: int = 8192) -> UnitGroupData:
+               friedman_floor: Fraction | None = None) -> UnitGroupData:
     """Find, reduce, and certify the unit group of an order.
 
     Box-search first; if the rank is short, sweep skewed LLL reductions.
     Precision escalates automatically whenever a decision was ambiguous.
     """
     f = order.ambient.f
-    bits = working_precision()
     if coord_bound is None:
         coord_bound = default_coord_bound(order.n)
-    base_emb = emb
-    while bits <= max_bits:
+
+    def attempt():
+        bits = working_precision()
         try:
-            with precision(bits):
-                emb_l = (base_emb or isolate_roots(f, bits)).refine(bits)
-                table = EmbeddingTable(order, emb_l)
-                r = table.s + table.t - 1
-                lattice = _UnitLattice(order, table, r)
-                for u in find_units(order, coord_bound, table):
-                    lattice.insert(u)
-                if len(lattice.gens) < r:
-                    sweep_units(order, table, lattice)
-                return _certify_lattice(order, table, lattice, friedman_floor)
+            table = EmbeddingTable(order, (emb or isolate_roots(f, bits)).refine(bits))
+            r = table.s + table.t - 1
+            lattice = _UnitLattice(order, table, r)
+            for u in find_units(order, coord_bound, table):
+                lattice.insert(u)
+            if len(lattice.gens) < r:
+                sweep_units(order, table, lattice)
+            return _certify_lattice(order, table, lattice, friedman_floor)
         except PrecisionError:
-            bits *= 2
-    raise PrecisionError(f"unit group undecidable below {max_bits} bits")
+            return None
+
+    return decide(attempt, UNIT_GROUP_MAX_BITS)

@@ -1,4 +1,5 @@
 import pytest
+import sympy
 
 from otkit.factorint import (factor_string, is_perfect_square,
                              square_divisor_primes, trial_factor)
@@ -31,6 +32,19 @@ def test_trial_factor_opaque_cofactor_flagged():
     factors, cofactor, certified = trial_factor(p * p * q, bound=10 ** 3)
     assert cofactor == p * p * q
     assert not certified
+
+
+@pytest.mark.parametrize("exponent", [20, 200])
+def test_trial_factor_large_prime_square(exponent):
+    p = sympy.nextprime(10 ** exponent)
+    assert trial_factor(p * p) == ([(p, 2)], 1, True)
+
+
+def test_trial_factor_huge_semiprime_flagged():
+    p = sympy.nextprime(10 ** 200)
+    q = sympy.nextprime(p)
+    factors, cofactor, certified = trial_factor(p * q)
+    assert factors == [] and cofactor == p * q and not certified
 
 
 def test_trial_factor_rejects_zero():

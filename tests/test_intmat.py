@@ -1,11 +1,15 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from otkit import intmat
 from otkit.intmat import (charpoly, det_bareiss, hnf, hnf_with_transform,
                           kernel_mod_p, lattice_det, minpoly_matrix, snf,
-                          snf_with_transforms, solve_hnf)
+                          snf_with_transforms, solve, solve_hnf, solve_int)
+from otkit.polynomials import IntPolynomial
 
 
 def test_hnf_identity():
@@ -43,7 +47,7 @@ def test_hnf_membership():
 def test_snf_trivial_cases():
     factors, defect = snf(intmat.identity(4))
     assert factors == [1, 1, 1, 1] and defect == 0
-    factors, defect = snf(intmat.zeros(3, 3))
+    factors, defect = snf([[0] * 3 for _ in range(3)])
     assert factors == [] and defect == 3
 
 
@@ -142,3 +146,95 @@ def test_hnf_is_canonical_for_the_lattice(M, rng):
     rng.shuffle(cols)
     M2 = [[cols[c][r] for c in range(len(cols))] for r in range(len(M))]
     assert hnf(M2) == H1
+
+
+# -- the shared eliminators ----------------------------------------------------
+
+entries = st.integers(-9, 9)
+square = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _vector(n):
+    return st.lists(entries, min_size=n, max_size=n)
+
+
+# a square matrix and two vectors of its size
+systems = square.flatmap(lambda M: st.tuples(st.just(M), _vector(len(M)), _vector(len(M))))
+
+
+@given(systems)
+def test_solve_is_none_exactly_when_singular(system):
+    M, b, _ = system
+    sol = solve(M, [[v] for v in b])
+    d = det_bareiss(M)
+    if d == 0:
+        assert sol is None
+        return
+    X, den = sol
+    assert den == d
+    x = [Fraction(row[0], den) for row in X]
+    assert [sum(a * xi for a, xi in zip(row, x)) for row in M] == b
+
+
+@given(systems)
+def test_solve_int_returns_exactly_the_integral_solutions(system):
+    M, b, x0 = system
+    d = det_bareiss(M)
+    if d == 0:
+        assert solve_int(M, b) is None
+        return
+    # an integral right-hand side image comes back as that integer vector
+    assert solve_int(M, intmat.mat_vec(M, x0)) == x0
+    X, den = solve(M, [[v] for v in b])
+    integral = all(row[0] % den == 0 for row in X)
+    x = solve_int(M, b)
+    assert (x is not None) == integral
+    if x is not None:
+        assert intmat.mat_vec(M, x) == b
+
+
+@given(square)
+def test_inverse_through_solve(M):
+    n = len(M)
+    sol = solve(M, intmat.identity(n))
+    if det_bareiss(M) == 0:
+        assert sol is None
+        return
+    X, d = sol
+    assert intmat.mat_mul(M, X) == [[d * v for v in row] for row in intmat.identity(n)]
+
+
+@given(square)
+def test_minpoly_annihilates_and_divides_charpoly(M):
+    n = len(M)
+    mp_ = minpoly_matrix(M)
+    assert mp_[-1] == 1 and 1 <= len(mp_) - 1 <= n
+    value = [[0] * n for _ in range(n)]
+    power = intmat.identity(n)
+    for c in mp_:
+        value = [[v + c * w for v, w in zip(rv, rw)] for rv, rw in zip(value, power)]
+        power = intmat.mat_mul(power, M)
+    assert value == [[0] * n for _ in range(n)]
+    _, rem = IntPolynomial(charpoly(M)).divmod_monic(IntPolynomial(mp_))
+    assert not any(rem.coeffs)
+
+
+rect = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda mn: st.lists(st.lists(entries, min_size=mn[1], max_size=mn[1]),
+                        min_size=mn[0], max_size=mn[0]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@given(M=rect)
+def test_kernel_mod_p_basis(p, M):
+    n = len(M[0])
+    F = GF(p)
+    rank = DomainMatrix([[F(v) for v in row] for row in M], (len(M), n), F).rank()
+    ker = kernel_mod_p(M, p)
+    assert len(ker) == n - rank
+    for v in ker:
+        assert all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in M)
+    if ker:
+        K = DomainMatrix([[F(x) for x in v] for v in ker], (len(ker), n), F)
+        assert K.rank() == len(ker)

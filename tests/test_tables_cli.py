@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
+from otkit import cli
 from otkit.cli import main
+from otkit.config import PrecisionError
 from otkit.tables import (load_expected, regen_minvol, regen_prop5index,
                           regen_volumebounds)
 
@@ -50,6 +54,25 @@ def test_cli_field_reducible(capsys):
 def test_cli_field_malformed(capsys):
     rc = main(["field", "T^^3"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("poly", ["2*T^3 + 1",       # not monic
+                                  "T^3 - 3*T + 1",   # totally real
+                                  "T^6 + T + 1"])    # no real place
+def test_cli_field_rejects_with_json_error(capsys, poly):
+    rc = main(["field", poly])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1 and err["exit_code"] == 1 and err["error"]
+
+
+def test_cli_precision_error_is_json(capsys, monkeypatch):
+    def undecided(*args, **kwargs):
+        raise PrecisionError("undecidable even at 8192 bits")
+
+    monkeypatch.setattr(cli, "unit_group", undecided)
+    rc = main(["units", "T^3 - T + 5"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1 and err == {"error": "undecidable even at 8192 bits", "exit_code": 1}
 
 
 def test_cli_field_json_large(capsys):
