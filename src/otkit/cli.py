@@ -17,9 +17,9 @@ from mpmath import mp
 
 from .config import PrecisionError, RunConfig, precision
 from .factorint import factor_string, trial_factor
-from .geometry import (SCAN_CSV_COLUMNS, field_volumes, fundamental_domain,
-                       inoue_closed_form, mc_volume, min_volume_scan, ot_volume,
-                       torsion_upper_bound)
+from .geometry import (SCAN_CSV_COLUMNS, check_mc_samples, field_volumes,
+                       fundamental_domain, inoue_closed_form, mc_volume,
+                       min_volume_scan, ot_volume, torsion_upper_bound)
 from .orders import ReduciblePolynomialError, build_order, maximalize, signature
 from .polynomials import IntPolynomial
 from .tables import CSV_COLUMNS, TABLE_NAMES, regenerate
@@ -42,13 +42,20 @@ class CliError(Exception):
         super().__init__(message)
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(precision_bits=args.precision,
-                     unit_search_bound=args.bound or 0,
-                     mc_samples=args.samples,
-                     seed=args.seed,
-                     output_format=args.format,
-                     certified_only=args.certified_only)
+def _config(args, mc: bool = False) -> RunConfig:
+    """The run's settings; ``mc`` when the command draws Monte Carlo samples."""
+    try:
+        cfg = RunConfig(precision_bits=args.precision,
+                        unit_search_bound=args.bound or 0,
+                        mc_samples=args.samples,
+                        seed=args.seed,
+                        output_format=args.format,
+                        certified_only=args.certified_only)
+        if mc:
+            check_mc_samples(cfg.mc_samples)
+    except ValueError as exc:
+        raise CliError(EXIT_ERROR, f"bad option: {exc}") from exc
+    return cfg
 
 
 def _parse_poly(text: str) -> IntPolynomial:
@@ -62,23 +69,22 @@ def _ball_dict(b) -> dict:
     return {"mid": mp.nstr(b.mid(), 24), "rad": mp.nstr(b.rad(), 6)}
 
 
-def _build(f: IntPolynomial):
+def _build(f: IntPolynomial, volume: bool = False):
+    """``build_order(f)`` with the signature checked before any order or unit
+    work: every field needs a real place (s >= 1), a volume also t = 1."""
     try:
-        return build_order(f)
+        mo = build_order(f)
     except ReduciblePolynomialError as exc:
         raise CliError(EXIT_REDUCIBLE, str(exc)) from exc
     except ValueError as exc:
         raise CliError(EXIT_ERROR, f"bad polynomial: {exc}") from exc
-
-
-def _build_for_volume(f: IntPolynomial):
-    """``_build`` for the commands that need a volume: the signature
-    (s >= 1, t = 1) is checked before any order or unit work."""
-    mo = _build(f)
     sig = signature(f)
-    if sig.s < 1 or sig.t != 1:
-        raise CliError(EXIT_ERROR, "volumes need s >= 1 real places and one complex "
-                                   f"place, got (s, t) = ({sig.s}, {sig.t})")
+    if sig.s < 1:
+        raise CliError(EXIT_ERROR, "the manifolds need s >= 1 real places, "
+                                   f"got (s, t) = ({sig.s}, {sig.t})")
+    if volume and sig.t != 1:
+        raise CliError(EXIT_ERROR, "volumes need one complex place, "
+                                   f"got (s, t) = ({sig.s}, {sig.t})")
     return mo
 
 
@@ -104,10 +110,10 @@ def _volume_dict(v) -> dict:
 
 
 def cmd_field(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, mc=args.mc)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(_build_for_volume(f), cfg)
+        order, index, order_cert, ug = _field_data(_build(f, volume=True), cfg)
         sig = signature(f)
         gens = ug.totally_positive_generators
         J = j_ideal(order, gens)
@@ -209,7 +215,7 @@ def cmd_h1(args) -> int:
             if not args.poly:
                 raise CliError(EXIT_ERROR, "give either --poly or --presentation")
             f = _parse_poly(args.poly)
-            order, index, order_cert, ug = _field_data(_build(f), _config(args))
+            order, index, order_cert, ug = _field_data(_build(f), cfg)
             p = presentation_from_field(order, ug.totally_positive_generators)
             if args.save_presentation:
                 p.save(args.save_presentation)
@@ -218,7 +224,7 @@ def cmd_h1(args) -> int:
                "torsion_factors": [str(x) for x in tors.factors],
                "torsion_order": str(tors.order_of_torsion),
                "degenerate": free > len(p.action_matrices)}
-    _emit(out, _config(args))
+    _emit(out, cfg)
     return EXIT_OK
 
 
@@ -226,7 +232,7 @@ def cmd_volume(args) -> int:
     cfg = _config(args)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(_build_for_volume(f), cfg)
+        order, index, order_cert, ug = _field_data(_build(f, volume=True), cfg)
         vols = field_volumes(order, ug)
         out = {"poly": f.format(), "disc": str(order.disc),
                "regulator": _ball_dict(ug.regulator),
@@ -236,11 +242,10 @@ def cmd_volume(args) -> int:
 
 
 def cmd_mcvol(args) -> int:
-    cfg = _config(args)
-    cfg.validate_mc()
+    cfg = _config(args, mc=True)
     f = _parse_poly(args.poly)
     with precision(cfg.precision_bits):
-        order, index, order_cert, ug = _field_data(_build_for_volume(f), cfg)
+        order, index, order_cert, ug = _field_data(_build(f, volume=True), cfg)
         dom = fundamental_domain(order, ug)
         v = mc_volume(dom, cfg.mc_samples, cfg.seed)
         closed = ot_volume(dom.s, abs(order.disc), ug.regulator)

@@ -76,7 +76,3 @@ class RunConfig:
             raise ValueError(f"precision_bits must be >= {MIN_PRECISION}")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-
-    def validate_mc(self):
-        if self.mc_samples < 1000:
-            raise ValueError("Monte Carlo runs need at least 10^3 samples")

@@ -332,6 +332,12 @@ def domain_contains(point, dom: FundamentalDomainData) -> bool:
 # -- Monte Carlo -----------------------------------------------------------------
 
 
+def check_mc_samples(samples: int) -> None:
+    """The one sample-count check of every Monte Carlo volume."""
+    if samples < 1000:
+        raise ValueError("Monte Carlo runs need at least 10^3 samples")
+
+
 def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResult:
     """Monte-Carlo volume: rejection-sample the cell in (x, y) coordinates.
 
@@ -340,8 +346,7 @@ def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResu
     The integrand is the invariant density over the cell; the quotient by the
     ambient unit group contributes an exact 1/2^s.
     """
-    if samples < 1000:
-        raise ValueError("Monte Carlo runs need at least 10^3 samples")
+    check_mc_samples(samples)
     s = dom.s
     n = dom.order.n
     Bf = np.array([[float(v.mid()) for v in row] for row in dom.L])

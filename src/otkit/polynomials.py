@@ -108,9 +108,6 @@ class IntPolynomial:
             out = out * base + IntPolynomial([c])
         return out
 
-    def reverse(self) -> IntPolynomial:
-        return IntPolynomial(list(reversed(self.coeffs)))
-
     def divmod_monic(self, g: IntPolynomial):
         """Quotient and remainder by a monic divisor, exact over Z."""
         if not g.is_monic():

@@ -16,7 +16,7 @@ from mpmath import mp, mpf
 
 from .balls import ComplexBall, RealBall
 from .config import precision, working_precision
-from .polynomials import (IntPolynomial, integer_roots, is_squarefree,
+from .polynomials import (IntPolynomial, _sign_at, integer_roots, is_squarefree,
                           sturm_count)
 
 
@@ -71,11 +71,6 @@ def _mpf_to_fraction(x) -> Fraction:
         return Fraction(0)
     m = -man if sign else man
     return Fraction(m << exp) if exp >= 0 else Fraction(m, 1 << -exp)
-
-
-def _sign_at(f: IntPolynomial, q: Fraction) -> int:
-    v = f(q)
-    return (v > 0) - (v < 0)
 
 
 def _cauchy_bound(f: IntPolynomial) -> int:

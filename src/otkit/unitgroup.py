@@ -14,16 +14,18 @@ root extraction shrinks the bound to 1 or finds the missing unit.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 from mpmath import mp
+from sympy import primerange
 
 from . import intmat
 from .balls import RealBall, ball_det
 from .config import PrecisionError, decide, precision, working_precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
-from .orders import OrderElement, SubOrder
+from .orders import OrderElement, SubOrder, signature
 from .roots import EmbeddingSet, isolate_roots
 
 
@@ -49,6 +51,13 @@ FRIEDMAN_CEILINGS = {
     5: 10 ** 7,
 }
 UNIVERSAL_FLOOR = Fraction(1, 4)
+
+
+def _require_real_place(s: int) -> None:
+    # with a real place the only roots of unity are +-1, the only torsion the
+    # unit lattice knows; the manifolds X(K) need s >= 1 anyway
+    if s < 1:
+        raise ValueError("unit groups need a real place (s >= 1), got s = 0")
 
 
 def regulator_floor(s: int, t: int, disc_abs: int, degree: int) -> Fraction | None:
@@ -206,37 +215,38 @@ class _UnitLattice:
             raise PrecisionError("least squares produced non-finite coefficients")
         return c
 
-    def insert(self, u: OrderElement, depth: int = 0) -> bool:
+    def insert(self, u: OrderElement, depth: int = 0, _lam=None) -> bool:
+        """Add u to the lattice; False when u is already in it up to sign.
+
+        ``_lam`` is u's log vector when the caller already has it.
+        """
         if depth > 40:
             raise PrecisionError("unit lattice reduction did not settle")
         if not self.order.is_unit(u):
             raise ValueError("inserting a non-unit into the unit lattice")
         if u.is_pm_one():
             return False
-        for _ in range(200):
-            if not self.gens:
-                break
-            lam = np.array(self._logvec(u))
-            A = np.array(self._logs).T
-            c = self._lstsq(A, lam)
-            q = np.rint(c).astype(int)
-            if not q.any():
-                break
-            u = u * self.order.power_product(self.gens, [-int(t) for t in q])
-            if u.is_pm_one():
-                return False
-        lam = np.array(self._logvec(u))
+        lam = np.array(self._logvec(u) if _lam is None else _lam)
         if not self.gens:
             self.gens.append(u)
             self._logs.append(list(lam))
             return True
         A = np.array(self._logs).T
         c = self._lstsq(A, lam)
+        for _ in range(200):
+            q = np.rint(c).astype(int)
+            if not q.any():
+                break
+            u = u * self.order.power_product(self.gens, [-int(t) for t in q])
+            if u.is_pm_one():
+                return False
+            lam = np.array(self._logvec(u))
+            c = self._lstsq(A, lam)
         resid = float(np.linalg.norm(lam - A @ c))
         scale = max(1.0, float(np.linalg.norm(lam)))
         if resid > 1e-6 * scale:
             if len(self.gens) >= self.rank:
-                return self._absorb(u, depth)
+                return self._absorb(u, lam, depth)
             self.gens.append(u)
             self._logs.append(list(lam))
             return True
@@ -248,18 +258,18 @@ class _UnitLattice:
                 lhs = u ** d
                 rhs = self.order.power_product(self.gens, q)
                 if lhs == rhs or lhs == -rhs:
-                    return self._absorb(u, depth)
+                    return self._absorb(u, lam, depth)
                 break
         raise PrecisionError("ambiguous unit dependence")
 
-    def _absorb(self, u: OrderElement, depth: int) -> bool:
-        pool = self.gens + [u]
-        pool.sort(key=lambda g: float(np.linalg.norm(self._logvec(g))))
+    def _absorb(self, u: OrderElement, lam, depth: int) -> bool:
+        pool = sorted(zip(self.gens + [u], self._logs + [list(lam)]),
+                      key=lambda gl: float(np.linalg.norm(gl[1])))
         self.gens = []
         self._logs = []
         changed = False
-        for g in pool:
-            changed |= self.insert(g, depth + 1)
+        for g, lg in pool:
+            changed |= self.insert(g, depth + 1, lg)
         return changed
 
 
@@ -286,24 +296,11 @@ def _ideal_key(order: SubOrder, x: OrderElement):
 
 
 def _ring_vectors(r: int, radius: int):
-    if radius == 0:
-        yield (0,) * r
-        return
-    rng = range(-radius, radius + 1)
+    """The integer vectors of sup-norm ``radius`` in Z^r."""
     if r == 1:
-        yield (radius,)
-        yield (-radius,)
-        return
-
-    def rec(prefix, touched):
-        if len(prefix) == r:
-            if touched:
-                yield tuple(prefix)
-            return
-        for v in rng:
-            yield from rec(prefix + [v], touched or abs(v) == radius)
-
-    yield from rec([], False)
+        return [(radius,), (-radius,)] if radius else [(0,)]
+    return [v for v in product(range(-radius, radius + 1), repeat=r)
+            if max(map(abs, v)) == radius]
 
 
 def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log):
@@ -391,109 +388,59 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice,
 
 def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
                   k: int) -> OrderElement | None:
-    """A unit w with w^k = +-v, reconstructed from embeddings, or None."""
+    """A unit w with w^k = +-v, reconstructed from embeddings, or None.
+
+    The Minkowski matrix is inverted once; every choice of one k-th root per
+    place (a sign at a real place for even k, a phase at a complex place)
+    then costs one matrix-vector product, rounded and checked exactly.
+    """
     s, t = table.s, table.t
-    n = order.n
     logs = table.log_vector(v)
     max_log = max(abs(float(x.mid())) for x in logs) if logs else 1.0
     bits = max(working_precision(), int(max_log / 0.693 / k) + 160)
     with precision(bits):
-        emb = table.emb.refine(bits) if table.emb.precision_bits < bits else table.emb
-        tb = EmbeddingTable(order, emb) if emb is not table.emb else table
+        emb = table.emb.refine(bits)
+        tb = table if emb is table.emb else EmbeddingTable(order, emb)
         rvals = [tb.real_value(v, j) for j in range(s)]
-        cvals = [tb.complex_value(v, j) for j in range(t)]
         signs = [b.sign() for b in rvals]
-        if any(sg is None for sg in signs):
+        if None in signs:
             raise PrecisionError("undecided embedding sign in root extraction")
-        targets = [v]
         if k % 2 == 0:
-            if all(sg > 0 for sg in signs):
-                sign_choices = _sign_combos(s)
-            elif all(sg < 0 for sg in signs):
-                targets = [-v]
-                rvals = [-b for b in rvals]
-                sign_choices = _sign_combos(s)
-            else:
-                return None
-        else:
-            sign_choices = [tuple(signs)]
+            if len(set(signs)) > 1:
+                return None  # an even power is totally positive, and +-v is not
+            if signs and signs[0] < 0:
+                v = -v
         with mp.workprec(bits):
             mink = tb.minkowski_matrix()
-            M = mp.matrix([[mink[i][j].mid() for j in range(n)] for i in range(n)])
-            mags = [mp.exp(mp.log(abs(b).mid()) / k) for b in rvals]
-            cparams = []
+            inv = (mp.matrix([[x.mid() for x in row] for row in mink]) ** -1).tolist()
+            reals = []
+            for sg, b in zip(signs, rvals):
+                m = mp.exp(mp.log(abs(b).mid()) / k)
+                reals.append((m, -m) if k % 2 == 0 else (sg * m,))
+            cplx = []
             for j in range(t):
-                z = cvals[j]
+                z = tb.complex_value(v, j)
                 rho = mp.exp(mp.log(z.abs2().mid()) / (2 * k))
                 phi = mp.atan2(z.im.mid(), z.re.mid())
-                cparams.append((rho, phi))
-            target_v = targets[0]
-            for sgn in sign_choices:
-                for phase in _phase_combos(k, t):
-                    rhs = [sgn[j] * mags[j] for j in range(s)]
-                    for j in range(t):
-                        rho, phi = cparams[j]
-                        ang = phi / k + 2 * mp.pi * phase[j] / k
-                        rhs.extend([rho * mp.cos(ang), rho * mp.sin(ang)])
-                    try:
-                        sol = mp.lu_solve(M, mp.matrix(rhs))
-                    except Exception:
-                        continue
-                    coords = [int(mp.nint(sol[i])) for i in range(n)]
-                    if not any(coords):
-                        continue
-                    w = order.element(coords)
-                    wk = w ** k
-                    if wk == target_v or wk == -target_v:
-                        return w
+                angles = [phi / k + 2 * mp.pi * l / k for l in range(k)]
+                cplx.append([(rho * mp.cos(a), rho * mp.sin(a)) for a in angles])
+            # the order fixes which of +-w comes back, so the printed generators:
+            # sign choices with place 0 varying fastest, then phases
+            for combo in product(*reversed(reals), *cplx):
+                rhs = [*combo[:s][::-1], *(x for z in combo[s:] for x in z)]
+                coords = [int(mp.nint(mp.fdot(row, rhs))) for row in inv]
+                if not any(coords):
+                    continue
+                w = order.element(coords)
+                wk = w ** k
+                if wk == v or wk == -v:
+                    return w
     return None
-
-
-def _sign_combos(s: int):
-    out = []
-    for mask in range(1 << s):
-        out.append(tuple(1 if mask & (1 << j) == 0 else -1 for j in range(s)))
-    return out
-
-
-def _phase_combos(k: int, t: int):
-    if t == 0:
-        return [()]
-    out = [()]
-    for _ in range(t):
-        out = [p + (l,) for p in out for l in range(k)]
-    return out
-
-
-def _primes_up_to(n: int):
-    sieve = [True] * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = False
-    return out
 
 
 def _projective_classes(k: int, r: int):
     """Representatives of (F_k^r - 0) / F_k^*: first nonzero coordinate is 1."""
-    out = []
-
-    def rec(prefix, seen_one):
-        if len(prefix) == r:
-            if seen_one:
-                out.append(tuple(prefix))
-            return
-        if not seen_one:
-            rec(prefix + [0], False)
-            rec(prefix + [1], True)
-        else:
-            for v in range(k):
-                rec(prefix + [v], True)
-
-    rec([], False)
-    return out
+    return [c for c in product(range(k), repeat=r) if next(filter(None, c), 0) == 1]
 
 
 # -- certification ---------------------------------------------------------------
@@ -525,11 +472,13 @@ def certify_units(order: SubOrder, candidates, friedman_floor: Fraction | None =
 
     ``certified_index_bound`` is 1 for a certified fundamental system, k > 1
     when the system may still have index up to k (root refinement exhausted),
-    and 0 when no proven floor applies (rank >= 4, best effort).
+    and 0 when no proven floor applies (rank >= 4, best effort).  A field
+    with no real place raises ValueError.
     """
     if table is None:
         table = EmbeddingTable(order, isolate_roots(order.ambient.f))
     s, t = table.s, table.t
+    _require_real_place(s)
     r = s + t - 1
     lattice = _UnitLattice(order, table, r)
     cands = sorted(candidates,
@@ -545,37 +494,31 @@ def certify_units(order: SubOrder, candidates, friedman_floor: Fraction | None =
 
 
 def _certify_lattice(order, table, lattice, friedman_floor=None) -> UnitGroupData:
+    """Bound the index of the lattice in the unit group and push the bound to 1.
+
+    Each pass bounds the index by regulator / floor and tries a k-th root of
+    every projective class gens^cls for the primes k up to the bound; the
+    first root found joins the lattice.  A pass that finds none has ruled
+    out every prime index it tried.
+    """
     s, t = table.s, table.t
     r = s + t - 1
-    reg = regulator_of(table, lattice.gens)
     floor = friedman_floor
     if floor is None:
         floor = regulator_floor(s, t, abs(order.disc), order.n)
-    if r >= 4 or floor is None:
-        bound = 0
-    else:
-        bound = int(mp.floor(reg.upper / mp.mpf(floor.numerator) * floor.denominator))
-        # with several complex places each root test costs k^t phase combos;
-        # cap the explored primes there and keep the honest residual bound
-        max_k = 3 if t > 1 else bound
-        while bound > 1:
-            improved = False
-            for k in _primes_up_to(min(bound, max_k)):
-                for cls in _projective_classes(k, r):
-                    v = order.power_product(lattice.gens, cls)
-                    w = _try_kth_root(order, table, v, k)
-                    if w is not None and lattice.insert(w):
-                        reg = regulator_of(table, lattice.gens)
-                        bound = int(mp.floor(reg.upper / mp.mpf(floor.numerator)
-                                             * floor.denominator))
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                if t > 1 and bound > max_k:
-                    break  # roots beyond max_k unexplored: keep the honest bound
-                bound = 1  # no prime index can survive the exhaustive root search
+    while True:
+        reg = regulator_of(table, lattice.gens)
+        bound = 0 if r >= 4 or floor is None else \
+            int(mp.floor(reg.upper / mp.mpf(floor.numerator) * floor.denominator))
+        # with several complex places each root test costs k^t phase choices;
+        # try primes up to 3 there and keep the honest residual bound
+        top = min(bound, 3) if t > 1 else bound
+        roots = (_try_kth_root(order, table, order.power_product(lattice.gens, cls), k)
+                 for k in primerange(2, top + 1) for cls in _projective_classes(k, r))
+        if not any(w is not None and lattice.insert(w) for w in roots):
+            break
+    if 1 < bound == top:
+        bound = 1  # no prime index survives the exhaustive root search
     tp = totally_positive_generators(order, table, lattice.gens)
     return UnitGroupData(order, list(lattice.gens), reg, bound, tp, table)
 
@@ -671,8 +614,10 @@ def unit_group(order: SubOrder, emb: EmbeddingSet | None = None,
 
     Box-search first; if the rank is short, sweep skewed LLL reductions.
     Precision escalates automatically whenever a decision was ambiguous.
+    A field with no real place raises ValueError.
     """
     f = order.ambient.f
+    _require_real_place(signature(f).s)
     if coord_bound is None:
         coord_bound = default_coord_bound(order.n)
 

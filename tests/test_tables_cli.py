@@ -56,11 +56,18 @@ def test_cli_field_malformed(capsys):
     assert rc == 1
 
 
-@pytest.mark.parametrize("poly", ["2*T^3 + 1",       # not monic
-                                  "T^3 - 3*T + 1",   # totally real
-                                  "T^6 + T + 1"])    # no real place
-def test_cli_field_rejects_with_json_error(capsys, poly):
-    rc = main(["field", poly])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["field", "2*T^3 + 1"], id="2*T^3 + 1"),           # not monic
+    pytest.param(["field", "T^3 - 3*T + 1"], id="T^3 - 3*T + 1"),   # totally real
+    pytest.param(["field", "T^6 + T + 1"], id="T^6 + T + 1"),       # no real place
+    pytest.param(["units", "T^4 + 1"], id="units T^4 + 1"),         # no real place
+    pytest.param(["field", "T^3 - T + 1", "--precision", "10"], id="--precision 10"),
+    pytest.param(["mcvol", "T^3 - T + 1", "--samples", "10"], id="mcvol --samples 10"),
+    pytest.param(["field", "T^3 - T + 1", "--mc", "--samples", "10"],
+                 id="field --mc --samples 10"),
+])
+def test_cli_field_rejects_with_json_error(capsys, argv):
+    rc = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert rc == 1 and err["exit_code"] == 1 and err["error"]
 

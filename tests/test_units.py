@@ -41,6 +41,50 @@ def test_square_submission_recovers_generator(disc23):
     assert squared.regulator.overlaps(ug.regulator)
 
 
+@pytest.mark.parametrize("power", [
+    lambda u: -(u * u),   # negative at the real place: u is a square root of -(-u^2)
+    lambda u: u ** 3,
+], ids=["-u^2", "u^3"])
+def test_power_submission_recovers_generator(disc23, power):
+    order, _, _, ug = disc23
+    sub = certify_units(order, [power(ug.generators[0])], table=ug.table)
+    assert sub.certified_index_bound == 1
+    assert sub.regulator.overlaps(ug.regulator)
+
+
+@pytest.mark.parametrize("exponents", [
+    [(2, 0), (0, 1)],
+    [(1, 0), (0, 3)],
+    [(2, 0), (1, 1)],   # the missing root g1 has mixed signs at the real places
+], ids=["g1^2,g2", "g1,g2^3", "g1^2,g1g2"])
+def test_rank_two_root_classes(quartic275, exponents):
+    order, _, _, ug = quartic275
+    cands = [order.power_product(ug.generators, e) for e in exponents]
+    sub = certify_units(order, cands, table=ug.table)
+    assert sub.certified_index_bound == 1
+    assert sub.regulator.overlaps(ug.regulator)
+
+
+@pytest.mark.parametrize("poly, bound, regulator", [
+    ("T^5 - T - 3", 54, 13.5995724803910963678),   # index bound above the cap of 3
+    ("T^5 - T - 1", 1, 0.432343878824973521495),
+])
+def test_two_complex_places_cap_root_search(poly, bound, regulator):
+    # t = 2: root extraction stops at k = 3 and keeps the residual bound
+    _, _, _, ug = _field(poly)
+    assert ug.certified_index_bound == bound
+    assert abs(float(ug.regulator.mid()) - regulator) < 1e-9
+
+
+def test_no_real_place_refused():
+    # with s = 0 the roots of unity are more than +-1
+    order, _, _ = maximalize(build_order(P.parse("T^4 + 1")))
+    with pytest.raises(ValueError):
+        unit_group(order)
+    with pytest.raises(ValueError):
+        certify_units(order, [order.one()])
+
+
 def test_insufficient_candidates_rejected(disc23):
     order, _, _, ug = disc23
     with pytest.raises(InsufficientUnitsError):
