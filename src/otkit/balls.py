@@ -15,17 +15,12 @@ from mpmath import iv, mp, mpf
 from .config import working_precision
 
 
-def _sync():
-    iv.prec = working_precision()
-
-
 class RealBall:
     """A closed real interval guaranteed to contain one exact value."""
 
     __slots__ = ("v",)
 
     def __init__(self, v):
-        _sync()
         if isinstance(v, RealBall):
             self.v = v.v
         elif isinstance(v, Fraction):
@@ -41,7 +36,6 @@ class RealBall:
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "RealBall":
-        _sync()
         return cls._raw(iv.mpf([lo, hi]))
 
     # -- arithmetic ------------------------------------------------------
@@ -50,66 +44,52 @@ class RealBall:
         if isinstance(other, RealBall):
             return other.v
         if isinstance(other, Fraction):
-            _sync()
             return iv.mpf(other.numerator) / iv.mpf(other.denominator)
         return iv.mpf(other)
 
     def __add__(self, other):
-        _sync()
         return RealBall._raw(self.v + self._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        _sync()
         return RealBall._raw(self.v - self._coerce(other))
 
     def __rsub__(self, other):
-        _sync()
         return RealBall._raw(self._coerce(other) - self.v)
 
     def __mul__(self, other):
-        _sync()
         return RealBall._raw(self.v * self._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        _sync()
         return RealBall._raw(self.v / self._coerce(other))
 
     def __rtruediv__(self, other):
-        _sync()
         return RealBall._raw(self._coerce(other) / self.v)
 
     def __neg__(self):
-        _sync()
         return RealBall._raw(-self.v)
 
     def __abs__(self):
-        _sync()
         return RealBall._raw(abs(self.v))
 
     def __pow__(self, e: int):
-        _sync()
         return RealBall._raw(self.v ** e)
 
     def sqrt(self) -> "RealBall":
-        _sync()
         return RealBall._raw(iv.sqrt(self.v))
 
     def cbrt(self) -> "RealBall":
-        _sync()
         if not self.is_positive():
             raise ValueError("cbrt implemented for positive enclosures only")
         return RealBall._raw(iv.exp(iv.log(self.v) / 3))
 
     def exp(self) -> "RealBall":
-        _sync()
         return RealBall._raw(iv.exp(self.v))
 
     def log(self) -> "RealBall":
-        _sync()
         return RealBall._raw(iv.log(self.v))
 
     # -- geometry --------------------------------------------------------
@@ -240,46 +220,45 @@ class ComplexBall:
 
 
 def ball_pi() -> RealBall:
-    _sync()
     return RealBall._raw(+iv.pi)
 
 
-def ball_det(M: list[list[RealBall]]) -> RealBall:
-    """Enclosure of the determinant via interval Gaussian elimination.
+def _eliminate(A: list[list[RealBall]]) -> int:
+    """Gauss-Jordan elimination of the square left block of ``A`` in place,
+    pivoting on the largest midpoint; returns the sign of the row swaps.
 
     Raises ArithmeticError when a pivot straddles zero; callers escalate the
     working precision in that case.
     """
-    n = len(M)
-    A = [row[:] for row in M]
-    det = RealBall(1)
+    n = len(A)
+    sign = 1
     for k in range(n):
         piv = max(range(k, n), key=lambda i: abs(A[i][k].mid()))
         if piv != k:
             A[k], A[piv] = A[piv], A[k]
-            det = -det
+            sign = -sign
         if A[k][k].contains_zero():
             raise ArithmeticError("singular-looking pivot in interval elimination")
+        for i in range(n):
+            if i != k:
+                f = A[i][k] / A[k][k]
+                for j in range(k, len(A[k])):
+                    A[i][j] = A[i][j] - f * A[k][j]
+    return sign
+
+
+def ball_det(M: list[list[RealBall]]) -> RealBall:
+    """Enclosure of the determinant: the signed product of the pivots."""
+    A = [row[:] for row in M]
+    det = RealBall(_eliminate(A))
+    for k in range(len(A)):
         det = det * A[k][k]
-        for i in range(k + 1, n):
-            f = A[i][k] / A[k][k]
-            for j in range(k + 1, n):
-                A[i][j] = A[i][j] - f * A[k][j]
     return det
 
 
 def ball_solve(M: list[list[RealBall]], b: list[RealBall]) -> list[RealBall]:
     """Enclosure of the solution of a well-conditioned square system."""
-    n = len(M)
     A = [row[:] + [b[i]] for i, row in enumerate(M)]
-    for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(A[i][k].mid()))
-        A[k], A[piv] = A[piv], A[k]
-        if A[k][k].contains_zero():
-            raise ArithmeticError("singular-looking pivot in interval solve")
-        for i in range(n):
-            if i != k:
-                f = A[i][k] / A[k][k]
-                for j in range(k, n + 1):
-                    A[i][j] = A[i][j] - f * A[k][j]
+    _eliminate(A)
+    n = len(A)
     return [A[i][n] / A[i][i] for i in range(n)]

@@ -6,6 +6,8 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from mpmath import iv
+
 MIN_PRECISION = 64
 
 
@@ -20,12 +22,12 @@ def _env_precision() -> int:
 
 DEFAULT_PRECISION = _env_precision()
 
-_prec_stack = [DEFAULT_PRECISION]
+iv.prec = DEFAULT_PRECISION
 
 
 def working_precision() -> int:
-    """Current working precision in bits."""
-    return _prec_stack[-1]
+    """Current working precision in bits: that of the interval context."""
+    return iv.prec
 
 
 @contextmanager
@@ -33,11 +35,12 @@ def precision(bits: int):
     """Temporarily override the working precision."""
     if bits < MIN_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} bits, got {bits}")
-    _prec_stack.append(int(bits))
+    saved = iv.prec
+    iv.prec = int(bits)
     try:
         yield
     finally:
-        _prec_stack.pop()
+        iv.prec = saved
 
 
 class PrecisionError(ArithmeticError):

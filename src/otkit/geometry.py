@@ -19,7 +19,8 @@ from mpmath import mp
 from .balls import RealBall, ball_det, ball_pi, ball_solve
 from .config import PrecisionError, decide
 from .embeddings import EmbeddingTable
-from .orders import SubOrder, build_order, maximalize, signature
+from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
+                     signature)
 from .polynomials import IntPolynomial, integer_roots
 from .unitgroup import (InsufficientUnitsError, UnitGroupData,
                         torsion_group, unit_group)
@@ -233,7 +234,6 @@ def reduce_to_domain(point, dom: FundamentalDomainData):
     s = dom.s
     order = dom.order
     table = dom.table
-    n = order.n
     pts = [(_to_ball(z.real), _to_ball(z.imag)) for z in _as_complex_list(point, s)]
     for j in range(s):
         if not pts[j][1].is_positive():
@@ -241,14 +241,14 @@ def reduce_to_domain(point, dom: FundamentalDomainData):
 
     def attempt():
         try:
-            return _reduce_once(pts, dom, s, order, table, n)
+            return _reduce_once(pts, dom, s, order, table)
         except ArithmeticError:
             return None
 
     return decide(attempt, 1 << 14)
 
 
-def _reduce_once(pts, dom, s, order, table, n):
+def _reduce_once(pts, dom, s, order, table):
     r = [pts[j][1].log() / 2 for j in range(s)]
     beta = ball_solve(dom.L, r)
     ns = _floor_vector(beta)
@@ -269,12 +269,7 @@ def _reduce_once(pts, dom, s, order, table, n):
     ms = _floor_vector(alpha)
     if ms is None:
         return None
-    a = order.zero()
-    basis_elems = [order.element([1 if i == c else 0 for i in range(n)])
-                   for c in range(n)]
-    for c, m_i in enumerate(ms):
-        if m_i:
-            a = a + basis_elems[c] * (-m_i)
+    a = order.element([-m for m in ms])
     shift_r = [table.real_value(a, j) for j in range(s)]
     shift_c = table.complex_value(a, 0)
     reduced = []
@@ -434,17 +429,13 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
     degree = s + 2
     seen: dict = {}
     for f in _scan_polynomials(degree, coeff_bound):
-        if integer_roots(f):
-            continue
-        from .polynomials import is_irreducible
-
-        ok, _ = is_irreducible(f)
-        if not ok:
+        try:
+            mo = build_order(f)
+        except ReduciblePolynomialError:
             continue
         sig = signature(f)
         if (sig.s, sig.t) != (s, 1):
             continue
-        mo = build_order(f)
         order, index, order_cert = maximalize(mo)
         if abs(order.disc) > disc_bound:
             continue

@@ -10,6 +10,9 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from sympy.polys.domains import ZZ
+from sympy.polys.factortools import dup_zz_factor
+
 from .intmat import det_bareiss
 
 
@@ -50,10 +53,14 @@ class IntPolynomial:
         return f"IntPolynomial({self.format()!r})"
 
     def __add__(self, other):
+        if isinstance(other, int):
+            other = IntPolynomial([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         return IntPolynomial([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + (-other)
@@ -76,7 +83,8 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __call__(self, x):
-        """Horner evaluation; works for ints, Fractions, and ball types."""
+        """Horner evaluation; works for ints, Fractions, ball types, and
+        IntPolynomials (composition: ``f(g)`` is f(g(T)))."""
         if not self.coeffs:
             return 0 * x
         acc = self.coeffs[-1] + 0 * x
@@ -100,30 +108,11 @@ class IntPolynomial:
         p = IntPolynomial([c // g for c in self.coeffs])
         return p if p.leading() > 0 else -p
 
-    def shift(self, a: int) -> IntPolynomial:
-        """Compose with T + a."""
-        out = IntPolynomial([self.coeffs[-1]]) if self.coeffs else IntPolynomial([])
-        base = IntPolynomial([a, 1])
-        for c in reversed(self.coeffs[:-1]):
-            out = out * base + IntPolynomial([c])
-        return out
-
     def divmod_monic(self, g: IntPolynomial):
         """Quotient and remainder by a monic divisor, exact over Z."""
         if not g.is_monic():
             raise ValueError("divisor must be monic")
-        r = list(self.coeffs)
-        dg = g.degree
-        q = [0] * max(1, len(r) - dg)
-        while len(r) > dg:
-            c = r[-1]
-            d = len(r) - 1 - dg
-            q[d] = c
-            for i, gv in enumerate(g.coeffs):
-                r[i + d] -= c * gv
-            while r and r[-1] == 0:
-                r.pop()
-        return IntPolynomial(q), IntPolynomial(r)
+        return _divide(self, g)
 
     # ---- text format ----------------------------------------------------
 
@@ -222,38 +211,37 @@ def poly_discriminant(f: IntPolynomial) -> int:
     return sign * resultant(f, f.derivative())
 
 
+def _divide(f: IntPolynomial, g: IntPolynomial, scale: int = 1):
+    """Quotient and remainder of ``scale * f`` by g over Z.
+
+    The one division loop: divmod by a monic g (scale 1), and the
+    pseudo-remainders of the gcd (lc(g)^(d+1)) and of the Sturm chain (an
+    even power of lc(g)). Raises ArithmeticError when a step is inexact.
+    """
+    r = [scale * c for c in f.coeffs]
+    dg, lead = g.degree, g.leading()
+    q = [0] * max(0, len(r) - dg)
+    while len(r) > dg:
+        c, rest = divmod(r[-1], lead)
+        if rest:
+            raise ArithmeticError("inexact division over Z")
+        d = len(r) - 1 - dg
+        q[d] = c
+        for i, gv in enumerate(g.coeffs):
+            r[i + d] -= c * gv
+        while r and r[-1] == 0:
+            r.pop()
+    return IntPolynomial(q), IntPolynomial(r)
+
+
 def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Primitive gcd over Z (positive leading coefficient)."""
-    a, b = f, g
-    if a.degree < b.degree:
-        a, b = b, a
-    if b.is_zero():
-        return a.primitive()
-    a = a.primitive()
-    b = b.primitive()
+    a, b = (f, g) if f.degree >= g.degree else (g, f)
+    a, b = a.primitive(), b.primitive()
     while not b.is_zero():
-        # pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b
-        d = a.degree - b.degree
-        if d < 0:
-            a, b = b, a
-            continue
-        scaled = a * (b.leading() ** (d + 1))
-        r = list(scaled.coeffs)
-        while len(r) - 1 >= b.degree and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < b.degree:
-                break
-            c = r[-1]
-            if c % b.leading():
-                raise ArithmeticError("pseudo-division failure")
-            q = c // b.leading()
-            off = len(r) - 1 - b.degree
-            for i, bv in enumerate(b.coeffs):
-                r[i + off] -= q * bv
-        rem = IntPolynomial(r)
-        a, b = b, rem.primitive() if not rem.is_zero() else rem
-    return a.primitive()
+        rem = _divide(a, b, b.leading() ** (a.degree - b.degree + 1))[1]
+        a, b = b, rem.primitive()
+    return a
 
 
 def is_squarefree(f: IntPolynomial) -> bool:
@@ -268,31 +256,13 @@ def sturm_sequence(f: IntPolynomial) -> list[IntPolynomial]:
     seq = [f, f.derivative()]
     while seq[-1].degree > 0:
         a, b = seq[-2], seq[-1]
-        d = a.degree - b.degree
-        lead = b.leading()
         # even positive power keeps the sign pattern of the exact remainder
-        scale = lead ** (2 * ((d + 2) // 2))
-        r = list((a * scale).coeffs)
-        while len(r) - 1 >= b.degree and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < b.degree:
-                break
-            c = r[-1]
-            q, rr = divmod(c, lead)
-            if rr:
-                raise ArithmeticError("Sturm pseudo-division failure")
-            off = len(r) - 1 - b.degree
-            for i, bv in enumerate(b.coeffs):
-                r[i + off] -= q * bv
-        rem = IntPolynomial(r)
+        scale = b.leading() ** (2 * ((a.degree - b.degree + 2) // 2))
+        rem = _divide(a, b, scale)[1]
         if rem.is_zero():
             break
-        nxt = -rem
-        g = nxt.content()
-        if g > 1:
-            nxt = IntPolynomial([c // g for c in nxt.coeffs])
-        seq.append(nxt)
+        g = rem.content()
+        seq.append(IntPolynomial([-c // g for c in rem.coeffs]))
     return seq
 
 
@@ -332,64 +302,27 @@ def count_real_roots(f: IntPolynomial) -> int:
 # ---- irreducibility -------------------------------------------------------
 
 
+def _factors(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
+    """Irreducible factors over Z with multiplicities (Zassenhaus, via sympy),
+    ordered by degree, then multiplicity, then coefficients."""
+    _, factors = dup_zz_factor([ZZ(c) for c in reversed(f.coeffs)], ZZ)
+    return [(IntPolynomial([int(c) for c in reversed(g)]), k) for g, k in factors]
+
+
 def integer_roots(f: IntPolynomial) -> list[int]:
-    """All integer roots (for monic f these are all rational roots)."""
+    """All integer roots (for monic f these are all rational roots).
+
+    Divisors of the constant term when it is at most 10^10 in size, else the
+    linear factors T - r of the factorization over Z.
+    """
     if f.is_zero():
         raise ValueError("zero polynomial")
     c0 = f.coeffs[0]
     if c0 == 0:
-        base = [0]
-        g = IntPolynomial(f.coeffs[1:] if len(f.coeffs) > 1 else [])
-        return sorted(set(base + (integer_roots(g) if not g.is_zero() else [])))
-    if abs(c0) <= 10 ** 10 or not f.is_monic():
+        return sorted({0, *integer_roots(IntPolynomial(f.coeffs[1:]))})
+    if abs(c0) <= 10 ** 10:
         return sorted(r for r in _divisors_signed(c0) if f(r) == 0)
-    return _integer_roots_bisect(f)
-
-
-def _integer_roots_bisect(f: IntPolynomial) -> list[int]:
-    """Integer roots of a monic f whose constant term is too big to factor.
-
-    Sturm-isolates the real roots of the squarefree part on half-integer
-    endpoints, then binary-searches the one integer candidate per interval.
-    """
-    g = f
-    d = poly_gcd(f, f.derivative())
-    if d.degree > 0:
-        g, rem = f.divmod_monic(d)
-        assert rem.is_zero()
-    lead = abs(g.leading())
-    M = 1 + max(abs(c) for c in g.coeffs[:-1]) // lead + 1
-    half = Fraction(1, 2)
-    total = sturm_count(g, -M - half, M + half)
-    work = [(-M - half, M + half, total)]
-    roots = []
-    while work:
-        a, b, cnt = work.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1:
-            lo, hi = a, b
-            s_lo = _sign_at(g, lo)
-            while hi - lo > 1:
-                m = Fraction(int((lo + hi) / 2)) + half
-                if _sign_at(g, m) == s_lo:
-                    lo = m
-                else:
-                    hi = m
-            # at most one integer sits strictly inside (lo, hi)
-            cand = int(lo + half)
-            if g(cand) == 0:
-                roots.append(cand)
-            continue
-        mid = Fraction(int((a + b) / 2)) + half
-        if not (a < mid < b):
-            mid = (a + b) / 2
-            if mid.denominator == 1:
-                mid += Fraction(1, 4) if mid + Fraction(1, 4) < b else -Fraction(1, 4)
-        left = sturm_count(g, a, mid)
-        work.append((a, mid, left))
-        work.append((mid, b, cnt - left))
-    return sorted(roots)
+    return sorted(-g.coeffs[0] for g, _ in _factors(f) if g.coeffs[1:] == (1,))
 
 
 def _sign_at(f: IntPolynomial, q: "Fraction|int") -> int:
@@ -408,120 +341,12 @@ def _divisors_signed(n: int) -> list[int]:
     return sorted(set(out))
 
 
-def _gf_normalize(p, q):
-    p = [c % q for c in p]
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _gf_mulmod(a, b, f, q):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                out[i + j] = (out[i + j] + av * bv) % q
-    return _gf_rem(out, f, q)
-
-
-def _gf_rem(a, f, q):
-    a = a[:]
-    df = len(f) - 1
-    inv = pow(f[-1], -1, q)
-    while len(a) - 1 >= df and any(a):
-        while a and a[-1] % q == 0:
-            a.pop()
-        if len(a) - 1 < df:
-            break
-        c = (a[-1] * inv) % q
-        off = len(a) - 1 - df
-        for i, fv in enumerate(f):
-            a[i + off] = (a[i + off] - c * fv) % q
-    return _gf_normalize(a, q)
-
-
-def _gf_gcd(a, b, q):
-    a, b = _gf_normalize(a, q), _gf_normalize(b, q)
-    while b:
-        a, b = b, _gf_rem(a, b, q)
-    if a:
-        inv = pow(a[-1], -1, q)
-        a = [(c * inv) % q for c in a]
-    return a
-
-
-def _gf_powmod_x(e, f, q):
-    """x^e modulo f over F_q."""
-    result = [1]
-    base = _gf_rem([0, 1], f, q)
-    while e:
-        if e & 1:
-            result = _gf_mulmod(result, base, f, q)
-        e >>= 1
-        if e:
-            base = _gf_mulmod(base, base, f, q)
-    return result
-
-
-def _factor_degrees_mod_p(f: IntPolynomial, p: int) -> list[int] | None:
-    """Multiset of irreducible factor degrees of f mod p; None if f mod p is unusable."""
-    fp = [c % p for c in f.coeffs]
-    if not fp or fp[-1] % p == 0:
-        return None
-    dfp = [(i * c) % p for i, c in enumerate(fp)][1:]
-    if not any(dfp):
-        return None
-    if len(_gf_gcd(fp, dfp, p)) > 1:
-        return None  # not squarefree mod p
-    degrees = []
-    rest = fp[:]
-    d = 0
-    while len(rest) - 1 > 0:
-        d += 1
-        if 2 * d > len(rest) - 1:
-            degrees.append(len(rest) - 1)
-            break
-        w = _gf_powmod_x(p ** d, rest, p)
-        xs = [0, 1]
-        diff = [0] * max(len(w), 2)
-        for i, c in enumerate(w):
-            diff[i] = c
-        for i, c in enumerate(xs):
-            diff[i] = (diff[i] - c) % p
-        diff = _gf_normalize(diff, p)
-        g = _gf_gcd(rest, diff, p)
-        if len(g) > 1:
-            degrees.extend([d] * ((len(g) - 1) // d))
-            rest = _gf_quotient(rest, g, p)
-    return sorted(degrees)
-
-
-def _gf_quotient(a, b, q):
-    a = a[:]
-    out = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], -1, q)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] % q == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = (a[-1] * inv) % q
-        off = len(a) - len(b)
-        out[off] = c
-        for i, bv in enumerate(b):
-            a[i + off] = (a[i + off] - c * bv) % q
-    return _gf_normalize(out, q)
-
-
-_WITNESS_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
 def is_irreducible(f: IntPolynomial) -> tuple[bool, IntPolynomial | None]:
     """Irreducibility over Q for monic f; returns (flag, witness_factor_or_None).
 
-    Strategy: rational-root test (conclusive through degree 3), then modular
-    factor-degree patterns, then a full factorization fallback for the rare
-    undecided inputs.
+    The integer-root test is conclusive through degree 3 and gives a linear
+    witness; higher degrees without an integer root take one factorization
+    over Z, whose first factor is the witness.
     """
     if not f.is_monic():
         raise ValueError("irreducibility test expects a monic polynomial")
@@ -535,38 +360,7 @@ def is_irreducible(f: IntPolynomial) -> tuple[bool, IntPolynomial | None]:
         return False, IntPolynomial([-roots[0], 1])
     if n <= 3:
         return True, None
-    # modular degree-pattern sieve
-    possible = set(range(1, n))
-    checked = 0
-    for p in _WITNESS_PRIMES:
-        degs = _factor_degrees_mod_p(f, p)
-        if degs is None:
-            continue
-        checked += 1
-        sums = _subset_sums(degs)
-        possible &= sums
-        if not possible:
-            return True, None
-        if checked >= 6:
-            break
-    # fall back to an actual factorization
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(int(c) * x ** i for i, c in enumerate(f.coeffs))
-    factors = sympy.factor_list(sympy.Poly(expr, x))[1]
+    factors = _factors(f)
     if len(factors) == 1 and factors[0][1] == 1:
         return True, None
-    g = factors[0][0]
-    coeffs = [int(v) for v in reversed(sympy.Poly(g, x).all_coeffs())]
-    return False, IntPolynomial(coeffs)
-
-
-def _subset_sums(degs) -> set[int]:
-    total = sum(degs)
-    sums = {0}
-    for d in degs:
-        sums |= {s + d for s in sums}
-    sums.discard(0)
-    sums.discard(total)
-    return sums
+    return False, factors[0][0]

@@ -240,15 +240,6 @@ class DegenerateCompositumError(ValueError):
     """The resultant construction collapsed: the compositum has smaller degree."""
 
 
-def _compose_shifted(g: IntPolynomial, z0: int, c: int) -> IntPolynomial:
-    """g(z0 - c x) as a polynomial in x."""
-    out = IntPolynomial([g.coeffs[-1]])
-    lin = IntPolynomial([z0, -c])
-    for k in range(g.degree - 1, -1, -1):
-        out = out * lin + IntPolynomial([g.coeffs[k]])
-    return out
-
-
 def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signature]:
     """Minimal polynomial of a primitive element of the compositum, plus signature.
 
@@ -265,7 +256,7 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
     last_error = None
     for c in range(1, 9):
         xs = range(-(deg // 2) - 1, deg - deg // 2)
-        vals = [resultant(f, _compose_shifted(g, z0, c)) for z0 in xs]
+        vals = [resultant(f, g(IntPolynomial([z0, -c]))) for z0 in xs]
         h = IntPolynomial(intmat.interpolate(xs, vals))
         if h.degree != deg or not h.is_monic():
             h = h.primitive()

@@ -6,6 +6,7 @@ from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
 from otkit import intmat
+from otkit.balls import RealBall, ball_det, ball_solve
 from otkit.intmat import (charpoly, det_bareiss, hnf, hnf_with_transform,
                           kernel_mod_p, lattice_det, minpoly_matrix, snf,
                           snf_with_transforms, solve, solve_hnf, solve_int)
@@ -175,6 +176,24 @@ def test_solve_is_none_exactly_when_singular(system):
     assert den == d
     x = [Fraction(row[0], den) for row in X]
     assert [sum(a * xi for a, xi in zip(row, x)) for row in M] == b
+
+
+@given(systems)
+def test_ball_elimination_encloses_exact(system):
+    # the interval determinant and solve bracket the exact Bareiss answers; a
+    # pivot straddles zero exactly when the matrix is singular
+    M, b, _ = system
+    d = det_bareiss(M)
+    balls = [[RealBall(v) for v in row] for row in M]
+    try:
+        det = ball_det(balls)
+        x = ball_solve(balls, [RealBall(v) for v in b])
+    except ArithmeticError:
+        assert d == 0
+        return
+    assert d != 0 and det.contains(d)
+    X, den = solve(M, [[v] for v in b])
+    assert all(xi.contains(Fraction(row[0], den)) for xi, row in zip(x, X))
 
 
 @given(systems)

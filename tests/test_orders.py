@@ -92,7 +92,7 @@ def test_eisenstein_shift_family():
     # so 3 never divides the index
     for k in (1, 2, 4, 5, 7, 8):
         f = P([-1, 3 * k, 0, 1])
-        g = f.shift(1)
+        g = f(P([1, 1]))  # f(T + 1)
         assert all(c % 3 == 0 for c in g.coeffs[:-1])
         assert g.coeffs[0] % 9 != 0
         _, index, _ = maximalize(build_order(f))

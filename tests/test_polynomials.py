@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from otkit.polynomials import (IntPolynomial, count_real_roots, integer_roots,
@@ -78,16 +79,31 @@ def test_resultant_multiplicative(f, g, h):
 def test_sturm_and_signature_counts():
     assert count_real_roots(P.parse("T^3 - T + 1")) == 1
     assert count_real_roots(P.parse("T^4 - T - 1")) == 2
+    # degree gap of two in the chain: the scale must be an even power
+    assert count_real_roots(P.parse("T^4 + T - 1")) == 2
     assert count_real_roots(P.parse("T^2 + 1")) == 0
     f = P.parse("T^3 - T + 1")  # real root near -1.3247
     assert sturm_count(f, Fraction(-2), Fraction(-1)) == 1
     assert sturm_count(f, Fraction(0), Fraction(1)) == 0
 
 
-def test_integer_roots():
-    assert integer_roots(P.parse("T^2 - 1")) == [-1, 1]
-    assert integer_roots(P.parse("T^3 - T + 6")) == [-2]
-    assert integer_roots(P.parse("T^3 - T + 1")) == []
+@pytest.mark.parametrize("factors, roots", [
+    pytest.param(["T^2 - 1"], [-1, 1], id="T^2 - 1"),
+    pytest.param(["T^3 - T + 6"], [-2], id="T^3 - T + 6"),
+    pytest.param(["T^3 - T + 1"], [], id="T^3 - T + 1"),
+    # constant terms above 10^10: roots from the factorization over Z
+    pytest.param(["T + 100000000007", "T^2 + 5"], [-100000000007],
+                 id="(T + 100000000007)(T^2 + 5)"),
+    pytest.param(["T - 100000000000", "T + 100000000000"],
+                 [-100000000000, 100000000000], id="(T - 10^11)(T + 10^11)"),
+    pytest.param(["T - 100000000007", "T + 3", "T^2 + 5"], [-3, 100000000007],
+                 id="(T - 100000000007)(T + 3)(T^2 + 5)"),
+])
+def test_integer_roots(factors, roots):
+    f = P([1])
+    for text in factors:
+        f = f * P.parse(text)
+    assert integer_roots(f) == roots
 
 
 def test_irreducibility():
@@ -103,15 +119,56 @@ def test_irreducibility():
     assert is_squarefree(big)
 
 
+@st.composite
+def monic_poly(draw, min_deg=2, max_deg=6):
+    deg = draw(st.integers(min_deg, max_deg))
+    return P(draw(st.lists(st.integers(-5, 5), min_size=deg, max_size=deg)) + [1])
+
+
+def _sympy_poly(f):
+    return sympy.Poly(list(reversed(f.coeffs)), sympy.Symbol("x"))
+
+
+@given(monic_poly())
+def test_irreducibility_matches_sympy(f):
+    ok, witness = is_irreducible(f)
+    assert ok == _sympy_poly(f).is_irreducible
+    if not ok:
+        assert 1 <= witness.degree < f.degree
+        assert f.divmod_monic(witness)[1].is_zero()
+
+
+@given(nonzero_poly(max_deg=5), monic_poly(min_deg=0, max_deg=3))
+def test_divmod_monic(f, g):
+    q, r = f.divmod_monic(g)
+    assert q * g + r == f
+    assert r.degree < g.degree
+
+
 def test_gcd_and_squarefree():
     assert poly_gcd(P.parse("T^2 - 1"), P.parse("T^3 - 1")) == P.parse("T - 1")
     assert is_squarefree(P.parse("T^3 - T + 1"))
     assert not is_squarefree(P.parse("T^2 - 2*T + 1"))
 
 
+@given(nonzero_poly(), nonzero_poly(), nonzero_poly())
+def test_gcd_divides_both(f, g, c):
+    a, b = f * c, g * c
+    h = poly_gcd(a, b)
+    for p in (a, b):
+        assert _sympy_poly(p).prem(_sympy_poly(h)).is_zero
+    assert _sympy_poly(h).prem(_sympy_poly(c)).is_zero
+
+
 def test_shift_and_eval():
     f = P.parse("T^3 - T + 1")
-    g = f.shift(2)  # f(T + 2)
+    g = f(P([2, 1]))  # f(T + 2)
     for x in range(-3, 4):
         assert g(x) == f(x + 2)
     assert f(Fraction(1, 2)) == Fraction(5, 8)
+    assert f + 3 == 3 + f == P.parse("T^3 - T + 4")
+
+
+@given(nonzero_poly(), nonzero_poly(), st.integers(-4, 4))
+def test_composition_is_evaluation(f, g, x):
+    assert f(g)(x) == f(g(x))

@@ -45,10 +45,16 @@ def test_cli_field_text(capsys):
     assert "J norm         1" in out
 
 
-def test_cli_field_reducible(capsys):
-    rc = main(["field", "T^3 - T + 6"])
-    assert rc == 2
-    assert "not irreducible" in capsys.readouterr().err
+@pytest.mark.parametrize("poly", [
+    "T^3 - T + 6",
+    # (T + 100000000007)(T^2 + 5): a constant term above 10^10
+    "T^3 + 100000000007*T^2 + 5*T + 500000000035",
+])
+def test_cli_field_reducible(capsys, poly):
+    rc = main(["field", poly])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2 and err["exit_code"] == 2
+    assert "not irreducible" in err["error"]
 
 
 def test_cli_field_malformed(capsys):
@@ -232,3 +238,22 @@ def test_env_precision_override():
          "from otkit.config import DEFAULT_PRECISION; print(DEFAULT_PRECISION)"],
         env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "64"
+
+
+def test_precision_sets_and_restores_interval_context():
+    from mpmath import iv
+
+    from otkit.config import precision, working_precision
+
+    before = working_precision()
+    assert before == iv.prec
+    with precision(320):
+        assert working_precision() == iv.prec == 320
+        with precision(64):
+            assert iv.prec == 64
+        assert iv.prec == 320
+    assert iv.prec == before
+    with pytest.raises(ValueError):
+        with precision(63):
+            pass
+    assert iv.prec == before

@@ -1,0 +1,87 @@
+"""Record what the ``otkit`` CLI answers on a fixed set of inputs.
+
+Usage::
+
+    python tools/same_answers.py OUT.json
+
+Runs the ``otkit`` of the tree this script sits in (``src/`` of its parent
+directory), one fresh process per command, and writes one JSON file:
+
+* ``field``: stdout and exit code of ``otkit field <poly> --format json`` for
+  every ``PANEL`` field of ``bench/panel.py``;
+* ``scan``: stdout and exit code of ``otkit scan --format csv`` for
+  (s, B, D) = (1, 6, 200), (2, 2, 500) and (3, 2, 4600);
+* ``reducible``: stderr and exit code of ``otkit field`` on two reducible
+  polynomials;
+* ``ledger``: exit code and last stderr line (the JSON error, or the
+  exception class and message of a traceback) for every ``LEDGER`` field.
+
+Two trees give the same answers when their files are equal: run the script
+in each tree and compare the files (``cmp A.json B.json``).  ``bench/`` is
+only read.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from panel import LEDGER, PANEL  # noqa: E402
+
+SCANS = [(1, 6, 200), (2, 2, 500), (3, 2, 4600)]
+REDUCIBLE = ["T^4 + 3*T^2 + 2", "T^3 - T + 6"]
+WORKERS = 2
+
+
+def otkit(args: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``otkit`` command."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("OTKIT_PRECISION", None)
+    proc = subprocess.run([sys.executable, "-m", "otkit.cli", *args],
+                          capture_output=True, text=True, env=env, cwd=ROOT)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def last_line(text: str) -> str:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    return lines[-1] if lines else ""
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    jobs = {}
+    for _, poly, _, _ in PANEL:
+        jobs[("field", poly)] = ["field", poly, "--format", "json"]
+    for s, b, d in SCANS:
+        jobs[("scan", f"{s},{b},{d}")] = ["scan", "--s", str(s), "--coeff-bound",
+                                          str(b), "--disc-max", str(d),
+                                          "--format", "csv"]
+    for poly in REDUCIBLE:
+        jobs[("reducible", poly)] = ["field", poly]
+    for _, poly in LEDGER:
+        jobs[("ledger", poly)] = ["field", poly, "--format", "json"]
+    with ThreadPoolExecutor(WORKERS) as pool:
+        results = dict(zip(jobs, pool.map(otkit, jobs.values())))
+    out: dict = {"field": {}, "scan": {}, "reducible": {}, "ledger": {}}
+    for (group, key), (rc, stdout, stderr) in results.items():
+        if group in ("field", "scan"):
+            out[group][key] = {"exit": rc, "stdout": stdout}
+        elif group == "reducible":
+            out[group][key] = {"exit": rc, "stderr": stderr}
+        else:
+            out[group][key] = {"exit": rc, "stderr_last": last_line(stderr)}
+    Path(argv[0]).write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
