@@ -193,24 +193,11 @@ class ComplexBall:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, ComplexBall):
-            d = other.abs2()
-            num = self * other.conj()
-            return ComplexBall(num.re / d, num.im / d)
         return ComplexBall(self.re / other, self.im / other)
-
-    def conj(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im)
 
     def abs2(self) -> RealBall:
         # even powers, not self-multiplication: [-1,2]*[-1,2] would go negative
         return self.re ** 2 + self.im ** 2
-
-    def __abs__(self) -> RealBall:
-        return self.abs2().sqrt()
-
-    def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
 
     def mid(self):
         return mp.mpc(self.re.mid(), self.im.mid())

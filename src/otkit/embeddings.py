@@ -6,80 +6,44 @@ import numpy as np
 
 from .balls import ComplexBall, RealBall
 from .orders import OrderElement, SubOrder
-from .roots import EmbeddingSet
+from .roots import EmbeddingSet, isolate_roots
 
 
-def basis_values(order: SubOrder, emb: EmbeddingSet):
-    """Ball values of the order basis at every place.
-
-    Returns ``(real, cplx)`` where ``real[j][c]`` is the value of basis
-    element c at the j-th real place and ``cplx[j][c]`` at the j-th complex
-    place (upper root).
-    """
-    n = order.n
-    den = order.den
-    real = []
-    for r in emb.real:
-        powers = [RealBall(1)]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * r)
-        row = []
-        for c in range(n):
-            acc = RealBall(0)
-            for k in range(n):
-                v = order.basis_num[k][c]
-                if v:
-                    acc = acc + powers[k] * v
-            row.append(acc / den)
-        real.append(row)
-    cplx = []
-    for z in emb.complex_upper:
-        powers = [ComplexBall(RealBall(1), RealBall(0))]
-        for _ in range(n - 1):
-            powers.append(powers[-1] * z)
-        row = []
-        for c in range(n):
-            acc = ComplexBall(RealBall(0), RealBall(0))
-            for k in range(n):
-                v = order.basis_num[k][c]
-                if v:
-                    acc = acc + powers[k] * v
-            row.append(acc / RealBall(den))
-        cplx.append(row)
-    return real, cplx
-
-
-def _dot_real(row, coords) -> RealBall:
-    acc = RealBall(0)
-    for v, c in zip(row, coords):
-        if c:
-            acc = acc + v * c
-    return acc
-
-
-def _dot_complex(row, coords) -> ComplexBall:
-    acc = ComplexBall(RealBall(0), RealBall(0))
-    for v, c in zip(row, coords):
-        if c:
-            acc = acc + v * c
-    return acc
+def _dot(values, coeffs, zero):
+    """``zero + sum(v * c)`` over the nonzero integers c, in order."""
+    return sum((v * c for v, c in zip(values, coeffs) if c), zero)
 
 
 class EmbeddingTable:
-    """Cached basis values for repeated element embeddings."""
+    """The Minkowski matrix of an order basis, as ball rows: one per real
+    place, then a Re and an Im row per complex place (upper root).  Every
+    embedding of an element is a dot product of its coordinates with them."""
 
-    def __init__(self, order: SubOrder, emb: EmbeddingSet):
+    def __init__(self, order: SubOrder, emb: EmbeddingSet | None = None):
         self.order = order
-        self.emb = emb
-        self.real, self.cplx = basis_values(order, emb)
-        self.s = emb.s
-        self.t = emb.t
+        self.emb = emb or isolate_roots(order.ambient.f)
+        self.s = self.emb.s
+        self.t = self.emb.t
+        self.rows = [self._basis_values(r) for r in self.emb.real]
+        for z in self.emb.complex_upper:
+            vals = self._basis_values(z)
+            self.rows += [[v.re for v in vals], [v.im for v in vals]]
+
+    def _basis_values(self, x):
+        """Values of the basis elements at the place of the root x."""
+        # x * 0 and x * 0 + 1 are exact zero and one balls of x's kind
+        powers = [x * 0 + 1]
+        for _ in range(self.order.n - 1):
+            powers.append(powers[-1] * x)
+        return [_dot(powers, col, x * 0) / self.order.den
+                for col in zip(*self.order.basis_num)]
 
     def real_value(self, x: OrderElement, j: int) -> RealBall:
-        return _dot_real(self.real[j], x.coords)
+        return _dot(self.rows[j], x.coords, RealBall(0))
 
     def complex_value(self, x: OrderElement, j: int) -> ComplexBall:
-        return _dot_complex(self.cplx[j], x.coords)
+        i = self.s + 2 * j
+        return ComplexBall(self.real_value(x, i), self.real_value(x, i + 1))
 
     def log_vector(self, u: OrderElement) -> list[RealBall]:
         """Weighted log embedding: log|sigma| at real places, 2 log|sigma| at complex."""
@@ -100,19 +64,10 @@ class EmbeddingTable:
 
     def minkowski_matrix(self) -> list[list[RealBall]]:
         """Square matrix with basis columns: real rows, then Re/Im rows per complex place."""
-        n = self.order.n
-        rows = []
-        for j in range(self.s):
-            rows.append(list(self.real[j]))
-        for j in range(self.t):
-            rows.append([v.re for v in self.cplx[j]])
-            rows.append([v.im for v in self.cplx[j]])
-        assert len(rows) == n
-        return rows
+        return [row[:] for row in self.rows]
 
     def float_rows(self):
         """float64 embedding rows for bulk filtering (real rows, complex rows)."""
-        real = np.array([[float(v.mid()) for v in row] for row in self.real])
-        cplx = np.array([[complex(float(v.re.mid()), float(v.im.mid()))
-                          for v in row] for row in self.cplx])
-        return real, cplx
+        mids = np.array([[float(v.mid()) for v in row] for row in self.rows])
+        s = self.s
+        return mids[:s], mids[s::2] + 1j * mids[s + 1::2]

@@ -70,12 +70,8 @@ def log_matrix_of_squares(table: EmbeddingTable, gens) -> list[list[RealBall]]:
     totally positive generators span a finer quantity whenever the unit
     sign group is nontrivial, so they are not used here.)
     """
-    s = table.s
-    cols = []
-    for g in gens:
-        eps = g * g
-        cols.append([abs(table.real_value(eps, j)).log() for j in range(s)])
-    return [[cols[i][j] for i in range(len(cols))] for j in range(s)]
+    cols = [table.log_vector(g * g)[:table.s] for g in gens]
+    return [list(row) for row in zip(*cols)]
 
 
 def volume_determinant_path(order: SubOrder, units: UnitGroupData,

@@ -309,6 +309,9 @@ def _factors(f: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
     return [(IntPolynomial([int(c) for c in reversed(g)]), k) for g, k in factors]
 
 
+_DIVISOR_LIMIT = 10 ** 10
+
+
 def integer_roots(f: IntPolynomial) -> list[int]:
     """All integer roots (for monic f these are all rational roots).
 
@@ -320,9 +323,14 @@ def integer_roots(f: IntPolynomial) -> list[int]:
     c0 = f.coeffs[0]
     if c0 == 0:
         return sorted({0, *integer_roots(IntPolynomial(f.coeffs[1:]))})
-    if abs(c0) <= 10 ** 10:
+    if abs(c0) <= _DIVISOR_LIMIT:
         return sorted(r for r in _divisors_signed(c0) if f(r) == 0)
-    return sorted(-g.coeffs[0] for g, _ in _factors(f) if g.coeffs[1:] == (1,))
+    return _linear_roots(_factors(f))
+
+
+def _linear_roots(factors) -> list[int]:
+    """The roots r of the factors T - r in a factor list over Z, sorted."""
+    return sorted(-g.coeffs[0] for g, _ in factors if g.coeffs[1:] == (1,))
 
 
 def _sign_at(f: IntPolynomial, q: "Fraction|int") -> int:
@@ -346,7 +354,8 @@ def is_irreducible(f: IntPolynomial) -> tuple[bool, IntPolynomial | None]:
 
     The integer-root test is conclusive through degree 3 and gives a linear
     witness; higher degrees without an integer root take one factorization
-    over Z, whose first factor is the witness.
+    over Z, whose first factor is the witness.  A constant term above 10^10
+    is factored once, up front, and the integer roots are read off that list.
     """
     if not f.is_monic():
         raise ValueError("irreducibility test expects a monic polynomial")
@@ -355,12 +364,13 @@ def is_irreducible(f: IntPolynomial) -> tuple[bool, IntPolynomial | None]:
         return False, None
     if n == 1:
         return True, None
-    roots = integer_roots(f)
+    factors = _factors(f) if abs(f.coeffs[0]) > _DIVISOR_LIMIT else None
+    roots = integer_roots(f) if factors is None else _linear_roots(factors)
     if roots:
         return False, IntPolynomial([-roots[0], 1])
     if n <= 3:
         return True, None
-    factors = _factors(f)
+    factors = factors or _factors(f)
     if len(factors) == 1 and factors[0][1] == 1:
         return True, None
     return False, factors[0][0]

@@ -10,9 +10,11 @@ Krawczyk test on a rectangle in the upper half plane; the global count
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from .balls import ComplexBall, RealBall
 from .config import precision, working_precision
@@ -22,6 +24,11 @@ from .polynomials import (IntPolynomial, _sign_at, integer_roots, is_squarefree,
 
 class NotSquarefreeError(ValueError):
     """Raised for inputs with repeated roots, which cannot be isolated."""
+
+
+def _ball(lo, hi) -> RealBall:
+    """Outward enclosure of the rational interval [lo, hi] at the working precision."""
+    return RealBall.from_endpoints(RealBall(lo).lower, RealBall(hi).upper)
 
 
 class EmbeddingSet:
@@ -34,13 +41,9 @@ class EmbeddingSet:
         self._real_intervals = real_intervals    # list[(Fraction lo, Fraction hi)]
         self._complex_rects = complex_rects      # list[(Fraction,)*4], im > 0
         with precision(precision_bits):
-            self.real = [RealBall.from_endpoints(RealBall(lo).lower, RealBall(hi).upper)
-                         for lo, hi in real_intervals]
-            self.complex_upper = [
-                ComplexBall(RealBall.from_endpoints(RealBall(a).lower, RealBall(b).upper),
-                            RealBall.from_endpoints(RealBall(c).lower, RealBall(d).upper))
-                for a, b, c, d in complex_rects
-            ]
+            self.real = [_ball(lo, hi) for lo, hi in real_intervals]
+            self.complex_upper = [ComplexBall(_ball(a, b), _ball(c, d))
+                                  for a, b, c, d in complex_rects]
 
     @property
     def s(self) -> int:
@@ -54,9 +57,8 @@ class EmbeddingSet:
         """A new set with every enclosure tightened to the requested precision."""
         if precision_bits <= self.precision_bits:
             return self
-        return isolate_roots(self.poly, precision_bits,
-                             _seed_real=self._real_intervals,
-                             _seed_complex=self._complex_rects)
+        return _polish(self.poly, self._real_intervals, self._complex_rects,
+                       precision_bits)
 
     def __repr__(self):
         return (f"EmbeddingSet({self.poly.format()!r}, s={self.s}, t={self.t}, "
@@ -64,13 +66,7 @@ class EmbeddingSet:
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    if not hasattr(x, "_mpf_"):
-        return Fraction(float(x))
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    m = -man if sign else man
-    return Fraction(m << exp) if exp >= 0 else Fraction(m, 1 << -exp)
+    return Fraction(*to_rational(x._mpf_))
 
 
 def _cauchy_bound(f: IntPolynomial) -> int:
@@ -102,9 +98,10 @@ def _isolate_real(f: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
     return done
 
 
-def _bisect_to(f: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
+def _bisect(f: IntPolynomial, lo: Fraction, hi: Fraction, narrow):
+    """Halve the isolating interval [lo, hi] until ``narrow(lo, hi)`` holds."""
     s_lo = _sign_at(f, lo)
-    while hi - lo > width:
+    while not narrow(lo, hi):
         m = (lo + hi) / 2
         if _sign_at(f, m) == s_lo:
             lo = m
@@ -113,114 +110,105 @@ def _bisect_to(f: IntPolynomial, lo: Fraction, hi: Fraction, width: Fraction):
     return lo, hi
 
 
-def _bisect_relative(f: IntPolynomial, lo: Fraction, hi: Fraction, rel_bits: int = 16):
-    """Bisect until the width is small relative to the located root's scale."""
-    s_lo = _sign_at(f, lo)
-    while True:
-        scale = max(Fraction(1), abs(lo), abs(hi))
-        if hi - lo <= scale / (1 << rel_bits):
-            return lo, hi
-        m = (lo + hi) / 2
-        if _sign_at(f, m) == s_lo:
-            lo = m
-        else:
-            hi = m
+def _target(bits: int, ends) -> mpf:
+    """Width goal for a root enclosed by ``ends``: 2^-bits, relative above 1."""
+    return mpf(2) ** (-bits) * int(max(1, *map(abs, ends)))
 
 
-def _newton_polish(f: IntPolynomial, lo: Fraction, hi: Fraction, bits: int):
-    """Contract an isolating interval to ~2^-bits relative width by interval Newton."""
-    fp = f.derivative()
-    scale = max(1, abs(lo), abs(hi))
-    target = mpf(2) ** (-bits) * int(scale) if scale > 1 else mpf(2) ** (-bits)
-    with precision(bits + 32):
-        for _ in range(200):
-            Z = RealBall.from_endpoints(RealBall(lo).lower, RealBall(hi).upper)
-            if Z.rad() * 2 < target:
-                break
+def _meet(x: RealBall, y: RealBall) -> tuple[mpf, mpf]:
+    lo, hi = max(x.lower, y.lower), min(x.upper, y.upper)
+    if lo > hi:
+        raise ArithmeticError("root enclosure became empty")
+    return lo, hi
+
+
+def _newton(f, fp, lo: Fraction, hi: Fraction, target):
+    """Contract an isolating interval below ``target`` by interval Newton."""
+    for _ in range(200):
+        Z = _ball(lo, hi)
+        if Z.rad() * 2 < target:
+            break
+        der = fp(Z)
+        if not der.contains_zero():
             m = _mpf_to_fraction(Z.mid())
-            der = fp(Z)
-            if der.contains_zero():
-                lo, hi = _bisect_to(f, lo, hi, (hi - lo) / 4)
+            width = hi - lo
+            lo, hi = map(_mpf_to_fraction, _meet(Z, RealBall(m) - RealBall(f(m)) / der))
+            if hi - lo <= width * 3 / 4:
                 continue
-            N = RealBall(m) - RealBall(f(m)) / der
-            new_lo = max(RealBall(lo).lower, N.lower)
-            new_hi = min(RealBall(hi).upper, N.upper)
-            if new_lo > new_hi:
-                raise ArithmeticError("interval Newton produced an empty intersection")
-            plo, phi = lo, hi
-            lo, hi = _mpf_to_fraction(new_lo), _mpf_to_fraction(new_hi)
-            if (phi - plo) and (hi - lo) > (phi - plo) * 3 / 4:
-                lo, hi = _bisect_to(f, lo, hi, (hi - lo) / 4)
+        # f' may vanish on Z, or Newton contracts slowly: two bisection steps
+        w = (hi - lo) / 4
+        lo, hi = _bisect(f, lo, hi, lambda a, b: b - a <= w)
     return lo, hi
 
 
-def _eval_complex(f: IntPolynomial, z: ComplexBall) -> ComplexBall:
-    acc = ComplexBall(RealBall(f.coeffs[-1]), RealBall(0))
-    for c in reversed(f.coeffs[:-1]):
-        acc = acc * z + ComplexBall(RealBall(c), RealBall(0))
-    return acc
+def _krawczyk(f, fp, rect) -> tuple[ComplexBall, ComplexBall] | None:
+    """The Krawczyk image K of a rectangle Z, and Z; None when f'(Z) is
+    centred on zero.
 
-
-def _krawczyk_step(f, fp, rect) -> tuple | None:
-    """One Krawczyk contraction; returns the image rectangle, or None on failure."""
+    K = m - y f(m) + (1 - y f'(Z)) (Z - m) with m the midpoint of Z and y the
+    float inverse of the midpoint of f'(Z); the interval terms make K hold
+    every root in Z, and K inside the interior of Z proves exactly one.
+    """
     a, b, c, d = rect
-    Z = ComplexBall(RealBall.from_endpoints(RealBall(a).lower, RealBall(b).upper),
-                    RealBall.from_endpoints(RealBall(c).lower, RealBall(d).upper))
-    mx = _mpf_to_fraction(Z.re.mid())
-    my = _mpf_to_fraction(Z.im.mid())
-    m = ComplexBall(RealBall(mx), RealBall(my))
-    Fm = _eval_complex(f, m)
-    D = _eval_complex(fp, Z)
-    u, v = D.re, D.im
-    # midpoint Jacobian inverse (floats suffice; rigor comes from the interval terms)
-    um, vm = u.mid(), v.mid()
+    Z = ComplexBall(_ball(a, b), _ball(c, d))
+    m = ComplexBall(RealBall(_mpf_to_fraction(Z.re.mid())),
+                    RealBall(_mpf_to_fraction(Z.im.mid())))
+    D = fp(Z)
+    um, vm = D.re.mid(), D.im.mid()
     det = um * um + vm * vm
     if det == 0:
         return None
-    y11, y12 = um / det, vm / det
-    y21, y22 = -vm / det, um / det
-    # K = m - Y F(m) + (I - Y J(Z)) (Z - m), with J(Z) = [[u, -v], [v, u]]
-    r11 = RealBall(1) - (RealBall(y11) * u + RealBall(y12) * v)
-    r12 = RealBall(y11) * v - RealBall(y12) * u
-    r21 = -(RealBall(y21) * u + RealBall(y22) * v)
-    r22 = RealBall(1) - (RealBall(y22) * u - RealBall(y21) * v)
-    dx = Z.re - RealBall(mx)
-    dy = Z.im - RealBall(my)
-    kx = RealBall(mx) - (RealBall(y11) * Fm.re + RealBall(y12) * Fm.im) \
-        + r11 * dx + r12 * dy
-    ky = RealBall(my) - (RealBall(y21) * Fm.re + RealBall(y22) * Fm.im) \
-        + r21 * dx + r22 * dy
-    return kx, ky, Z
+    y = ComplexBall(RealBall(um / det), RealBall(-vm / det))
+    return m - y * f(m) + (1 - y * D) * (Z - m), Z
 
 
-def _krawczyk_verify(f, fp, rect) -> bool:
-    out = _krawczyk_step(f, fp, rect)
+def _krawczyk_proves(f, fp, rect) -> bool:
+    out = _krawczyk(f, fp, rect)
     if out is None:
         return False
-    kx, ky, Z = out
-    return (Z.re.lower < kx.lower and kx.upper < Z.re.upper
-            and Z.im.lower < ky.lower and ky.upper < Z.im.upper)
+    K, Z = out
+    return (Z.re.lower < K.re.lower and K.re.upper < Z.re.upper
+            and Z.im.lower < K.im.lower and K.im.upper < Z.im.upper)
 
 
-def _krawczyk_contract(f, fp, rect, bits):
-    scale = max(1, *(abs(v) for v in rect))
-    target = mpf(2) ** (-bits) * int(scale) if scale > 1 else mpf(2) ** (-bits)
-    with precision(bits + 32):
-        for _ in range(200):
-            out = _krawczyk_step(f, fp, rect)
-            if out is None:
-                raise ArithmeticError("Krawczyk refinement stalled")
-            kx, ky, Z = out
-            a = max(Z.re.lower, kx.lower)
-            b = min(Z.re.upper, kx.upper)
-            c = max(Z.im.lower, ky.lower)
-            d = min(Z.im.upper, ky.upper)
-            if a > b or c > d:
-                raise ArithmeticError("Krawczyk intersection became empty")
-            rect = tuple(map(_mpf_to_fraction, (a, b, c, d)))
-            if (b - a) < target and (d - c) < target:
-                break
+def _krawczyk_contract(f, fp, rect, target):
+    """Iterate Z <- K ∩ Z until both sides of the rectangle are below ``target``."""
+    for _ in range(200):
+        out = _krawczyk(f, fp, rect)
+        if out is None:
+            raise ArithmeticError("Krawczyk refinement stalled")
+        K, Z = out
+        (a, b), (c, d) = _meet(Z.re, K.re), _meet(Z.im, K.im)
+        rect = tuple(map(_mpf_to_fraction, (a, b, c, d)))
+        if (b - a) < target and (d - c) < target:
+            break
     return rect
+
+
+def _polish(f: IntPolynomial, real_intervals, complex_rects, bits: int) -> EmbeddingSet:
+    """Tighten isolating intervals and certified rectangles of every root of f
+    to about 2^-bits relative width: the one path behind isolation and refinement."""
+    fp = f.derivative()
+
+    def coarse(a, b):
+        return b - a <= max(Fraction(1), abs(a), abs(b)) / (1 << 16)
+
+    real, rects = [], []
+    with precision(bits + 48):
+        for lo, hi in real_intervals:
+            if lo != hi:
+                lo, hi = _bisect(f, lo, hi, coarse)
+                lo, hi = _newton(f, fp, lo, hi, _target(bits + 16, (lo, hi)))
+            real.append((lo, hi))
+        for rect in complex_rects:
+            rects.append(_krawczyk_contract(f, fp, rect, _target(bits + 16, rect)))
+    real.sort()
+    rects.sort()
+    # disjointness across all enclosures is a hard guarantee
+    for (a1, b1, c1, d1), (a2, b2, c2, d2) in combinations(rects, 2):
+        if not (b1 < a2 or b2 < a1 or d1 < c2 or d2 < c1):
+            raise ArithmeticError("complex enclosures overlap")
+    return EmbeddingSet(f, bits, real, rects)
 
 
 def _complex_seeds(f: IntPolynomial, t: int) -> list[complex]:
@@ -244,8 +232,19 @@ def _complex_seeds(f: IntPolynomial, t: int) -> list[complex]:
         return upper([complex(z) for z in rr])
 
 
-def isolate_roots(f: IntPolynomial, precision_bits: int | None = None,
-                  _seed_real=None, _seed_complex=None) -> EmbeddingSet:
+def _box(f, fp, z: complex) -> tuple:
+    """The smallest square around a float seed that the Krawczyk test certifies."""
+    for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
+        h = max(abs(z), 1.0) * scale
+        if z.imag - h <= 0:
+            continue
+        rect = tuple(map(Fraction, (z.real - h, z.real + h, z.imag - h, z.imag + h)))
+        if _krawczyk_proves(f, fp, rect):
+            return rect
+    raise ArithmeticError(f"could not certify a complex root near {z}")
+
+
+def isolate_roots(f: IntPolynomial, precision_bits: int | None = None) -> EmbeddingSet:
     """Certified, disjoint enclosures for every root of monic squarefree ``f``."""
     if not f.is_monic():
         raise ValueError("root isolation expects a monic polynomial")
@@ -255,66 +254,27 @@ def isolate_roots(f: IntPolynomial, precision_bits: int | None = None,
         raise NotSquarefreeError(f"{f.format()} has repeated roots")
     bits = precision_bits or working_precision()
 
-    if _seed_real is None:
-        exact = [Fraction(r) for r in integer_roots(f)]
-        g = f
-        for r in exact:
-            g, rem = g.divmod_monic(IntPolynomial([-int(r), 1]))
-            assert rem.is_zero()
-        intervals = _isolate_real(g) if g.degree >= 1 else []
-        real_seeds = sorted([(r, r) for r in exact] + intervals)
-    else:
-        real_seeds = _seed_real
-        g = None
+    exact = integer_roots(f)
+    g = f
+    for r in exact:
+        g, rem = g.divmod_monic(IntPolynomial([-r, 1]))
+        assert rem.is_zero()
+    real = [(Fraction(r), Fraction(r)) for r in exact]
+    if g.degree >= 1:
+        real += _isolate_real(g)
 
-    real_out = []
-    for lo, hi in real_seeds:
-        if lo == hi:
-            real_out.append((lo, hi))
-            continue
-        lo2, hi2 = _bisect_relative(f, lo, hi)
-        lo2, hi2 = _newton_polish(f, lo2, hi2, bits + 16)
-        real_out.append((lo2, hi2))
-    real_out.sort()
-
-    s = len(real_out)
+    s = len(real)
     n = f.degree
     if (n - s) % 2:
         raise ArithmeticError("real root count inconsistent with the degree")
     t = (n - s) // 2
 
-    fp = f.derivative()
     rects = []
-    if _seed_complex is not None and len(_seed_complex) == t:
-        for rect in _seed_complex:
-            rects.append(_krawczyk_contract(f, fp, rect, bits + 16))
-    elif t:
+    if t:
         seeds = _complex_seeds(f, t)
         if len(seeds) != t:
             raise ArithmeticError("could not seed the complex roots")
+        fp = f.derivative()
         with precision(max(bits, 64) + 32):
-            for z in seeds:
-                placed = None
-                for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
-                    h = max(abs(z), 1.0) * scale
-                    if z.imag - h <= 0:
-                        continue
-                    rect = (_mpf_to_fraction(mpf(z.real - h)), _mpf_to_fraction(mpf(z.real + h)),
-                            _mpf_to_fraction(mpf(z.imag - h)), _mpf_to_fraction(mpf(z.imag + h)))
-                    if _krawczyk_verify(f, fp, rect):
-                        placed = rect
-                        break
-                if placed is None:
-                    raise ArithmeticError(f"could not certify a complex root near {z}")
-                rects.append(_krawczyk_contract(f, fp, placed, bits + 16))
-    rects.sort()
-
-    # disjointness across all enclosures is a hard guarantee
-    for i in range(len(rects)):
-        for j in range(i + 1, len(rects)):
-            a1, b1, c1, d1 = rects[i]
-            a2, b2, c2, d2 = rects[j]
-            if not (b1 < a2 or b2 < a1 or d1 < c2 or d2 < c1):
-                raise ArithmeticError("complex enclosures overlap")
-
-    return EmbeddingSet(f, bits, real_out, rects)
+            rects = [_box(f, fp, z) for z in seeds]
+    return _polish(f, real, rects, bits)

@@ -26,7 +26,7 @@ from .config import PrecisionError, decide, precision, working_precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder, signature
-from .roots import EmbeddingSet, isolate_roots
+from .roots import EmbeddingSet
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -148,8 +148,7 @@ def find_units(order: SubOrder, coord_bound: int,
     """All units with coordinates in [-B, B], deduplicated up to sign, sorted."""
     if coord_bound < 1:
         raise ValueError("coord_bound must be >= 1")
-    if table is None:
-        table = EmbeddingTable(order, isolate_roots(order.ambient.f))
+    table = table or EmbeddingTable(order)
     realf, cplxf = table.float_rows()
     n = order.n
     B = coord_bound
@@ -454,8 +453,7 @@ def units_from_generators(order: SubOrder, gens,
     Serves covering-manifold computations and high-rank fields where
     certification is out of reach (certified_index_bound = 0).
     """
-    if table is None:
-        table = EmbeddingTable(order, isolate_roots(order.ambient.f))
+    table = table or EmbeddingTable(order)
     for g in gens:
         if not order.is_unit(g):
             raise ValueError("supplied generator is not a unit")
@@ -475,8 +473,7 @@ def certify_units(order: SubOrder, candidates, friedman_floor: Fraction | None =
     and 0 when no proven floor applies (rank >= 4, best effort).  A field
     with no real place raises ValueError.
     """
-    if table is None:
-        table = EmbeddingTable(order, isolate_roots(order.ambient.f))
+    table = table or EmbeddingTable(order)
     s, t = table.s, table.t
     _require_real_place(s)
     r = s + t - 1
@@ -624,7 +621,7 @@ def unit_group(order: SubOrder, emb: EmbeddingSet | None = None,
     def attempt():
         bits = working_precision()
         try:
-            table = EmbeddingTable(order, (emb or isolate_roots(f, bits)).refine(bits))
+            table = EmbeddingTable(order, emb.refine(bits) if emb else None)
             r = table.s + table.t - 1
             lattice = _UnitLattice(order, table, r)
             for u in find_units(order, coord_bound, table):

@@ -119,6 +119,28 @@ def test_irreducibility():
     assert is_squarefree(big)
 
 
+@pytest.mark.parametrize("factors, witness", [
+    pytest.param(["T^4 + 3*T + 100000000007"], None, id="T^4 + 3*T + 100000000007"),
+    pytest.param(["T^2 + 5", "T^2 + 20000000001"], "T^2 + 5",
+                 id="(T^2 + 5)(T^2 + 20000000001)"),
+    pytest.param(["T - 100000000007", "T^3 + T + 1"], "T - 100000000007",
+                 id="(T - 100000000007)(T^3 + T + 1)"),
+])
+def test_irreducibility_factors_once(monkeypatch, factors, witness):
+    """Above 10^10 the integer roots and the verdict share one factorization."""
+    import otkit.polynomials as polynomials
+
+    calls = []
+    factor = polynomials._factors
+    monkeypatch.setattr(polynomials, "_factors", lambda f: calls.append(f) or factor(f))
+    f = P([1])
+    for text in factors:
+        f = f * P.parse(text)
+    ok, found = is_irreducible(f)
+    assert (ok, found) == (witness is None, witness and P.parse(witness))
+    assert len(calls) == 1
+
+
 @st.composite
 def monic_poly(draw, min_deg=2, max_deg=6):
     deg = draw(st.integers(min_deg, max_deg))

@@ -1,7 +1,13 @@
+import random
+
+import numpy as np
 import pytest
+from mpmath import mpf
 
 from otkit.balls import RealBall
 from otkit.config import precision
+from otkit.embeddings import EmbeddingTable
+from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial
 from otkit.roots import EmbeddingSet, NotSquarefreeError, isolate_roots
 
@@ -35,13 +41,76 @@ def test_nonsquarefree_rejected():
         isolate_roots(P.parse("T^2 - 2*T + 1"))
 
 
-def test_refinement_shrinks():
-    e = isolate_roots(P.parse("T^3 - T + 1"), 96)
-    w1 = float(e.real[0].rad())
+def _balls(e):
+    return e.real + [b for z in e.complex_upper for b in (z.re, z.im)]
+
+
+# T^5 - T - 3 has two complex places; T^4 - 2*T^2 - 2 has a purely imaginary root
+@pytest.mark.parametrize("text", ["T^3 - T + 1", "T^5 - T - 3", "T^4 - 2*T^2 - 2"])
+def test_refinement_shrinks(text):
+    e = isolate_roots(P.parse(text), 96)
     e2 = e.refine(256)
-    w2 = float(e2.real[0].rad())
-    assert w2 < w1 / 2
     assert isinstance(e2, EmbeddingSet)
+    assert (e2.s, e2.t, e2.precision_bits) == (e.s, e.t, 256)
+    for coarse, fine in zip(_balls(e), _balls(e2)):
+        assert coarse.contains(fine)
+        assert float(fine.rad()) < float(coarse.rad()) / 2
+    if text == "T^4 - 2*T^2 - 2":
+        assert e.complex_upper[0].re.contains_zero()
+        assert e2.complex_upper[0].re.contains_zero()
+
+
+TABLE_FIELDS = ["T^3 - T + 1", "T^5 - T - 3", "T^4 - 2*T^2 - 2",
+                "T^3 - 3*T + 1", "T^3 + T^2 - 2*T + 8"]   # the last has index 2
+
+
+def _table(text):
+    order, _, _ = maximalize(build_order(P.parse(text)))
+    return order, EmbeddingTable(order)
+
+
+@pytest.mark.parametrize("text", TABLE_FIELDS)
+def test_table_values_match_numpy(text):
+    """Ball values of random elements agree with a float evaluation of their
+    power-basis polynomials at numpy's roots, and are tight."""
+    order, table = _table(text)
+    f = order.ambient.f
+    roots = np.roots([float(c) for c in reversed(f.coeffs)])
+    places = table.emb.real + table.emb.complex_upper
+    rng = random.Random(text)
+    for _ in range(10):
+        x = order.element([rng.randint(-9, 9) for _ in range(order.n)])
+        poly = [float(c) for c in reversed(order.to_power_fractions(x))]
+        values = ([table.real_value(x, j) for j in range(table.s)]
+                  + [table.complex_value(x, j) for j in range(table.t)])
+        for j, (place, value) in enumerate(zip(places, values)):
+            root = min(roots, key=lambda r: abs(r - complex(place.mid())))
+            want = np.polyval(poly, root)
+            assert abs(complex(value.mid()) - want) <= 1e-9 * max(1.0, abs(want))
+            parts = [value] if j < table.s else [value.re, value.im]
+            assert all(b.rad() < mpf(2) ** -150 for b in parts)
+
+
+@pytest.mark.parametrize("text", TABLE_FIELDS)
+def test_minkowski_columns_and_float_rows(text):
+    """Column c of the Minkowski matrix is the embedding of basis element c,
+    and the float rows are its midpoints."""
+    order, table = _table(text)
+    s, t, n = table.s, table.t, order.n
+    M = table.minkowski_matrix()
+    assert len(M) == n and all(len(row) == n for row in M)
+    for c in range(n):
+        e = order.element([int(i == c) for i in range(n)])
+        col = ([table.real_value(e, j) for j in range(s)]
+               + [b for j in range(t) for b in (table.complex_value(e, j).re,
+                                                table.complex_value(e, j).im)])
+        for b, m in zip(col, (row[c] for row in M)):
+            assert (b.lower, b.upper) == (m.lower, m.upper)
+    realf, cplxf = table.float_rows()
+    mids = [[float(b.mid()) for b in row] for row in M]
+    assert realf.tolist() == mids[:s]
+    assert cplxf.tolist() == [[complex(a, b) for a, b in zip(re, im)]
+                              for re, im in zip(mids[s::2], mids[s + 1::2])]
 
 
 def _roots_sum_product(e):

@@ -8,7 +8,10 @@ Runs the ``otkit`` of the tree this script sits in (``src/`` of its parent
 directory), one fresh process per command, and writes one JSON file:
 
 * ``field``: stdout and exit code of ``otkit field <poly> --format json`` for
-  every ``PANEL`` field of ``bench/panel.py``;
+  every ``PANEL`` field of ``bench/panel.py`` and for ``T^4 - 2*T^2 - 2``,
+  which has a purely imaginary root;
+* ``units``: stdout and exit code of ``otkit units <poly> --format json`` for
+  ``T^5 - T - c``, c = 1, 3, 5, 7 (two complex places);
 * ``scan``: stdout and exit code of ``otkit scan --format csv`` for
   (s, B, D) = (1, 6, 200), (2, 2, 500) and (3, 2, 4600);
 * ``reducible``: stderr and exit code of ``otkit field`` on two reducible
@@ -37,6 +40,8 @@ from panel import LEDGER, PANEL  # noqa: E402
 
 SCANS = [(1, 6, 200), (2, 2, 500), (3, 2, 4600)]
 REDUCIBLE = ["T^4 + 3*T^2 + 2", "T^3 - T + 6"]
+FIELDS = [poly for _, poly, _, _ in PANEL] + ["T^4 - 2*T^2 - 2"]
+UNITS = [f"T^5 - T - {c}" for c in (1, 3, 5, 7)]
 WORKERS = 2
 
 
@@ -59,8 +64,10 @@ def main(argv: list[str]) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     jobs = {}
-    for _, poly, _, _ in PANEL:
+    for poly in FIELDS:
         jobs[("field", poly)] = ["field", poly, "--format", "json"]
+    for poly in UNITS:
+        jobs[("units", poly)] = ["units", poly, "--format", "json"]
     for s, b, d in SCANS:
         jobs[("scan", f"{s},{b},{d}")] = ["scan", "--s", str(s), "--coeff-bound",
                                           str(b), "--disc-max", str(d),
@@ -71,9 +78,9 @@ def main(argv: list[str]) -> int:
         jobs[("ledger", poly)] = ["field", poly, "--format", "json"]
     with ThreadPoolExecutor(WORKERS) as pool:
         results = dict(zip(jobs, pool.map(otkit, jobs.values())))
-    out: dict = {"field": {}, "scan": {}, "reducible": {}, "ledger": {}}
+    out: dict = {"field": {}, "scan": {}, "units": {}, "reducible": {}, "ledger": {}}
     for (group, key), (rc, stdout, stderr) in results.items():
-        if group in ("field", "scan"):
+        if group in ("field", "scan", "units"):
             out[group][key] = {"exit": rc, "stdout": stdout}
         elif group == "reducible":
             out[group][key] = {"exit": rc, "stderr": stderr}
