@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import permutations, product
+
 import numpy as np
 
 from .balls import ComplexBall, RealBall
 from .orders import OrderElement, SubOrder
+from .polynomials import IntPolynomial
 from .roots import EmbeddingSet, isolate_roots
 
 
@@ -71,3 +74,34 @@ class EmbeddingTable:
         mids = np.array([[float(v.mid()) for v in row] for row in self.rows])
         s = self.s
         return mids[:s], mids[s::2] + 1j * mids[s + 1::2]
+
+    def root_of(self, f: IntPolynomial) -> OrderElement | None:
+        """A root of f in the order, or None when none is found.
+
+        The float Minkowski system is solved once per assignment of f's
+        roots to the places (real roots in any order, one of each conjugate
+        pair per complex place); each rounded solution is checked exactly.
+        A root of an irreducible f of degree n proves that Q[T]/(f) is this
+        field.
+        """
+        if f.degree != self.order.n:
+            return None
+        roots = np.roots([float(c) for c in reversed(f.coeffs)])
+        roots = roots[np.argsort(np.abs(roots.imag))]
+        real = roots[:self.s].real
+        upper = [z for z in roots[self.s:] if z.imag > 0]
+        if len(upper) != self.t:
+            return None
+        rows, crows = self.float_rows()
+        minkowski = np.vstack([rows, crows.real, crows.imag])
+        targets = [np.concatenate([r, np.real(z), np.imag(z)])
+                   for r in permutations(real)
+                   for zs in permutations(upper)
+                   for z in product(*((w, w.conjugate()) for w in zs))]
+        sols = np.linalg.solve(minkowski, np.array(targets).T).T
+        for x in np.round(sols):
+            if np.all(np.abs(x) < 2.0 ** 52):     # else the rounding means nothing
+                alpha = OrderElement(self.order, [int(c) for c in x])
+                if f(alpha) == self.order.zero():
+                    return alpha
+        return None

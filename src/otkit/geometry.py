@@ -21,7 +21,7 @@ from .config import PrecisionError, decide
 from .embeddings import EmbeddingTable
 from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
                      signature)
-from .polynomials import IntPolynomial, integer_roots
+from .polynomials import IntPolynomial, integer_roots, is_squarefree
 from .unitgroup import (InsufficientUnitsError, UnitGroupData,
                         torsion_group, unit_group)
 
@@ -405,6 +405,8 @@ SCAN_CSV_COLUMNS = ["poly", "disc", "index", "regulator", "certified",
 
 
 def _scan_polynomials(degree: int, coeff_bound: int):
+    """Monic polynomials of the box with nonzero constant term, in ascending
+    order of their coefficient tuples."""
     rng = range(-coeff_bound, coeff_bound + 1)
     for tail in product(rng, repeat=degree):
         if tail[0] == 0:
@@ -418,22 +420,30 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
 
     Certified unit systems are required for ordering claims; a field whose
     units stay uncertified only poisons its own record (flagged), never the
-    rest.
+    rest.  A polynomial merges into an earlier record only when it has a root
+    in that record's maximal order, which proves the fields equal; each field
+    keeps its first certified polynomial, else its first polynomial, and its
+    unit group is computed once.
     """
     if s not in (1, 2, 3):
         raise ValueError("certified scans cover s in {1, 2, 3}")
     degree = s + 2
-    seen: dict = {}
+    done: list[tuple[ScanRecord, EmbeddingTable]] = []   # one per proven field
     for f in _scan_polynomials(degree, coeff_bound):
+        # cheap exact filters before the irreducibility test in build_order;
+        # signature needs a squarefree f
+        if not is_squarefree(f) or signature(f) != (s, 1):
+            continue
         try:
             mo = build_order(f)
         except ReduciblePolynomialError:
             continue
-        sig = signature(f)
-        if (sig.s, sig.t) != (s, 1):
-            continue
         order, index, order_cert = maximalize(mo)
         if abs(order.disc) > disc_bound:
+            continue
+        same = next((i for i, (rec, table) in enumerate(done)
+                     if rec.disc == order.disc and table.root_of(f) is not None), None)
+        if same is not None and done[same][0].certified:
             continue
         try:
             ug = unit_group(order)
@@ -444,30 +454,14 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
         vol = ot_volume(s, abs(order.disc), ug.regulator)
         rec = ScanRecord(f, order.disc, index, ug.regulator,
                          order_cert and ug.certified, vol.value, tors.factors)
-        key = _dedup_key(order.disc, ug.regulator, tors.factors, seen)
-        if key not in seen or _poly_key(f) < _poly_key(seen[key].poly):
-            seen[key] = rec
-    records = sorted(seen.values(), key=lambda r: float(r.volume.mid()))
+        if same is None:
+            done.append((rec, ug.table))
+        elif rec.certified:
+            done[same] = (rec, ug.table)
+    records = sorted((rec for rec, _ in done), key=lambda r: float(r.volume.mid()))
     if certified_only:
         records = [r for r in records if r.certified]
     return records
-
-
-def _poly_key(f: IntPolynomial):
-    return tuple(f.coeffs)
-
-
-def _dedup_key(disc, reg, torsion, seen):
-    """Fields merge when discriminants match, regulator intervals overlap, and
-    torsion invariants agree."""
-    for key, rec in seen.items():
-        if key[0] != disc:
-            continue
-        if rec.torsion_factors != torsion:
-            continue
-        if rec.regulator.overlaps(reg):
-            return key
-    return (disc, float(reg.mid()), tuple(torsion))
 
 
 def field_volumes(order: SubOrder, ug: UnitGroupData, mc_samples: int = 0,

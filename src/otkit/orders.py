@@ -102,7 +102,11 @@ class OrderElement:
         return hash((id(self.order), self.coords))
 
     def __add__(self, other):
+        if isinstance(other, int):
+            other = other * self.order.one()
         return OrderElement(self.order, [a + b for a, b in zip(self.coords, other.coords)])
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return OrderElement(self.order, [a - b for a, b in zip(self.coords, other.coords)])

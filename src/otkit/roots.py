@@ -17,9 +17,12 @@ from mpmath import mp, mpf
 from mpmath.libmp import to_rational
 
 from .balls import ComplexBall, RealBall
-from .config import precision, working_precision
+from .config import PrecisionError, precision, working_precision
 from .polynomials import (IntPolynomial, _sign_at, integer_roots, is_squarefree,
                           sturm_count)
+
+
+MAX_STEPS = 200     # contraction steps per root before refinement gives up
 
 
 class NotSquarefreeError(ValueError):
@@ -124,10 +127,10 @@ def _meet(x: RealBall, y: RealBall) -> tuple[mpf, mpf]:
 
 def _newton(f, fp, lo: Fraction, hi: Fraction, target):
     """Contract an isolating interval below ``target`` by interval Newton."""
-    for _ in range(200):
+    for _ in range(MAX_STEPS):
         Z = _ball(lo, hi)
         if Z.rad() * 2 < target:
-            break
+            return lo, hi
         der = fp(Z)
         if not der.contains_zero():
             m = _mpf_to_fraction(Z.mid())
@@ -138,7 +141,7 @@ def _newton(f, fp, lo: Fraction, hi: Fraction, target):
         # f' may vanish on Z, or Newton contracts slowly: two bisection steps
         w = (hi - lo) / 4
         lo, hi = _bisect(f, lo, hi, lambda a, b: b - a <= w)
-    return lo, hi
+    raise PrecisionError(f"interval Newton did not reach {mp.nstr(target, 5)}")
 
 
 def _krawczyk(f, fp, rect) -> tuple[ComplexBall, ComplexBall] | None:
@@ -146,19 +149,21 @@ def _krawczyk(f, fp, rect) -> tuple[ComplexBall, ComplexBall] | None:
     centred on zero.
 
     K = m - y f(m) + (1 - y f'(Z)) (Z - m) with m the midpoint of Z and y the
-    float inverse of the midpoint of f'(Z); the interval terms make K hold
-    every root in Z, and K inside the interior of Z proves exactly one.
+    inverse of the midpoint of f'(Z) at the working precision, so each step
+    about doubles the correct bits; the interval terms make K hold every root
+    in Z, and K inside the interior of Z proves exactly one.
     """
     a, b, c, d = rect
     Z = ComplexBall(_ball(a, b), _ball(c, d))
     m = ComplexBall(RealBall(_mpf_to_fraction(Z.re.mid())),
                     RealBall(_mpf_to_fraction(Z.im.mid())))
     D = fp(Z)
-    um, vm = D.re.mid(), D.im.mid()
-    det = um * um + vm * vm
-    if det == 0:
-        return None
-    y = ComplexBall(RealBall(um / det), RealBall(-vm / det))
+    with mp.workprec(working_precision()):
+        um, vm = D.re.mid(), D.im.mid()
+        det = um * um + vm * vm
+        if det == 0:
+            return None
+        y = ComplexBall(RealBall(um / det), RealBall(-vm / det))
     return m - y * f(m) + (1 - y * D) * (Z - m), Z
 
 
@@ -173,7 +178,7 @@ def _krawczyk_proves(f, fp, rect) -> bool:
 
 def _krawczyk_contract(f, fp, rect, target):
     """Iterate Z <- K ∩ Z until both sides of the rectangle are below ``target``."""
-    for _ in range(200):
+    for _ in range(MAX_STEPS):
         out = _krawczyk(f, fp, rect)
         if out is None:
             raise ArithmeticError("Krawczyk refinement stalled")
@@ -181,8 +186,8 @@ def _krawczyk_contract(f, fp, rect, target):
         (a, b), (c, d) = _meet(Z.re, K.re), _meet(Z.im, K.im)
         rect = tuple(map(_mpf_to_fraction, (a, b, c, d)))
         if (b - a) < target and (d - c) < target:
-            break
-    return rect
+            return rect
+    raise PrecisionError(f"Krawczyk refinement did not reach {mp.nstr(target, 5)}")
 
 
 def _polish(f: IntPolynomial, real_intervals, complex_rects, bits: int) -> EmbeddingSet:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+import otkit.geometry
 from otkit.embeddings import EmbeddingTable
-from otkit.geometry import (apply_group_element, domain_contains,
+from otkit.geometry import (_scan_polynomials, apply_group_element, domain_contains,
                             fundamental_domain, inoue_closed_form, mc_volume,
                             metric_det_check, min_volume_scan, ot_volume,
                             reduce_to_domain, torsion_upper_bound,
@@ -202,3 +203,23 @@ def test_scan_s1_smoke():
 
 def test_scan_absurd_bounds_empty():
     assert min_volume_scan(1, 1, 5) == []
+
+
+def test_scan_polynomials_ascend():
+    tails = [tuple(f.coeffs) for f in _scan_polynomials(3, 2)]
+    assert tails == sorted(tails) and len(set(tails)) == len(tails)
+    assert all(t[0] != 0 and t[-1] == 1 for t in tails)
+
+
+def test_scan_computes_each_unit_group_once(monkeypatch):
+    calls = []
+    unit_group = otkit.geometry.unit_group
+
+    def counted(order, *args, **kwargs):
+        calls.append(order.ambient.f)
+        return unit_group(order, *args, **kwargs)
+
+    monkeypatch.setattr(otkit.geometry, "unit_group", counted)
+    records = min_volume_scan(1, 3, 100)
+    assert all(r.certified for r in records)
+    assert calls == [r.poly for r in sorted(records, key=lambda r: r.poly.coeffs)]

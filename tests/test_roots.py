@@ -5,11 +5,12 @@ import pytest
 from mpmath import mpf
 
 from otkit.balls import RealBall
-from otkit.config import precision
+from otkit.config import PrecisionError, precision
 from otkit.embeddings import EmbeddingTable
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial
-from otkit.roots import EmbeddingSet, NotSquarefreeError, isolate_roots
+from otkit.roots import (EmbeddingSet, NotSquarefreeError, _krawczyk_contract,
+                         _newton, isolate_roots)
 
 P = IntPolynomial
 
@@ -113,6 +114,33 @@ def test_minkowski_columns_and_float_rows(text):
                               for re, im in zip(mids[s::2], mids[s + 1::2])]
 
 
+# the second quartic pair comes from the (2, 2, 500) scan: disc -400, where
+# the second polynomial's order has index 4 in the maximal order
+@pytest.mark.parametrize("first, second", [
+    ("T^3 - T + 1", "T^3 - T - 1"),
+    ("T^4 - T^2 - 1", "T^4 - 2*T^3 - 2*T^2 - 2*T + 1"),
+])
+def test_root_of_proves_equal_fields(first, second):
+    for a, b in ((first, second), (second, first)):
+        order, table = _table(a)
+        g = P.parse(b)
+        x = table.root_of(g)
+        assert x is not None and x.order is order
+        assert g(x) == order.zero()
+
+
+def test_root_of_rejects_other_field():
+    # Q(6^(1/3)) and Q(12^(1/3)): both of signature (1, 1) and disc -972, but
+    # T^3 + 6 has three roots mod 7 and T^3 + 12 none, so 7 splits differently
+    (oa, a), (ob, b) = _table("T^3 + 6"), _table("T^3 + 12")
+    assert oa.disc == ob.disc == -972
+    assert [r for r in range(7) if (r ** 3 + 6) % 7 == 0] == [1, 2, 4]
+    assert [r for r in range(7) if (r ** 3 + 12) % 7 == 0] == []
+    assert a.root_of(ob.ambient.f) is None
+    assert b.root_of(oa.ambient.f) is None
+    assert a.root_of(oa.ambient.f) is not None
+
+
 def _roots_sum_product(e):
     with precision(e.precision_bits):
         total = RealBall(0)
@@ -145,3 +173,28 @@ def test_enclosures_disjoint_and_upper():
     mids = sorted(float(b.mid()) for b in e.real)
     for a, b in zip(mids, mids[1:]):
         assert a < b
+
+
+def _log2_width(lo, hi):
+    w = hi - lo
+    return w.numerator.bit_length() - w.denominator.bit_length()
+
+
+def test_refine_reaches_requested_width():
+    e = isolate_roots(P.parse("T^3 - T + 1")).refine(16384)
+    assert e.precision_bits == 16384
+    (lo, hi), = e._real_intervals
+    (a, b, c, d), = e._complex_rects
+    assert max(_log2_width(lo, hi), _log2_width(a, b), _log2_width(c, d)) < -16384
+
+
+def test_refinement_raises_below_working_precision():
+    f = P.parse("T^3 - T + 1")
+    fp = f.derivative()
+    e = isolate_roots(f, 64)
+    target = mpf(2) ** -1000
+    with precision(64):
+        with pytest.raises(PrecisionError):
+            _krawczyk_contract(f, fp, e._complex_rects[0], target)
+        with pytest.raises(PrecisionError):
+            _newton(f, fp, *e._real_intervals[0], target)
