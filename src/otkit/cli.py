@@ -388,8 +388,15 @@ def _flatten(obj, prefix=""):
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as the JSON error of exit code 1, not argparse's exit 2."""
+
+    def error(self, message):
+        raise CliError(EXIT_ERROR, f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="otkit",
         description="Arithmetic invariants of the manifolds X(K): torsion, "
                     "regulators, volumes, reconstruction, scans.")
@@ -476,9 +483,8 @@ def _fail(code: int, message: str) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         return _fail(exc.code, exc.message)

@@ -82,12 +82,12 @@ def factor_string(factors, cofactor: int = 1) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-def square_divisor_primes(n: int, bound: int = DEFAULT_BOUND):
+def square_divisor_primes(n: int):
     """Primes p with p^2 | n among the factored part, plus a certainty flag.
 
     The flag is True when no further square divisor can hide in the cofactor.
     """
-    factors, cofactor, certified = trial_factor(n, bound)
+    factors, cofactor, certified = trial_factor(n)
     primes = [p for p, e in factors if e >= 2]
     return primes, cofactor == 1 or certified, cofactor
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 from mpmath import mp
@@ -19,6 +20,7 @@ from mpmath import mp
 from .balls import RealBall, ball_det, ball_pi, ball_solve
 from .config import PrecisionError, decide
 from .embeddings import EmbeddingTable
+from .factorint import trial_factor
 from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
                      signature)
 from .polynomials import IntPolynomial, integer_roots, is_squarefree
@@ -330,12 +332,14 @@ def check_mc_samples(samples: int) -> None:
 
 
 def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResult:
-    """Monte-Carlo volume: rejection-sample the cell in (x, y) coordinates.
+    """Monte-Carlo volume: hit-or-miss sampling of the cell in (x, r) coordinates.
 
-    Samples are drawn from a counter-based generator keyed by the seed, in
-    fixed-size blocks, so reruns with the same (seed, samples) are bit-exact.
-    The integrand is the invariant density over the cell; the quotient by the
-    ambient unit group contributes an exact 1/2^s.
+    With r = log(y)/2 the invariant density dens/prod(y) dy becomes the
+    constant 2^s dens dr, and the 2^s cancels the exact 1/2^s that the
+    quotient by the ambient unit group contributes; the estimate is the hit
+    fraction times the box volume times dens.  Samples are drawn from a
+    counter-based generator keyed by the seed, in fixed-size blocks, so reruns
+    with the same (seed, samples) are bit-exact.
     """
     check_mc_samples(samples)
     s = dom.s
@@ -344,36 +348,24 @@ def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResu
     Af = np.array([[float(v.mid()) for v in row] for row in dom.A])
     Binv = np.linalg.inv(Bf)
     Ainv = np.linalg.inv(Af)
-    r_lo = np.minimum(Bf, 0).sum(axis=1)
-    r_hi = np.maximum(Bf, 0).sum(axis=1)
-    x_lo = np.minimum(Af, 0).sum(axis=1)
-    x_hi = np.maximum(Af, 0).sum(axis=1)
-    y_lo, y_hi = np.exp(2 * r_lo), np.exp(2 * r_hi)
-    vbox = float(np.prod(x_hi - x_lo) * np.prod(y_hi - y_lo))
-    dens = float(dom.density)
+    lo = np.concatenate([np.minimum(Af, 0).sum(axis=1), np.minimum(Bf, 0).sum(axis=1)])
+    hi = np.concatenate([np.maximum(Af, 0).sum(axis=1), np.maximum(Bf, 0).sum(axis=1)])
+    scale = float(np.prod(hi - lo)) * float(dom.density)
     gen = np.random.Generator(np.random.Philox(key=seed))
-    total = 0.0
-    total_sq = 0.0
+    hits = 0
     block = 1 << 16
     done = 0
     while done < samples:
         k = min(block, samples - done)
-        u = gen.random((k, n + s))
-        xs = x_lo + u[:, :n] * (x_hi - x_lo)
-        ys = y_lo + u[:, n:] * (y_hi - y_lo)
-        alpha = xs @ Ainv.T
-        beta = (0.5 * np.log(ys)) @ Binv.T
-        inside = (np.all((alpha >= 0) & (alpha < 1), axis=1)
-                  & np.all((beta >= 0) & (beta < 1), axis=1))
-        f = np.where(inside, dens / np.prod(ys, axis=1), 0.0)
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
+        xr = lo + gen.random((k, n + s)) * (hi - lo)
+        alpha = xr[:, :n] @ Ainv.T
+        beta = xr[:, n:] @ Binv.T
+        hits += int(np.count_nonzero(np.all((alpha >= 0) & (alpha < 1), axis=1)
+                                     & np.all((beta >= 0) & (beta < 1), axis=1)))
         done += k
-    scale = vbox / 2 ** s
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    est = scale * mean
-    stderr = scale * (var / samples) ** 0.5
+    frac = hits / samples
+    est = scale * frac
+    stderr = scale * (frac * (1 - frac) / samples) ** 0.5
     value = RealBall.from_endpoints(mp.mpf(est - 3 * stderr), mp.mpf(est + 3 * stderr))
     return VolumeResult(value, s, abs(dom.order.disc), dom.units.regulator,
                         Fraction(1, 2 ** s), "monte_carlo", stderr=stderr,
@@ -437,6 +429,12 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
         try:
             mo = build_order(f)
         except ReduciblePolynomialError:
+            continue
+        # index^2 divides disc f, so |disc K| >= |disc f| / (its largest square
+        # divisor) once the square part is fully known
+        factors, _, complete = trial_factor(mo.disc_f)
+        if complete and abs(mo.disc_f) > disc_bound * prod(p ** (e - e % 2)
+                                                            for p, e in factors):
             continue
         order, index, order_cert = maximalize(mo)
         if abs(order.disc) > disc_bound:

@@ -3,13 +3,13 @@
 Matrices are plain ``list[list[int]]`` in row-major layout.  Sizes here are
 tiny (at most ~12 rows), so everything uses arbitrary-precision pivoting and
 no modular shortcuts.  All elimination over Z/Q goes through one
-fraction-free (Bareiss) routine, and all elimination over F_p through
-``kernel_mod_p``.
+fraction-free (Bareiss) routine, every lattice reduction over Z (the SNF
+too) through ``hnf``, and all elimination over F_p through ``kernel_mod_p``.
 """
 
 from __future__ import annotations
 
-from math import prod
+from math import gcd, prod
 
 
 def identity(n: int) -> list[list[int]]:
@@ -28,10 +28,6 @@ def mat_mul(A, B) -> list[list[int]]:
 
 def mat_vec(A, v) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
-
-
-def mat_add(A, B) -> list[list[int]]:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_pow(A, e: int) -> list[list[int]]:
@@ -183,21 +179,17 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def hnf_with_transform(M) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    """Column-style Hermite normal form.
+def hnf(M) -> list[list[int]]:
+    """Canonical column-HNF basis of the column lattice of ``M``.
 
-    Returns ``(H, U, pivots)`` where ``U`` is a unimodular k-by-k matrix with
-    ``M @ U = [0 | H]`` (zero columns on the left), ``H`` keeps only the pivot
-    columns in upper-echelon shape (pivot rows strictly increasing, pivots
-    positive, entries right of a pivot reduced into ``[0, pivot)``), and
-    ``pivots`` lists the pivot row of each column of ``H``.
+    Only the pivot columns are kept, in upper-echelon shape: pivot rows
+    strictly increasing, pivots positive, entries right of a pivot reduced
+    into ``[0, pivot)``.
     """
     n = len(M)
     k = len(M[0]) if n else 0
     cols = [list(c) for c in zip(*M)] if n else []
-    U = identity(k)
     j = k - 1
-    pivots: list[int] = []
     for i in range(n - 1, -1, -1):
         if j < 0:
             break
@@ -208,36 +200,19 @@ def hnf_with_transform(M) -> tuple[list[list[int]], list[list[int]], list[int]]:
             a, b = cols[j][i], cols[c][i]
             g, x, y = _xgcd(a, b)
             aa, bb = a // g, b // g
-            new_j = [x * cols[j][t] + y * cols[c][t] for t in range(n)]
-            new_c = [aa * cols[c][t] - bb * cols[j][t] for t in range(n)]
-            cols[j], cols[c] = new_j, new_c
-            new_ju = [x * U[t][j] + y * U[t][c] for t in range(k)]
-            new_cu = [aa * U[t][c] - bb * U[t][j] for t in range(k)]
-            for t in range(k):
-                U[t][j], U[t][c] = new_ju[t], new_cu[t]
+            cols[j], cols[c] = ([x * u + y * v for u, v in zip(cols[j], cols[c])],
+                                [aa * v - bb * u for u, v in zip(cols[j], cols[c])])
         if cols[j][i] == 0:
             continue
         if cols[j][i] < 0:
             cols[j] = [-v for v in cols[j]]
-            for t in range(k):
-                U[t][j] = -U[t][j]
         p = cols[j][i]
         for c in range(j + 1, k):
             q = cols[c][i] // p
             if q:
-                cols[c] = [cols[c][t] - q * cols[j][t] for t in range(n)]
-                for t in range(k):
-                    U[t][c] -= q * U[t][j]
-        pivots.append(i)
+                cols[c] = [v - q * u for u, v in zip(cols[j], cols[c])]
         j -= 1
-    pivots.reverse()
-    H = [[cols[c][i] for c in range(j + 1, k)] for i in range(n)]
-    return H, U, pivots
-
-
-def hnf(M) -> list[list[int]]:
-    """Canonical column-HNF basis of the column lattice of ``M``."""
-    return hnf_with_transform(M)[0]
+    return [[cols[c][i] for c in range(j + 1, k)] for i in range(n)]
 
 
 def hnf_is_full_rank(H) -> bool:
@@ -271,103 +246,28 @@ def solve_hnf(H, v) -> list[int] | None:
     return x
 
 
-def hnf_contains(H, v) -> bool:
-    return solve_hnf(H, v) is not None
-
-
-def snf_with_transforms(M) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Smith normal form ``S @ M @ T = D`` with unimodular ``S`` and ``T``."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    A = copy(M)
-    S = identity(m)
-    T = identity(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        S[i], S[j] = S[j], S[i]
-
-    def swap_cols(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
-
-    def addmul_row(dst, src, q):
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-
-    def addmul_col(dst, src, q):
-        for r in range(m):
-            A[r][dst] += q * A[r][src]
-        for r in range(n):
-            T[r][dst] += q * T[r][src]
-
-    t = 0
-    while True:
-        # locate the nonzero entry of smallest magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if A[i][j] and (best is None or abs(A[i][j]) < best[0]):
-                    best = (abs(A[i][j]), i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-        dirty = False
-        for i in range(t + 1, m):
-            if A[i][t]:
-                q = A[i][t] // A[t][t]
-                addmul_row(i, t, -q)
-                if A[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if A[t][j]:
-                q = A[t][j] // A[t][t]
-                addmul_col(j, t, -q)
-                if A[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the remaining block for the invariant-factor chain
-        p = A[t][t]
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            addmul_row(t, offender, 1)
-            continue
-        if A[t][t] < 0:
-            A[t] = [-v for v in A[t]]
-            S[t] = [-v for v in S[t]]
-        t += 1
-        if t == m or t == n:
-            break
-    return S, A, T
-
-
 def snf(M) -> tuple[list[int], int]:
     """Invariant factors ``d_1 | d_2 | ...`` and the free rank of the cokernel.
 
     The cokernel of ``M`` (an m-by-n matrix mapping Z^n -> Z^m) is isomorphic
-    to ``(+) Z/d_i  (+)  Z^defect``.
+    to ``(+) Z/d_i  (+)  Z^defect``; there is one factor per unit of rank,
+    unit factors included.  Alternating column HNFs of the matrix and of its
+    transpose reach a diagonal matrix (Kannan-Bachem), whose entries gcd/lcm
+    swaps then put into a divisor chain.
     """
     m = len(M)
-    _, D, _ = snf_with_transforms(M)
-    factors = []
-    for i in range(min(m, len(D[0]) if m else 0)):
-        if D[i][i]:
-            factors.append(D[i][i])
-    return factors, m - len(factors)
+    A = hnf(M)
+    if not A or not A[0]:
+        return [], m
+    while len(A) != len(A[0]) or any(A[i][j] for i in range(len(A))
+                                     for j in range(len(A)) if i != j):
+        A = hnf([list(c) for c in zip(*A)])
+    d = [A[i][i] for i in range(len(A))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d, m - len(d)
 
 
 # -- elimination over F_p -------------------------------------------------------

@@ -422,7 +422,7 @@ def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
     return SubOrder(order.ambient, newb, order.den * p)
 
 
-def maximalize(mo: MonogenicOrder, bound: int = 10 ** 6):
+def maximalize(mo: MonogenicOrder):
     """Enlarge Z[T]/(f) to the maximal order at every reachable prime.
 
     Returns ``(order, index, certified)``.  ``certified`` is False when the
@@ -430,7 +430,7 @@ def maximalize(mo: MonogenicOrder, bound: int = 10 ** 6):
     case the returned order is maximal at all primes found but maximality
     overall is unverified.
     """
-    primes, complete, _cofactor = square_divisor_primes(mo.disc_f, bound)
+    primes, complete, _cofactor = square_divisor_primes(mo.disc_f)
     order = mo.power_suborder()
     for p in primes:
         while True:

@@ -134,7 +134,7 @@ def commutator(a: SemidirectElement, b: SemidirectElement,
 def h1(p: GroupPresentation) -> tuple[int, AbelianGroupInvariants]:
     """First homology of the semidirect product: free rank and torsion."""
     factors, defect = snf(intmat.stack_one_minus(p.action_matrices))
-    return p.free_rank + defect, AbelianGroupInvariants(0, factors)
+    return p.free_rank + defect, AbelianGroupInvariants(factors)
 
 
 def commutator_sample_closure(p: GroupPresentation, sample_count: int,

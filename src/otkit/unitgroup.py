@@ -26,7 +26,6 @@ from .config import PrecisionError, decide, precision, working_precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder, signature
-from .roots import EmbeddingSet
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -105,7 +104,7 @@ class IdealHNF:
         self.norm = norm
 
     def contains(self, x: OrderElement) -> bool:
-        return intmat.hnf_contains(self.basis, list(x.coords))
+        return intmat.solve_hnf(self.basis, list(x.coords)) is not None
 
     def module_closed(self) -> bool:
         """O-module check: every basis-column times every order generator stays inside."""
@@ -126,18 +125,19 @@ class IdealHNF:
 
 
 class AbelianGroupInvariants:
-    def __init__(self, free_rank: int, factors):
-        self.free_rank = free_rank
+    """A finite abelian group by its invariant factors above 1."""
+
+    def __init__(self, factors):
         self.factors = [f for f in factors if f > 1]
         self.order_of_torsion = 1
         for f in self.factors:
             self.order_of_torsion *= f
 
     def __eq__(self, other):
-        return (self.free_rank, self.factors) == (other.free_rank, other.factors)
+        return self.factors == other.factors
 
     def __repr__(self):
-        return f"AbelianGroupInvariants(free={self.free_rank}, factors={self.factors})"
+        return f"AbelianGroupInvariants(factors={self.factors})"
 
 
 # -- coordinate box search ----------------------------------------------------
@@ -340,9 +340,12 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log):
     return combos
 
 
-def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice,
-                step: float = 1.0, max_radius: int = 220, rings_after: int = 1) -> None:
-    """Walk skew directions, harvesting units as equal-ideal element quotients."""
+def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -> None:
+    """Walk skew directions, harvesting units as equal-ideal element quotients.
+
+    The log-weights step by 1.0 over rings of sup-norm radius up to 220 for
+    unit rank 1 (8 above it), and the walk ends one ring after full rank.
+    """
     s, t = table.s, table.t
     r = s + t - 1
     mults = [1] * s + [2] * t
@@ -350,10 +353,10 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice,
                      * abs(order.disc) ** 0.5) + 8
     reps: dict = {}
     full_at = None
-    grid_radius_cap = max_radius if r == 1 else min(max_radius, 8)
+    grid_radius_cap = 220 if r == 1 else 8
     for radius in range(0, grid_radius_cap + 1):
         for v in _ring_vectors(r, radius):
-            tau = [step * x for x in v]
+            tau = [float(x) for x in v]
             last = -sum(m * x for m, x in zip(mults, tau)) / mults[-1]
             weights = tau + [last]
             for coords in _sweep_lll(order, table, weights):
@@ -375,7 +378,7 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice,
         if len(lattice.gens) >= r:
             if full_at is None:
                 full_at = radius
-            elif radius - full_at >= rings_after:
+            elif radius - full_at >= 1:
                 return
     if len(lattice.gens) < r:
         raise InsufficientUnitsError(
@@ -464,7 +467,7 @@ def units_from_generators(order: SubOrder, gens,
     return UnitGroupData(order, list(gens), reg, 0, tp, table)
 
 
-def certify_units(order: SubOrder, candidates, friedman_floor: Fraction | None = None,
+def certify_units(order: SubOrder, candidates,
                   table: EmbeddingTable | None = None) -> UnitGroupData:
     """Reduce candidates to an independent system and certify it fundamental.
 
@@ -487,10 +490,10 @@ def certify_units(order: SubOrder, candidates, friedman_floor: Fraction | None =
         lattice.insert(u)
     if len(lattice.gens) < r:
         raise InsufficientUnitsError("insufficient units, raise coord_bound")
-    return _certify_lattice(order, table, lattice, friedman_floor)
+    return _certify_lattice(order, table, lattice)
 
 
-def _certify_lattice(order, table, lattice, friedman_floor=None) -> UnitGroupData:
+def _certify_lattice(order, table, lattice) -> UnitGroupData:
     """Bound the index of the lattice in the unit group and push the bound to 1.
 
     Each pass bounds the index by regulator / floor and tries a k-th root of
@@ -500,9 +503,7 @@ def _certify_lattice(order, table, lattice, friedman_floor=None) -> UnitGroupDat
     """
     s, t = table.s, table.t
     r = s + t - 1
-    floor = friedman_floor
-    if floor is None:
-        floor = regulator_floor(s, t, abs(order.disc), order.n)
+    floor = regulator_floor(s, t, abs(order.disc), order.n)
     while True:
         reg = regulator_of(table, lattice.gens)
         bound = 0 if r >= 4 or floor is None else \
@@ -587,7 +588,7 @@ def torsion_group(order: SubOrder, gens) -> AbelianGroupInvariants:
     factors, defect = snf(_j_relations(order, gens))
     if defect:
         raise ValueError("unit subgroup is trivial: quotient has free rank")
-    return AbelianGroupInvariants(0, factors)
+    return AbelianGroupInvariants(factors)
 
 
 # -- orchestration --------------------------------------------------------------------
@@ -604,9 +605,7 @@ def default_coord_bound(n: int) -> int:
 UNIT_GROUP_MAX_BITS = 8192
 
 
-def unit_group(order: SubOrder, emb: EmbeddingSet | None = None,
-               coord_bound: int | None = None,
-               friedman_floor: Fraction | None = None) -> UnitGroupData:
+def unit_group(order: SubOrder, coord_bound: int | None = None) -> UnitGroupData:
     """Find, reduce, and certify the unit group of an order.
 
     Box-search first; if the rank is short, sweep skewed LLL reductions.
@@ -619,16 +618,15 @@ def unit_group(order: SubOrder, emb: EmbeddingSet | None = None,
         coord_bound = default_coord_bound(order.n)
 
     def attempt():
-        bits = working_precision()
         try:
-            table = EmbeddingTable(order, emb.refine(bits) if emb else None)
+            table = EmbeddingTable(order)
             r = table.s + table.t - 1
             lattice = _UnitLattice(order, table, r)
             for u in find_units(order, coord_bound, table):
                 lattice.insert(u)
             if len(lattice.gens) < r:
                 sweep_units(order, table, lattice)
-            return _certify_lattice(order, table, lattice, friedman_floor)
+            return _certify_lattice(order, table, lattice)
         except PrecisionError:
             return None
 

@@ -1,9 +1,11 @@
 import random
+from math import prod
 
 import pytest
 
 import otkit.geometry
 from otkit.embeddings import EmbeddingTable
+from otkit.factorint import trial_factor
 from otkit.geometry import (_scan_polynomials, apply_group_element, domain_contains,
                             fundamental_domain, inoue_closed_form, mc_volume,
                             metric_det_check, min_volume_scan, ot_volume,
@@ -188,6 +190,16 @@ def test_mc_volume_within_three_sigma(disc23):
         mc_volume(dom, 10, seed=1)
 
 
+def test_mc_volume_large_cell_is_sharp(fields):
+    # a regulator of 7.4 spans y over e^15; sampling in r = log(y)/2 keeps the
+    # estimate light-tailed
+    order, _, _, ug = fields("T^3 - 2*T - 7")
+    v = mc_volume(fundamental_domain(order, ug), 1_000_000, seed=42)
+    closed = float(ot_volume(1, abs(order.disc), ug.regulator).value.mid())
+    assert v.stderr < 0.01 * closed
+    assert abs(v.meta["estimate"] - closed) <= 3 * v.stderr
+
+
 def test_scan_s1_smoke():
     records = min_volume_scan(1, 3, 100)
     assert records
@@ -209,6 +221,22 @@ def test_scan_polynomials_ascend():
     tails = [tuple(f.coeffs) for f in _scan_polynomials(3, 2)]
     assert tails == sorted(tails) and len(set(tails)) == len(tails)
     assert all(t[0] != 0 and t[-1] == 1 for t in tails)
+
+
+def test_scan_maximalizes_only_within_the_disc_bound(monkeypatch):
+    # |disc K| >= |disc f| / (largest square divisor), since index^2 | disc f
+    maximalize = otkit.geometry.maximalize
+    bounds = []
+
+    def checked(mo):
+        factors, _, complete = trial_factor(mo.disc_f)
+        square = prod(p ** (e - e % 2) for p, e in factors)
+        bounds.append(abs(mo.disc_f) // square if complete else 0)
+        return maximalize(mo)
+
+    monkeypatch.setattr(otkit.geometry, "maximalize", checked)
+    records = min_volume_scan(1, 3, 100)
+    assert records and bounds and max(bounds) <= 100
 
 
 def test_scan_computes_each_unit_group_once(monkeypatch):

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
-from sympy import GF
+from sympy import GF, ZZ, Matrix
+from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from otkit import intmat
 from otkit.balls import RealBall, ball_det, ball_solve
-from otkit.intmat import (charpoly, det_bareiss, hnf, hnf_with_transform,
-                          kernel_mod_p, lattice_det, minpoly_matrix, snf,
-                          snf_with_transforms, solve, solve_hnf, solve_int)
+from otkit.intmat import (charpoly, det_bareiss, hnf, kernel_mod_p, lattice_det,
+                          minpoly_matrix, snf, solve, solve_hnf, solve_int)
 from otkit.polynomials import IntPolynomial
 
 
@@ -23,20 +23,6 @@ def test_hnf_triangular_normalization():
     # canonical: pivots positive, entries right of pivots reduced
     H2 = hnf([[1, 3], [0, 5]])
     assert H2 == [[1, 0], [0, 5]]
-
-
-def test_hnf_transform_reproduces_input():
-    M = [[2, 4, 1], [0, 2, 5], [6, -3, 3]]
-    H, U, pivots = hnf_with_transform(M)
-    assert abs(det_bareiss(U)) == 1
-    MU = intmat.mat_mul(M, U)
-    k = len(M[0])
-    r = len(H[0])
-    # M @ U = [0 | H]
-    for i in range(len(M)):
-        for j in range(k):
-            want = H[i][j - (k - r)] if j >= k - r else 0
-            assert MU[i][j] == want
 
 
 def test_hnf_membership():
@@ -57,14 +43,28 @@ mats = st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3),
 
 
 @given(mats)
-def test_snf_transforms_and_chain(M):
-    S, D, T = snf_with_transforms(M)
-    assert abs(det_bareiss(S)) == 1
-    assert abs(det_bareiss(T)) == 1
-    assert intmat.mat_mul(intmat.mat_mul(S, M), T) == D
-    diag = [D[i][i] for i in range(min(len(D), len(D[0]))) if D[i][i]]
-    for a, b in zip(diag, diag[1:]):
-        assert b % a == 0
+def test_snf_matches_sympy_and_is_a_divisor_chain(M):
+    factors, defect = snf(M)
+    D = smith_normal_form(Matrix(M), domain=ZZ)
+    diag = [abs(int(D[i, i])) for i in range(min(D.shape)) if D[i, i]]
+    assert factors == diag
+    assert defect == len(M) - Matrix(M).rank()
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+
+
+@given(mats)
+def test_hnf_has_rank_columns_and_spans_the_input(M):
+    H = hnf(M)
+    assert all(len(row) == Matrix(M).rank() for row in H)
+    pivots = [max(i for i in range(len(H)) if H[i][c]) for c in range(len(H[0]))]
+    for col in zip(*M):
+        # peel the columns of H off from the last pivot down
+        r = list(col)
+        for c in range(len(H[0]) - 1, -1, -1):
+            q, rem = divmod(r[pivots[c]], H[pivots[c]][c])
+            assert rem == 0
+            r = [a - q * h[c] for a, h in zip(r, H)]
+        assert not any(r)
 
 
 def _quotient_order_bruteforce(cols):

@@ -71,6 +71,10 @@ def test_cli_field_malformed(capsys):
     pytest.param(["mcvol", "T^3 - T + 1", "--samples", "10"], id="mcvol --samples 10"),
     pytest.param(["field", "T^3 - T + 1", "--mc", "--samples", "10"],
                  id="field --mc --samples 10"),
+    # usage errors: exit 1 with the JSON error, not argparse's exit 2
+    pytest.param(["field"], id="field without poly"),
+    pytest.param(["field", "T^3 - T + 1", "--format", "xml"], id="--format xml"),
+    pytest.param(["scan", "--s", "4", "--disc-max", "9"], id="scan --s 4"),
 ])
 def test_cli_field_rejects_with_json_error(capsys, argv):
     rc = main(argv)
