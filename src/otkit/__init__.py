@@ -6,7 +6,7 @@ fundamental-domain reduction with Monte-Carlo cross-checks, and
 minimal-volume scans.
 """
 
-from .config import RunConfig, precision, working_precision
+from .config import precision, working_precision
 from .polynomials import IntPolynomial, poly_discriminant, resultant
 from .roots import EmbeddingSet, isolate_roots
 from .orders import (MonogenicOrder, OrderElement, ReduciblePolynomialError,

@@ -1,10 +1,9 @@
-"""Run configuration: working precision and reproducibility knobs."""
+"""Working precision: its default, its scope, and escalation."""
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from mpmath import iv
 
@@ -61,21 +60,3 @@ def decide(compute, max_bits: int):
             return out
         bits *= 2
     raise PrecisionError(f"undecidable even at {max_bits} bits")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Reproducible knob set shared by the CLI commands."""
-
-    precision_bits: int = field(default_factory=lambda: DEFAULT_PRECISION)
-    unit_search_bound: int = 12
-    mc_samples: int = 1_000_000
-    seed: int = 0
-    output_format: str = "text"
-    certified_only: bool = False
-
-    def __post_init__(self):
-        if self.precision_bits < MIN_PRECISION:
-            raise ValueError(f"precision_bits must be >= {MIN_PRECISION}")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")

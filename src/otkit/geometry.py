@@ -18,7 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from .balls import RealBall, ball_det, ball_pi, ball_solve
-from .config import PrecisionError, decide
+from .config import PrecisionError, decide, precision, working_precision
 from .embeddings import EmbeddingTable
 from .factorint import trial_factor
 from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
@@ -63,16 +63,20 @@ def ot_volume(s: int, disc_abs: int, regulator: RealBall) -> VolumeResult:
     return VolumeResult(value, s, disc_abs, regulator, pref, "closed_form")
 
 
-def log_matrix_of_squares(table: EmbeddingTable, gens) -> list[list[RealBall]]:
-    """s x s matrix of log|sigma_j| columns for the squares of the generators.
+def _log_matrix(table: EmbeddingTable, gens) -> list[list[RealBall]]:
+    """s x s matrix of log|sigma_j| columns for the generators.
 
-    Squares of any fundamental system are totally positive, and their log
-    lattice has covolume exactly 2^s times the regulator; this is the
-    normalization behind the closed-form volume.  (The squares of the
-    totally positive generators span a finer quantity whenever the unit
-    sign group is nontrivial, so they are not used here.)
+    Twice these columns are the logs of the squares, which are totally
+    positive for any fundamental system and span a lattice of covolume
+    exactly 2^s times the regulator; this is the normalization behind the
+    closed-form volume.  (The squares of the totally positive generators
+    span a finer quantity whenever the unit sign group is nontrivial, so
+    they are not used here.)  The logs are taken at the precision of the
+    table's roots: a large unit has large coordinates and a tiny embedding,
+    whose enclosure touches zero at fewer bits, and for its square.
     """
-    cols = [table.log_vector(g * g)[:table.s] for g in gens]
+    with precision(max(working_precision(), table.emb.precision_bits)):
+        cols = [table.log_vector(g)[:table.s] for g in gens]
     return [list(row) for row in zip(*cols)]
 
 
@@ -80,14 +84,14 @@ def volume_determinant_path(order: SubOrder, units: UnitGroupData,
                             table: EmbeddingTable | None = None) -> VolumeResult:
     """Volume from raw numeric matrices: no discriminant or regulator symbols.
 
-    (1/2^s) * (s+1)/2^(2s+s^2-1) * |det Minkowski| * |det logs of squares|.
+    (1/2^s) * (s+1)/2^(2s+s^2-1) * |det Minkowski| * |det logs of squares|,
+    where the logs of the squares have determinant 2^s |det L|.
     """
     table = table or units.table
     if table.t != 1:
         raise ValueError("volume is defined for one complex place")
     s = table.s
-    B = log_matrix_of_squares(table, units.generators)
-    detB = abs(ball_det(B))
+    detB = abs(ball_det(_log_matrix(table, units.generators))) * 2 ** s
     detA = abs(ball_det(table.minkowski_matrix()))
     pref = Fraction(1, 2 ** s) * density_prefactor(s)
     value = RealBall(pref) * detA * detB
@@ -182,8 +186,7 @@ class FundamentalDomainData:
     units: UnitGroupData
     table: EmbeddingTable
     eps: list            # generators of the squared totally positive group
-    B: list              # s x s ball matrix: log columns of the squares
-    L: list              # s x s ball matrix: log columns of the tp generators
+    L: list              # s x s ball matrix: log columns of the generators
     A: list              # n x n ball Minkowski matrix (basis columns)
     density: Fraction
 
@@ -201,14 +204,12 @@ def fundamental_domain(order: SubOrder, units: UnitGroupData,
     if table.t != 1:
         raise ValueError("fundamental domain implemented for one complex place")
     gens = units.generators
-    B = log_matrix_of_squares(table, gens)
-    s = table.s
-    L = [[B[j][i] / 2 for i in range(s)] for j in range(s)]
+    L = _log_matrix(table, gens)
     A = table.minkowski_matrix()
-    if abs(ball_det(B)).contains_zero() or abs(ball_det(A)).contains_zero():
+    if abs(ball_det(L)).contains_zero() or abs(ball_det(A)).contains_zero():
         raise PrecisionError("degenerate domain matrices")
     eps = [g * g for g in gens]
-    return FundamentalDomainData(order, units, table, eps, B, L, A,
+    return FundamentalDomainData(order, units, table, eps, L, A,
                                  density_prefactor(table.s))
 
 
@@ -254,6 +255,8 @@ def _reduce_once(pts, dom, s, order, table):
         return None
     w = order.power_product(dom.eps, [-e for e in ns])
     scale_r = [table.real_value(w, j) for j in range(s)]
+    if not all(v.is_positive() for v in scale_r):
+        return None     # w is totally positive; a tiny sigma(w) went undecided
     scale_c = table.complex_value(w, 0)
     zs = []
     for j in range(s):
@@ -384,16 +387,6 @@ class ScanRecord:
     certified: bool
     volume: RealBall
     torsion_factors: list[int]
-
-    def csv_row(self) -> list[str]:
-        return [self.poly.format(), str(self.disc), str(self.index),
-                mp.nstr(self.regulator.mid(), 15), str(self.certified).lower(),
-                mp.nstr(self.volume.mid(), 12),
-                " ".join(map(str, self.torsion_factors)) or "1"]
-
-
-SCAN_CSV_COLUMNS = ["poly", "disc", "index", "regulator", "certified",
-                    "volume", "torsion_factors"]
 
 
 def _scan_polynomials(degree: int, coeff_bound: int):

@@ -44,12 +44,6 @@ class CellCheck:
     ok: bool
     note: str = ""
 
-    def csv_row(self):
-        return [self.table, self.cell, self.expected, self.got,
-                "ok" if self.ok else "MISMATCH", self.note]
-
-
-CSV_COLUMNS = ["table", "cell", "expected", "got", "status", "note"]
 
 TABLE_NAMES = ("computeJ", "prop5index", "volumebounds", "minvol", "quartics")
 

@@ -84,16 +84,6 @@ class UnitGroupData:
     def certified(self) -> bool:
         return self.certified_index_bound == 1
 
-    def to_dict(self) -> dict:
-        return {
-            "generators": [list(map(str, g.coords)) for g in self.generators],
-            "regulator": {"mid": mp.nstr(self.regulator.mid(), 24),
-                          "rad": mp.nstr(self.regulator.rad(), 6)},
-            "certified_index_bound": self.certified_index_bound,
-            "totally_positive_generators":
-                [list(map(str, g.coords)) for g in self.totally_positive_generators],
-        }
-
 
 class IdealHNF:
     """An integral ideal as an HNF column lattice inside the order."""

@@ -2,8 +2,10 @@ import random
 from math import prod
 
 import pytest
+from mpmath import mp
 
 import otkit.geometry
+from otkit.config import PrecisionError
 from otkit.embeddings import EmbeddingTable
 from otkit.factorint import trial_factor
 from otkit.geometry import (_scan_polynomials, apply_group_element, domain_contains,
@@ -41,6 +43,30 @@ def test_determinant_path_agrees(disc23, quartic275):
         s = ug.table.s
         want = 2 ** s * float(ug.regulator.mid())
         assert abs(d.meta["det_log_squares"] - want) < 1e-12 * want
+
+
+@pytest.mark.parametrize("poly", [
+    # the generator's real embedding is about e^-62, its square's e^-125,
+    # whose 192-bit enclosure touches zero
+    "T^3 + 2*T + 2000",
+    # the embedding e^-96 of a generator with 21-digit coordinates needs the
+    # 384 bits that the unit search escalated the table's roots to
+    "T^3 - 3*T^2 - 3*T - 166",
+])
+def test_large_unit_cell_and_determinant_path_are_finite(fields, poly):
+    order, _, _, ug = fields(poly)
+    dom = fundamental_domain(order, ug)
+    assert all(mp.isfinite(v.lower) and mp.isfinite(v.upper)
+               for row in dom.L for v in row)
+    det = volume_determinant_path(order, ug).value
+    assert mp.isfinite(det.lower) and mp.isfinite(det.upper)
+    assert det.overlaps(ot_volume(1, abs(order.disc), ug.regulator).value)
+    # a reduction lands in the cell or says that it cannot decide
+    try:
+        red, _ = reduce_to_domain([0.3 + 1.2j, 0.1 + 0.2j], dom)
+    except PrecisionError:
+        return
+    assert domain_contains(red, dom)
 
 
 def test_mc_volume_quartic(quartic275):

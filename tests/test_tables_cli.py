@@ -75,11 +75,27 @@ def test_cli_field_malformed(capsys):
     pytest.param(["field"], id="field without poly"),
     pytest.param(["field", "T^3 - T + 1", "--format", "xml"], id="--format xml"),
     pytest.param(["scan", "--s", "4", "--disc-max", "9"], id="scan --s 4"),
+    # options a command does not read
+    pytest.param(["scan", "--s", "1", "--disc-max", "50", "--bound", "3"],
+                 id="scan --bound"),
+    pytest.param(["inoue", "5", "--samples", "2000"], id="inoue --samples"),
+    pytest.param(["volume", "T^3 - T + 2", "--seed", "3"], id="volume --seed"),
+    pytest.param(["paper-tables", "prop5index", "--format", "json"],
+                 id="paper-tables --format"),
+    pytest.param(["field", "T^3 - T + 1", "--samples", "10"],
+                 id="field --samples 10"),
 ])
 def test_cli_field_rejects_with_json_error(capsys, argv):
     rc = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert rc == 1 and err["exit_code"] == 1 and err["error"]
+
+
+def test_cli_out_of_range_options_keep_the_reason(capsys):
+    assert main(["field", "T^3 - T + 1", "--precision", "10"]) == 1
+    assert "precision must be >= 64 bits" in json.loads(capsys.readouterr().err)["error"]
+    assert main(["mcvol", "T^3 - T + 1", "--samples", "10"]) == 1
+    assert "at least 10^3 samples" in json.loads(capsys.readouterr().err)["error"]
 
 
 def test_cli_precision_error_is_json(capsys, monkeypatch):
@@ -218,11 +234,19 @@ def test_cli_field_with_mc(capsys):
 
 
 def test_cli_determinism(capsys):
-    main(["volume", "T^3 - T + 2", "--format", "json", "--seed", "3"])
+    assert main(["volume", "T^3 - T + 2", "--format", "json"]) == 0
     first = capsys.readouterr().out
-    main(["volume", "T^3 - T + 2", "--format", "json", "--seed", "3"])
+    assert main(["volume", "T^3 - T + 2", "--format", "json"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_cli_precision_reaches_the_computation(capsys):
+    def regulator_rad(*extra):
+        assert main(["units", "T^3 - T + 5", "--format", "json", *extra]) == 0
+        return float(json.loads(capsys.readouterr().out)["regulator"]["rad"])
+
+    assert regulator_rad("--precision", "320") < regulator_rad()
 
 
 def test_env_precision_override():

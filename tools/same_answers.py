@@ -14,6 +14,13 @@ directory), one fresh process per command, and writes one JSON file:
   ``T^5 - T - c``, c = 1, 3, 5, 7 (two complex places);
 * ``scan``: stdout and exit code of ``otkit scan --format csv`` for
   (s, B, D) = (1, 6, 200), (2, 2, 500) and (3, 2, 4600);
+* ``commands``: stdout and exit code of one run each of ``jideal``,
+  ``volume``, ``bound``, ``inoue``, ``mcvol`` and ``paper-tables``, keyed by
+  the command line;
+* ``presentation``: stdout and exit code of ``h1 --poly ...
+  --save-presentation`` into a temporary directory, then of ``h1
+  --presentation`` and ``reconstruct --source`` on the saved file, with the
+  directory's path replaced by ``<tmp>``;
 * ``reducible``: stderr and exit code of ``otkit field`` on two reducible
   polynomials;
 * ``ledger``: exit code and last stderr line (the JSON error, or the
@@ -30,6 +37,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -42,6 +50,15 @@ SCANS = [(1, 6, 200), (2, 2, 500), (3, 2, 4600)]
 REDUCIBLE = ["T^4 + 3*T^2 + 2", "T^3 - T + 6"]
 FIELDS = [poly for _, poly, _, _ in PANEL] + ["T^4 - 2*T^2 - 2"]
 UNITS = [f"T^5 - T - {c}" for c in (1, 3, 5, 7)]
+COMMANDS = [
+    ["jideal", "T^3 - 2*T - 7", "--format", "json"],
+    ["volume", "T^4 - T^3 + 2*T - 1", "--format", "json"],
+    ["bound", "T^3 + 8*T - 3", "--format", "json"],
+    ["inoue", "7", "--format", "json"],
+    ["mcvol", "T^3 - T + 1", "--samples", "20000", "--seed", "1", "--format", "json"],
+    ["paper-tables", "prop5index"],
+]
+PRESENTED = "T^3 - T + 2"
 WORKERS = 2
 
 
@@ -52,6 +69,24 @@ def otkit(args: list[str]) -> tuple[int, str, str]:
     proc = subprocess.run([sys.executable, "-m", "otkit.cli", *args],
                           capture_output=True, text=True, env=env, cwd=ROOT)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def presentation_round_trip() -> dict:
+    """Save a field's presentation, then read it back with h1 and reconstruct."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "p.json")
+        steps = {
+            "h1 --poly": ["h1", "--poly", PRESENTED, "--save-presentation", path,
+                          "--format", "json"],
+            "h1 --presentation": ["h1", "--presentation", path, "--format", "json"],
+            "reconstruct --source": ["reconstruct", path, "--source", PRESENTED,
+                                     "--format", "json"],
+        }
+        out = {}
+        for key, args in steps.items():
+            rc, stdout, _ = otkit(args)
+            out[key] = {"exit": rc, "stdout": stdout.replace(tmp, "<tmp>")}
+    return out
 
 
 def last_line(text: str) -> str:
@@ -72,15 +107,20 @@ def main(argv: list[str]) -> int:
         jobs[("scan", f"{s},{b},{d}")] = ["scan", "--s", str(s), "--coeff-bound",
                                           str(b), "--disc-max", str(d),
                                           "--format", "csv"]
+    for args in COMMANDS:
+        jobs[("commands", " ".join(args))] = args
     for poly in REDUCIBLE:
         jobs[("reducible", poly)] = ["field", poly]
     for _, poly in LEDGER:
         jobs[("ledger", poly)] = ["field", poly, "--format", "json"]
     with ThreadPoolExecutor(WORKERS) as pool:
+        chain = pool.submit(presentation_round_trip)
         results = dict(zip(jobs, pool.map(otkit, jobs.values())))
-    out: dict = {"field": {}, "scan": {}, "units": {}, "reducible": {}, "ledger": {}}
+        presentation = chain.result()
+    out: dict = {"field": {}, "scan": {}, "units": {}, "commands": {},
+                 "presentation": presentation, "reducible": {}, "ledger": {}}
     for (group, key), (rc, stdout, stderr) in results.items():
-        if group in ("field", "scan", "units"):
+        if group in ("field", "scan", "units", "commands"):
             out[group][key] = {"exit": rc, "stdout": stdout}
         elif group == "reducible":
             out[group][key] = {"exit": rc, "stderr": stderr}
