@@ -7,18 +7,24 @@ numeric decision funnels through exact integer verification; floats and
 intervals only steer the search.
 
 A found independent system is certified fundamental with proven regulator
-lower bounds: the quotient regulator/floor bounds the index, and prime-power
-root extraction shrinks the bound to 1 or finds the missing unit.
+lower bounds: the quotient regulator/floor bounds the index.  For each prime
+k up to the bound, k-th power residue characters at degree-one primes rule
+out the classes of the system that are not +-k-th powers, exactly; root
+extraction on the surviving classes then shrinks the bound to 1 or finds the
+missing unit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
+from math import prod
 
 import numpy as np
 from mpmath import mp
-from sympy import primerange
+from sympy import isprime, primerange
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 
 from . import intmat
 from .balls import RealBall, ball_det
@@ -193,6 +199,10 @@ class _UnitLattice:
             # an embedding enclosure touched zero: logs are unusable
             raise PrecisionError("log vector not finite at this precision")
         return out
+
+    def logs_of(self, exps) -> list[float]:
+        """The float log vector of the power product of the generators."""
+        return [sum(e * lg[j] for e, lg in zip(exps, self._logs)) for j in range(self.rank)]
 
     @staticmethod
     def _lstsq(A, lam):
@@ -379,16 +389,22 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
 
 
 def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
-                  k: int) -> OrderElement | None:
+                  k: int, logs=None) -> OrderElement | None:
     """A unit w with w^k = +-v, reconstructed from embeddings, or None.
 
-    The Minkowski matrix is inverted once; every choice of one k-th root per
+    ``logs`` is v's float log vector at the first s+t-1 places (the unit
+    lattice's coordinates); without it, it is read off the table.  The
+    Minkowski matrix is inverted once; every choice of one k-th root per
     place (a sign at a real place for even k, a phase at a complex place)
     then costs one matrix-vector product, rounded and checked exactly.
     """
     s, t = table.s, table.t
-    logs = table.log_vector(v)
-    max_log = max(abs(float(x.mid())) for x in logs) if logs else 1.0
+    if logs is None:
+        logs = [float(x.mid()) for x in table.log_vector(v)[:s + t - 1]]
+    # the weighted logs of a unit sum to 0, which gives the last place's log
+    max_log = max(abs(x) for x in [*logs, sum(logs)])
+    if not np.isfinite(max_log):
+        raise PrecisionError("log vector not finite in root extraction")
     bits = max(working_precision(), int(max_log / 0.693 / k) + 160)
     with precision(bits):
         emb = table.emb.refine(bits)
@@ -433,6 +449,42 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
 def _projective_classes(k: int, r: int):
     """Representatives of (F_k^r - 0) / F_k^*: first nonzero coordinate is 1."""
     return [c for c in product(range(k), repeat=r) if next(filter(None, c), 0) == 1]
+
+
+# primes q = 1 (mod 2k) whose characters a class must pass before root extraction
+CHARACTER_PRIMES = 24
+
+
+def _roots_mod(f, q: int) -> list[int]:
+    """The roots of f in F_q, ascending."""
+    _, factors = gf_factor(gf_from_int_poly(list(reversed(f.coeffs)), q), q, ZZ)
+    return sorted(-g[1] % q for g, _ in factors if len(g) == 2)
+
+
+def _character_survivors(order: SubOrder, gens, k: int, classes) -> list:
+    """The classes cls, in order, that no k-th power residue character rules out.
+
+    For a prime q = 1 (mod 2k) not dividing the order's denominator and a
+    root a of f mod q, T -> a is a ring map O -> F_q, and chi(x) =
+    x^((q-1)/k) kills every k-th power and -1; so chi(v) != 1 for
+    v = prod gens^cls proves that +-v has no k-th root.  chi(v) is the
+    product of the generators' characters, so no power product is formed.
+    """
+    f, den = order.ambient.f, order.den
+    survivors = list(classes)
+    qs = (q for q in count(2 * k + 1, 2 * k) if isprime(q) and den % q)
+    for _, q in zip(range(CHARACTER_PRIMES), qs):
+        if not survivors:
+            break
+        e, inv_den = (q - 1) // k, pow(den, -1, q)
+        for a in _roots_mod(f, q):
+            powers = [pow(a, j, q) for j in range(order.n)]
+            basis = [sum(b * p for b, p in zip(col, powers)) * inv_den % q
+                     for col in zip(*order.basis_num)]
+            chi = [pow(sum(c * b for c, b in zip(g.coords, basis)), e, q) for g in gens]
+            survivors = [cls for cls in survivors
+                         if prod(pow(x, c, q) for x, c in zip(chi, cls)) % q == 1]
+    return survivors
 
 
 # -- certification ---------------------------------------------------------------
@@ -486,10 +538,11 @@ def certify_units(order: SubOrder, candidates,
 def _certify_lattice(order, table, lattice) -> UnitGroupData:
     """Bound the index of the lattice in the unit group and push the bound to 1.
 
-    Each pass bounds the index by regulator / floor and tries a k-th root of
-    every projective class gens^cls for the primes k up to the bound; the
-    first root found joins the lattice.  A pass that finds none has ruled
-    out every prime index it tried.
+    Each pass bounds the index by regulator / floor.  For each prime k up to
+    the bound, residue characters rule out the projective classes gens^cls
+    that have no k-th root up to sign; root extraction tries the surviving
+    classes, and the first root found joins the lattice.  A pass that finds
+    none has ruled out every prime index it tried.
     """
     s, t = table.s, table.t
     r = s + t - 1
@@ -501,8 +554,11 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
         # with several complex places each root test costs k^t phase choices;
         # try primes up to 3 there and keep the honest residual bound
         top = min(bound, 3) if t > 1 else bound
-        roots = (_try_kth_root(order, table, order.power_product(lattice.gens, cls), k)
-                 for k in primerange(2, top + 1) for cls in _projective_classes(k, r))
+        roots = (_try_kth_root(order, table, order.power_product(lattice.gens, cls), k,
+                               lattice.logs_of(cls))
+                 for k in primerange(2, top + 1)
+                 for cls in _character_survivors(order, lattice.gens, k,
+                                                 _projective_classes(k, r)))
         if not any(w is not None and lattice.insert(w) for w in roots):
             break
     if 1 < bound == top:

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import otkit.unitgroup
 from otkit.embeddings import EmbeddingTable
 from otkit.intmat import hnf
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.roots import isolate_roots
-from otkit.unitgroup import (InsufficientUnitsError, certify_units, find_units,
+from otkit.unitgroup import (InsufficientUnitsError, _character_survivors,
+                             _projective_classes, _try_kth_root, certify_units, find_units,
                              j_ideal, torsion_group, totally_positive_generators,
                              unit_group, units_from_generators)
 
@@ -63,6 +65,40 @@ def test_rank_two_root_classes(quartic275, exponents):
     sub = certify_units(order, cands, table=ug.table)
     assert sub.certified_index_bound == 1
     assert sub.regulator.overlaps(ug.regulator)
+
+
+@pytest.mark.parametrize("power, k", [
+    (lambda u: u ** 2, 2),
+    (lambda u: u ** 3, 3),
+    (lambda u: u ** 5, 5),
+    (lambda u: -(u * u), 2),
+], ids=["u^2", "u^3", "u^5", "-u^2"])
+def test_characters_keep_the_root_class(disc23, power, k):
+    # the class of a +-k-th power survives every character; at the other
+    # primes the one class has no root and a character rules it out
+    order, _, _, ug = disc23
+    gens = [power(ug.generators[0])]
+    for p in (2, 3, 5):
+        survivors = _character_survivors(order, gens, p, _projective_classes(p, 1))
+        assert survivors == ([(1,)] if p == k else [])
+
+
+@pytest.mark.parametrize("exponents, k, root_class", [
+    ([(2, 0), (0, 1)], 2, (1, 0)),
+    ([(1, 0), (0, 3)], 3, (0, 1)),
+    ([(2, 0), (1, 1)], 2, (1, 0)),
+], ids=["g1^2,g2", "g1,g2^3", "g1^2,g1g2"])
+def test_characters_rank_two(quartic275, exponents, k, root_class):
+    order, _, _, ug = quartic275
+    gens = [order.power_product(ug.generators, e) for e in exponents]
+    classes = _projective_classes(k, 2)
+    survivors = _character_survivors(order, gens, k, classes)
+    assert survivors == [root_class]
+    # every class ruled out is free of a k-th root up to sign
+    table = ug.table
+    for cls in classes:
+        if cls not in survivors:
+            assert _try_kth_root(order, table, order.power_product(gens, cls), k) is None
 
 
 @pytest.mark.parametrize("poly, bound, regulator", [
@@ -231,3 +267,40 @@ def test_unit_group_escalates_from_low_precision():
         ug = unit_group(order)
     assert ug.certified_index_bound == 1
     assert abs(float(ug.regulator.mid()) - 62.2798080973) < 1e-6
+
+
+def test_characters_leave_no_root_extraction(monkeypatch):
+    calls = []
+    try_kth_root = otkit.unitgroup._try_kth_root
+
+    def counted(order, table, v, k, *args):
+        calls.append(k)
+        return try_kth_root(order, table, v, k, *args)
+
+    monkeypatch.setattr(otkit.unitgroup, "_try_kth_root", counted)
+    order, _, _ = maximalize(build_order(P.parse("T^3 + 2*T + 2000")))
+    ug = unit_group(order)
+    assert ug.certified_index_bound == 1
+    assert calls == []
+
+
+def test_kth_root_of_a_unit_with_a_tiny_complex_embedding():
+    # the 43-digit fundamental unit's log enclosure at the complex place is
+    # infinite at the default precision; its logs come from the real place
+    order, _, _, ug = _field("T^3 + T^2 - 5*T + 114")
+    g = ug.generators[0]
+    assert _try_kth_root(order, EmbeddingTable(order), g, 2) is None
+
+
+@pytest.mark.parametrize("poly, disc, j_norm, regulator", [
+    ("T^3 + T^2 - 5*T + 114", -361083,
+     11589587655431155494272590999725910015791468, 99.1586809848527),
+    ("T^4 - 3*T^3 + 3*T^2 - 6", -37476, 2, 17.9976282869541),
+    ("T^4 + 4*T^3 + 2*T^2 + 4*T - 5", -227328, 36, 50.6533400647439),
+])
+def test_fields_with_huge_units_certify(poly, disc, j_norm, regulator):
+    order, _, _, ug = _field(poly)
+    assert order.disc == disc
+    assert ug.certified_index_bound == 1
+    assert abs(float(ug.regulator.mid()) - regulator) < 1e-9
+    assert j_ideal(order, ug.totally_positive_generators).norm == j_norm
