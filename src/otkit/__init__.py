@@ -12,7 +12,7 @@ from .roots import EmbeddingSet, isolate_roots
 from .orders import (MonogenicOrder, OrderElement, ReduciblePolynomialError,
                      Signature, SubOrder, build_order, maximalize, signature)
 from .unitgroup import (AbelianGroupInvariants, IdealHNF, InsufficientUnitsError,
-                        UnitGroupData, certify_units, find_units, j_ideal,
+                        UnitGroupData, certify_units, j_ideal,
                         torsion_group, totally_positive_generators, unit_group,
                         units_from_generators)
 from .topology import (GroupPresentation, SemidirectElement, compositum,

@@ -1,9 +1,10 @@
 """Command-line front end, and the only module that formats output.
 
 Subcommands: field, units, jideal, h1, volume, mcvol, inoue, bound, scan,
-reconstruct, paper-tables.  Exit codes: 0 success, 1 malformed input or
-internal failure, 2 reducible polynomial, 3 uncertified units under
---certified-only, 4 non-primitive reconstruction witness.
+reconstruct, paper-tables.  Exit codes: 0 success, 1 malformed input, an
+output file that cannot be written or internal failure, 2 reducible
+polynomial, 3 uncertified units under --certified-only, 4 non-primitive
+reconstruction witness.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _field(f: IntPolynomial, args, need: str | None = None):
         raise CliError(EXIT_ERROR, "torsion bound applies to s = t = 1 fields")
     order, index, order_cert = maximalize(mo)
     try:
-        ug = unit_group(order, coord_bound=args.bound or None)
+        ug = unit_group(order)
     except InsufficientUnitsError as exc:
         raise CliError(EXIT_UNCERTIFIED, str(exc)) from exc
     if args.certified_only and not (ug.certified and order_cert):
@@ -241,10 +242,7 @@ def cmd_mcvol(args) -> int:
 
 
 def cmd_inoue(args) -> int:
-    try:
-        v = inoue_closed_form(args.m)
-    except ValueError as exc:
-        raise CliError(EXIT_REDUCIBLE, str(exc)) from exc
+    v = inoue_closed_form(args.m)
     out = {"m": args.m, "volume": _volume_dict(v),
            "real_root": v.meta["real_root"],
            "h1": {"free_rank": 1,
@@ -367,6 +365,14 @@ def _sample_count(text: str) -> int:
     return samples
 
 
+def _inoue_m(text: str) -> int:
+    # T^3 + mT - 1 is irreducible for every m >= 1
+    m = int(text)
+    if m < 1:
+        raise argparse.ArgumentTypeError(f"m must be >= 1, got {m}")
+    return m
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="otkit",
@@ -377,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help, poly=True, fmt=True, units=True,
                 mc=False, seed=False):
         """A subcommand with the shared options it reads; every command has
-        --precision, ``units`` adds --bound and --certified-only."""
+        --precision, ``units`` adds --certified-only."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if poly:
@@ -387,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt:
             p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if units:
-            p.add_argument("--bound", type=int, default=0,
-                           help="unit coordinate search bound (0 = automatic)")
             p.add_argument("--certified-only", action="store_true")
         if mc:
             p.add_argument("--samples", type=_sample_count, default=1_000_000)
@@ -411,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("inoue", cmd_inoue,
                 "closed-form volume of the prescribed-torsion family",
                 poly=False, units=False)
-    p.add_argument("m", type=int)
+    p.add_argument("m", type=_inoue_m)
     command("bound", cmd_bound, "torsion upper bound from volume and discriminant")
     p = command("scan", cmd_scan, "minimal-volume scan over bounded fields",
                 poly=False, units=False)
@@ -450,6 +454,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_ERROR, str(exc))
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # after BrokenPipeError, an OSError subclass
+        return _fail(EXIT_ERROR, str(exc))
 
 
 if __name__ == "__main__":

@@ -1,17 +1,16 @@
 """Unit groups: search, certification, totally positive generators, J(U).
 
-Units are found two ways: a coordinate box search (fast when fundamental
-units are small) and a sweep of skewed-Minkowski LLL reductions (finds units
-of any size in logarithmic steps, needed when regulators are large).  Every
-numeric decision funnels through exact integer verification; floats and
-intervals only steer the search.
+Units are found one way: a sweep of skewed-Minkowski LLL reductions (finds
+units of any size in logarithmic steps), which stops as soon as it has r
+independent units.  Every numeric decision funnels through exact integer
+verification; floats and intervals only steer the search.
 
-A found independent system is certified fundamental with proven regulator
+Certification alone closes the index of that system, with proven regulator
 lower bounds: the quotient regulator/floor bounds the index.  For each prime
 k up to the bound, k-th power residue characters at degree-one primes rule
 out the classes of the system that are not +-k-th powers, exactly; root
-extraction on the surviving classes then shrinks the bound to 1 or finds the
-missing unit.
+extraction on the surviving classes then shrinks the bound to 1 or finds a
+missing root, which replaces a generator and divides the index by k.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .orders import OrderElement, SubOrder, signature
 
 
 class InsufficientUnitsError(RuntimeError):
-    """The search did not reach full unit rank; raise the bounds."""
+    """The search did not reach full unit rank."""
 
 
 # Proven regulator lower bounds by number of real places (t = 1 fields),
@@ -136,55 +135,11 @@ class AbelianGroupInvariants:
         return f"AbelianGroupInvariants(factors={self.factors})"
 
 
-# -- coordinate box search ----------------------------------------------------
-
-
-def find_units(order: SubOrder, coord_bound: int,
-               table: EmbeddingTable | None = None) -> list[OrderElement]:
-    """All units with coordinates in [-B, B], deduplicated up to sign, sorted."""
-    if coord_bound < 1:
-        raise ValueError("coord_bound must be >= 1")
-    table = table or EmbeddingTable(order)
-    realf, cplxf = table.float_rows()
-    n = order.n
-    B = coord_bound
-    W = 2 * B + 1
-    total = W ** n
-    found: set[tuple[int, ...]] = set()
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coords = np.empty((len(idx), n), dtype=np.int64)
-        rem = idx
-        for k in range(n):
-            coords[:, k] = rem % W - B
-            rem = rem // W
-        logn = np.zeros(len(idx))
-        ok = np.ones(len(idx), dtype=bool)
-        for j in range(table.s):
-            v = coords @ realf[j]
-            av = np.abs(v)
-            ok &= av > 1e-14
-            logn += np.log(np.maximum(av, 1e-300))
-        for j in range(table.t):
-            v = coords @ cplxf[j]
-            a2 = v.real * v.real + v.imag * v.imag
-            ok &= a2 > 1e-28
-            logn += np.log(np.maximum(a2, 1e-300))
-        for i in np.nonzero(ok & (np.abs(logn) < 0.4))[0]:
-            c = tuple(int(v) for v in coords[i])
-            x = order.element(c)
-            if abs(order.norm(x)) == 1:
-                nz = next((v for v in c if v), 1)
-                found.add(c if nz > 0 else tuple(-v for v in c))
-    return [order.element(c) for c in sorted(found)]
-
-
 # -- the unit lattice accumulator ---------------------------------------------
 
 
 class _UnitLattice:
-    """Independent generators with exactness-backed reduction decisions."""
+    """Independent units with float log vectors, which only steer."""
 
     def __init__(self, order: SubOrder, table: EmbeddingTable, rank: int):
         self.order = order
@@ -204,72 +159,33 @@ class _UnitLattice:
         """The float log vector of the power product of the generators."""
         return [sum(e * lg[j] for e, lg in zip(exps, self._logs)) for j in range(self.rank)]
 
-    @staticmethod
-    def _lstsq(A, lam):
-        try:
-            c, *_ = np.linalg.lstsq(A, lam, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise PrecisionError(f"least squares failed: {exc}") from exc
-        if not np.all(np.isfinite(c)):
-            raise PrecisionError("least squares produced non-finite coefficients")
-        return c
-
-    def insert(self, u: OrderElement, depth: int = 0, _lam=None) -> bool:
-        """Add u to the lattice; False when u is already in it up to sign.
-
-        ``_lam`` is u's log vector when the caller already has it.
-        """
-        if depth > 40:
-            raise PrecisionError("unit lattice reduction did not settle")
+    def insert(self, u: OrderElement) -> bool:
+        """Append u while the lattice is short of full rank and u's log vector
+        is independent of the generators'; False otherwise."""
         if not self.order.is_unit(u):
             raise ValueError("inserting a non-unit into the unit lattice")
-        if u.is_pm_one():
+        if len(self.gens) >= self.rank or u.is_pm_one():
             return False
-        lam = np.array(self._logvec(u) if _lam is None else _lam)
-        if not self.gens:
-            self.gens.append(u)
-            self._logs.append(list(lam))
-            return True
-        A = np.array(self._logs).T
-        c = self._lstsq(A, lam)
-        for _ in range(200):
-            q = np.rint(c).astype(int)
-            if not q.any():
-                break
-            u = u * self.order.power_product(self.gens, [-int(t) for t in q])
-            if u.is_pm_one():
+        lam = np.array(self._logvec(u))
+        if self.gens:
+            A = np.array(self._logs).T
+            try:
+                c, *_ = np.linalg.lstsq(A, lam, rcond=None)
+            except np.linalg.LinAlgError as exc:
+                raise PrecisionError(f"least squares failed: {exc}") from exc
+            if np.linalg.norm(lam - A @ c) <= 1e-6 * max(1.0, np.linalg.norm(lam)):
                 return False
-            lam = np.array(self._logvec(u))
-            c = self._lstsq(A, lam)
-        resid = float(np.linalg.norm(lam - A @ c))
-        scale = max(1.0, float(np.linalg.norm(lam)))
-        if resid > 1e-6 * scale:
-            if len(self.gens) >= self.rank:
-                return self._absorb(u, lam, depth)
-            self.gens.append(u)
-            self._logs.append(list(lam))
-            return True
-        # rational dependence suspected: find the denominator and verify exactly
-        for d in range(2, 33):
-            dc = d * c
-            if np.all(np.abs(dc - np.rint(dc)) < 1e-4):
-                q = [int(v) for v in np.rint(dc)]
-                lhs = u ** d
-                rhs = self.order.power_product(self.gens, q)
-                if lhs == rhs or lhs == -rhs:
-                    return self._absorb(u, lam, depth)
-                break
-        raise PrecisionError("ambiguous unit dependence")
+        self.gens.append(u)
+        self._logs.append(list(lam))
+        return True
 
-    def _absorb(self, u: OrderElement, lam, depth: int) -> bool:
-        pool = sorted(zip(self.gens + [u], self._logs + [list(lam)]),
-                      key=lambda gl: float(np.linalg.norm(gl[1])))
-        self.gens = []
-        self._logs = []
-        changed = False
-        for g, lg in pool:
-            changed |= self.insert(g, depth + 1, lg)
-        return changed
+    def adjoin_root(self, w: OrderElement, k: int, cls) -> None:
+        """Put w, a unit with w^k = +-prod gens^cls, in place of the generator
+        at cls's first nonzero coordinate, which is 1: the new generators
+        still give that one, so the index drops by exactly k."""
+        j = next(i for i, c in enumerate(cls) if c)
+        self._logs[j] = [x / k for x in self.logs_of(cls)]
+        self.gens[j] = w
 
 
 def regulator_of(table: EmbeddingTable, gens) -> RealBall:
@@ -344,7 +260,8 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     """Walk skew directions, harvesting units as equal-ideal element quotients.
 
     The log-weights step by 1.0 over rings of sup-norm radius up to 220 for
-    unit rank 1 (8 above it), and the walk ends one ring after full rank.
+    unit rank 1 (8 above it), and the walk returns as soon as the lattice has
+    full rank; closing its index is left to certification.
     """
     s, t = table.s, table.t
     r = s + t - 1
@@ -352,7 +269,6 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     norm_bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** t
                      * abs(order.disc) ** 0.5) + 8
     reps: dict = {}
-    full_at = None
     grid_radius_cap = 220 if r == 1 else 8
     for radius in range(0, grid_radius_cap + 1):
         for v in _ring_vectors(r, radius):
@@ -374,15 +290,11 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
                 q = order.divide_exact(x, rep)
                 if q is None or q.is_pm_one():
                     continue
-                lattice.insert(q)
-        if len(lattice.gens) >= r:
-            if full_at is None:
-                full_at = radius
-            elif radius - full_at >= 1:
-                return
-    if len(lattice.gens) < r:
-        raise InsufficientUnitsError(
-            "insufficient units, raise coord_bound or the sweep radius")
+                if lattice.insert(q) and len(lattice.gens) == r:
+                    return
+    raise InsufficientUnitsError(
+        f"insufficient units: {len(lattice.gens)} of unit rank {r} after a sweep "
+        f"to radius {grid_radius_cap}")
 
 
 # -- k-th root refinement -------------------------------------------------------
@@ -511,7 +423,12 @@ def units_from_generators(order: SubOrder, gens,
 
 def certify_units(order: SubOrder, candidates,
                   table: EmbeddingTable | None = None) -> UnitGroupData:
-    """Reduce candidates to an independent system and certify it fundamental.
+    """Certify the group of an independent system drawn from the candidates.
+
+    The candidates join the lattice smallest log vector first, until it has
+    full rank; certification then closes its index.  Units among the
+    candidates that are left out are in the certified group whenever the
+    bound reaches 1.
 
     ``certified_index_bound`` is 1 for a certified fundamental system, k > 1
     when the system may still have index up to k (root refinement exhausted),
@@ -531,7 +448,7 @@ def certify_units(order: SubOrder, candidates,
             raise ValueError("candidate is not a unit")
         lattice.insert(u)
     if len(lattice.gens) < r:
-        raise InsufficientUnitsError("insufficient units, raise coord_bound")
+        raise InsufficientUnitsError("insufficient units: the candidates are not of full rank")
     return _certify_lattice(order, table, lattice)
 
 
@@ -541,8 +458,9 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
     Each pass bounds the index by regulator / floor.  For each prime k up to
     the bound, residue characters rule out the projective classes gens^cls
     that have no k-th root up to sign; root extraction tries the surviving
-    classes, and the first root found joins the lattice.  A pass that finds
-    none has ruled out every prime index it tried.
+    classes, and the first root found replaces a generator (the lattice's
+    index drops by k).  A pass that finds none has ruled out every prime
+    index it tried.
     """
     s, t = table.s, table.t
     r = s + t - 1
@@ -554,13 +472,17 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
         # with several complex places each root test costs k^t phase choices;
         # try primes up to 3 there and keep the honest residual bound
         top = min(bound, 3) if t > 1 else bound
-        roots = (_try_kth_root(order, table, order.power_product(lattice.gens, cls), k,
-                               lattice.logs_of(cls))
+        roots = ((w, k, cls)
                  for k in primerange(2, top + 1)
                  for cls in _character_survivors(order, lattice.gens, k,
-                                                 _projective_classes(k, r)))
-        if not any(w is not None and lattice.insert(w) for w in roots):
+                                                 _projective_classes(k, r))
+                 if (w := _try_kth_root(order, table,
+                                        order.power_product(lattice.gens, cls), k,
+                                        lattice.logs_of(cls))) is not None)
+        root = next(roots, None)
+        if root is None:
             break
+        lattice.adjoin_root(*root)
     if 1 < bound == top:
         bound = 1  # no prime index survives the exhaustive root search
     tp = totally_positive_generators(order, table, lattice.gens)
@@ -640,38 +562,23 @@ def torsion_group(order: SubOrder, gens) -> AbelianGroupInvariants:
 # -- orchestration --------------------------------------------------------------------
 
 
-def default_coord_bound(n: int) -> int:
-    if n <= 3:
-        return 12
-    if n <= 5:
-        return 6
-    return 2
-
-
 UNIT_GROUP_MAX_BITS = 8192
 
 
-def unit_group(order: SubOrder, coord_bound: int | None = None) -> UnitGroupData:
-    """Find, reduce, and certify the unit group of an order.
+def unit_group(order: SubOrder) -> UnitGroupData:
+    """Find and certify the unit group of an order.
 
-    Box-search first; if the rank is short, sweep skewed LLL reductions.
-    Precision escalates automatically whenever a decision was ambiguous.
-    A field with no real place raises ValueError.
+    The skewed-LLL sweep finds r independent units, and certification closes
+    their index.  Precision escalates automatically whenever a decision was
+    ambiguous.  A field with no real place raises ValueError.
     """
-    f = order.ambient.f
-    _require_real_place(signature(f).s)
-    if coord_bound is None:
-        coord_bound = default_coord_bound(order.n)
+    _require_real_place(signature(order.ambient.f).s)
 
     def attempt():
         try:
             table = EmbeddingTable(order)
-            r = table.s + table.t - 1
-            lattice = _UnitLattice(order, table, r)
-            for u in find_units(order, coord_bound, table):
-                lattice.insert(u)
-            if len(lattice.gens) < r:
-                sweep_units(order, table, lattice)
+            lattice = _UnitLattice(order, table, table.s + table.t - 1)
+            sweep_units(order, table, lattice)
             return _certify_lattice(order, table, lattice)
         except PrecisionError:
             return None

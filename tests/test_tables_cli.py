@@ -78,7 +78,9 @@ def test_cli_field_malformed(capsys):
     # options a command does not read
     pytest.param(["scan", "--s", "1", "--disc-max", "50", "--bound", "3"],
                  id="scan --bound"),
+    pytest.param(["field", "T^3 - T + 1", "--bound", "3"], id="field --bound"),
     pytest.param(["inoue", "5", "--samples", "2000"], id="inoue --samples"),
+    pytest.param(["inoue", "0"], id="inoue 0"),
     pytest.param(["volume", "T^3 - T + 2", "--seed", "3"], id="volume --seed"),
     pytest.param(["paper-tables", "prop5index", "--format", "json"],
                  id="paper-tables --format"),
@@ -119,7 +121,7 @@ def test_cli_field_json_large(capsys):
 
 def test_cli_certified_only_rejects_high_rank(capsys):
     rc = main(["field", "T^6 - T^5 - 2*T^4 + 3*T^3 - T^2 - 2*T + 1",
-               "--certified-only", "--bound", "2"])
+               "--certified-only"])
     assert rc == 3
 
 
@@ -148,6 +150,17 @@ def test_cli_h1_roundtrip(tmp_path, capsys):
     assert rc == 0 and second == first
     rc = main(["h1", "--presentation", str(tmp_path / "missing.json")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["h1", "--poly", "T^3 - T + 2", "--save-presentation", "{missing}/p.json"],
+    ["paper-tables", "prop5index", "--out", "{missing}/x.csv"],
+], ids=["h1 --save-presentation", "paper-tables --out"])
+def test_cli_unwritable_output_is_json(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    rc = main([a.format(missing=missing) for a in argv])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1 and err["exit_code"] == 1 and str(missing) in err["error"]
 
 
 def test_cli_h1_malformed_presentation(tmp_path, capsys):

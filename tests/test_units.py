@@ -9,22 +9,30 @@ from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.roots import isolate_roots
 from otkit.unitgroup import (InsufficientUnitsError, _character_survivors,
-                             _projective_classes, _try_kth_root, certify_units, find_units,
-                             j_ideal, torsion_group, totally_positive_generators,
+                             _projective_classes, _try_kth_root, _UnitLattice,
+                             certify_units, j_ideal, torsion_group, totally_positive_generators,
                              unit_group, units_from_generators)
 
 P = IntPolynomial
 
 
-def test_find_units_examples():
-    po = build_order(P.parse("T^3 + T^2 - 1")).power_suborder()
-    us = find_units(po, 2)
-    assert po.tbar() in us
-    po2 = build_order(P.parse("T^3 + T + 1")).power_suborder()
-    us2 = find_units(po2, 2)
-    coords = {u.coords for u in us2}
-    assert (0, 1, 0) in coords or (0, -1, 0) in coords
-    assert po.one() in find_units(po, 1)
+@pytest.mark.parametrize("poly", ["T^3 + T^2 - 1", "T^3 + 2*T + 2000",
+                                  "T^4 - T^3 + 2*T - 1"])
+def test_no_insert_after_full_rank(monkeypatch, poly):
+    # the sweep stops at full rank, and certification replaces generators
+    # instead of inserting roots
+    full = []
+    insert = _UnitLattice.insert
+
+    def recorded(self, u):
+        full.append(len(self.gens) >= self.rank)
+        return insert(self, u)
+
+    monkeypatch.setattr(_UnitLattice, "insert", recorded)
+    order, _, _ = maximalize(build_order(P.parse(poly)))
+    ug = unit_group(order)
+    assert ug.certified_index_bound == 1
+    assert full and not any(full)
 
 
 def test_certified_regulator_disc23(disc23):
@@ -33,6 +41,16 @@ def test_certified_regulator_disc23(disc23):
     assert ug.certified_index_bound == 1
     assert abs(float(ug.regulator.mid()) - 0.28119957432) < 1e-9
     assert float(ug.regulator.rad()) < 1e-12
+
+
+def test_two_root_steps_recover_generator(disc23):
+    # u^6: a square root, then a cube root, each replacing the generator
+    order, _, _, ug = disc23
+    u = ug.generators[0]
+    sub = certify_units(order, [u ** 6], table=ug.table)
+    assert sub.certified_index_bound == 1
+    (g,) = sub.generators
+    assert g in (u, -u, order.inverse_unit(u), -order.inverse_unit(u))
 
 
 def test_square_submission_recovers_generator(disc23):
@@ -58,7 +76,8 @@ def test_power_submission_recovers_generator(disc23, power):
     [(2, 0), (0, 1)],
     [(1, 0), (0, 3)],
     [(2, 0), (1, 1)],   # the missing root g1 has mixed signs at the real places
-], ids=["g1^2,g2", "g1,g2^3", "g1^2,g1g2"])
+    [(2, 1), (0, 3)],   # index 6: a square root and a cube root
+], ids=["g1^2,g2", "g1,g2^3", "g1^2,g1g2", "g1^2g2,g2^3"])
 def test_rank_two_root_classes(quartic275, exponents):
     order, _, _, ug = quartic275
     cands = [order.power_product(ug.generators, e) for e in exponents]
@@ -304,3 +323,17 @@ def test_fields_with_huge_units_certify(poly, disc, j_norm, regulator):
     assert ug.certified_index_bound == 1
     assert abs(float(ug.regulator.mid()) - regulator) < 1e-9
     assert j_ideal(order, ug.totally_positive_generators).norm == j_norm
+
+
+@pytest.mark.parametrize("poly, gens", [
+    ("T^4 - T^3 + 2*T - 1", [(2, 0, -1, 1), (-1, 0, 1, -1)]),
+    ("T^3 - 2*T^2 + 2*T + 9", [(1, -2, -2)]),
+])
+def test_earlier_generators_give_the_same_group(poly, gens):
+    # another basis of the unit group: the regulator and J(U) depend only on
+    # the group, not on the generators unit_group returns
+    order, _, _, ug = _field(poly)
+    old = units_from_generators(order, [order.element(g) for g in gens], table=ug.table)
+    assert old.regulator.overlaps(ug.regulator)
+    assert (j_ideal(order, old.totally_positive_generators).basis
+            == j_ideal(order, ug.totally_positive_generators).basis)

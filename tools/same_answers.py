@@ -15,8 +15,9 @@ directory), one fresh process per command, and writes one JSON file:
 * ``scan``: stdout and exit code of ``otkit scan --format csv`` for
   (s, B, D) = (1, 6, 200), (2, 2, 500) and (3, 2, 4600);
 * ``commands``: stdout and exit code of one run each of ``jideal``,
-  ``volume``, ``bound``, ``inoue``, ``mcvol`` and ``paper-tables``, keyed by
-  the command line;
+  ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``
+  and ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
+  totally positive generator comes back), keyed by the command line;
 * ``presentation``: stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
   --presentation`` and ``reconstruct --source`` on the saved file, with the
@@ -57,6 +58,7 @@ COMMANDS = [
     ["inoue", "7", "--format", "json"],
     ["mcvol", "T^3 - T + 1", "--samples", "20000", "--seed", "1", "--format", "json"],
     ["paper-tables", "prop5index"],
+    ["paper-tables", "computeJ"],
 ]
 PRESENTED = "T^3 - T + 2"
 WORKERS = 2
