@@ -348,8 +348,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_ERROR, f"{self.prog}: {message}")
 
 
+def _integer(text: str) -> int:
+    # on a ValueError argparse prints the type's private name; give the reason
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _precision_bits(text: str) -> int:
-    bits = int(text)
+    bits = _integer(text)
     if bits < MIN_PRECISION:
         raise argparse.ArgumentTypeError(
             f"precision must be >= {MIN_PRECISION} bits, got {bits}")
@@ -357,7 +365,7 @@ def _precision_bits(text: str) -> int:
 
 
 def _sample_count(text: str) -> int:
-    samples = int(text)
+    samples = _integer(text)
     try:
         check_mc_samples(samples)
     except ValueError as exc:
@@ -367,7 +375,7 @@ def _sample_count(text: str) -> int:
 
 def _inoue_m(text: str) -> int:
     # T^3 + mT - 1 is irreducible for every m >= 1
-    m = int(text)
+    m = _integer(text)
     if m < 1:
         raise argparse.ArgumentTypeError(f"m must be >= 1, got {m}")
     return m
@@ -434,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=TABLE_NAMES)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.add_argument("--with-g", action="store_true",
-                   help="include the slow degree-7 column (uncertified)")
+                   help="include the slow degree-7 column")
     return ap
 
 

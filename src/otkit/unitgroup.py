@@ -7,23 +7,24 @@ verification; floats and intervals only steer the search.
 
 Certification alone closes the index of that system, with proven regulator
 lower bounds: the quotient regulator/floor bounds the index.  For each prime
-k up to the bound, k-th power residue characters at degree-one primes rule
-out the classes of the system that are not +-k-th powers, exactly; root
-extraction on the surviving classes then shrinks the bound to 1 or finds a
-missing root, which replaces a generator and divides the index by k.
+k up to the bound, k-th power residue characters at degree-one primes are
+linear maps to F_k, and only the classes in their common kernel can be
++-k-th powers; root extraction on those classes either finds a missing root,
+which replaces a generator and divides the index by k, or rules k out.  The
+bound ends at 1, or at 0 when no proven regulator floor applies.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count, product
-from math import prod
 
 import numpy as np
 from mpmath import mp
-from sympy import isprime, primerange
+from sympy import discrete_log, isprime, primerange
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd,
+                                     gf_pow_mod, gf_sub)
 
 from . import intmat
 from .balls import RealBall, ball_det
@@ -317,7 +318,9 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
     max_log = max(abs(x) for x in [*logs, sum(logs)])
     if not np.isfinite(max_log):
         raise PrecisionError("log vector not finite in root extraction")
-    bits = max(working_precision(), int(max_log / 0.693 / k) + 160)
+    # v's coordinates are near e^max_log and its smallest embedding can be
+    # near e^-max_log: deciding its signs takes both ranges
+    bits = max(working_precision(), int(2 * max_log / 0.693) + 160)
     with precision(bits):
         emb = table.emb.refine(bits)
         tb = table if emb is table.emb else EmbeddingTable(order, emb)
@@ -358,45 +361,51 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
     return None
 
 
-def _projective_classes(k: int, r: int):
-    """Representatives of (F_k^r - 0) / F_k^*: first nonzero coordinate is 1."""
-    return [c for c in product(range(k), repeat=r) if next(filter(None, c), 0) == 1]
-
-
 # primes q = 1 (mod 2k) whose characters a class must pass before root extraction
 CHARACTER_PRIMES = 24
 
 
 def _roots_mod(f, q: int) -> list[int]:
-    """The roots of f in F_q, ascending."""
-    _, factors = gf_factor(gf_from_int_poly(list(reversed(f.coeffs)), q), q, ZZ)
-    return sorted(-g[1] % q for g, _ in factors if len(g) == 2)
+    """The roots of f in F_q, ascending: the linear factors of gcd(f, T^q - T)."""
+    F = gf_from_int_poly(list(reversed(f.coeffs)), q)
+    g = gf_gcd(F, gf_sub(gf_pow_mod([1, 0], q, F, q, ZZ), [1, 0], q, ZZ), q, ZZ)
+    if len(g) < 2:
+        return []
+    return sorted(-h[1] % q for h in gf_edf_zassenhaus(g, 1, q, ZZ))
 
 
-def _character_survivors(order: SubOrder, gens, k: int, classes) -> list:
-    """The classes cls, in order, that no k-th power residue character rules out.
+def _character_kernel(order: SubOrder, gens, k: int) -> list[tuple]:
+    """The classes cls in F_k^r, first nonzero coordinate 1 and ascending,
+    that no k-th power residue character rules out.
 
     For a prime q = 1 (mod 2k) not dividing the order's denominator and a
     root a of f mod q, T -> a is a ring map O -> F_q, and chi(x) =
-    x^((q-1)/k) kills every k-th power and -1; so chi(v) != 1 for
-    v = prod gens^cls proves that +-v has no k-th root.  chi(v) is the
-    product of the generators' characters, so no power product is formed.
+    x^((q-1)/k) kills every k-th power and -1.  chi(g) = zeta^d(g) in the
+    group of k-th roots of unity, so chi(prod gens^cls) = 1 exactly when
+    sum d(g) cls = 0 (mod k): each (q, a) gives one linear row over F_k, and
+    only the classes in the common kernel can be +-k-th powers.
     """
     f, den = order.ambient.f, order.den
-    survivors = list(classes)
+    r = len(gens)
+    kernel = [[int(i == j) for j in range(r)] for i in range(r)]
+    rows = []
     qs = (q for q in count(2 * k + 1, 2 * k) if isprime(q) and den % q)
     for _, q in zip(range(CHARACTER_PRIMES), qs):
-        if not survivors:
-            break
+        if not kernel:
+            return []
         e, inv_den = (q - 1) // k, pow(den, -1, q)
+        zeta = next(z for h in count(2) if (z := pow(h, e, q)) != 1)
         for a in _roots_mod(f, q):
             powers = [pow(a, j, q) for j in range(order.n)]
             basis = [sum(b * p for b, p in zip(col, powers)) * inv_den % q
                      for col in zip(*order.basis_num)]
             chi = [pow(sum(c * b for c, b in zip(g.coords, basis)), e, q) for g in gens]
-            survivors = [cls for cls in survivors
-                         if prod(pow(x, c, q) for x, c in zip(chi, cls)) % q == 1]
-    return survivors
+            rows.append([discrete_log(q, x, zeta, k, True) for x in chi])
+        if rows:
+            kernel = kernel_mod_p(rows, k)
+    span = (tuple(sum(c * b[i] for c, b in zip(coeffs, kernel)) % k for i in range(r))
+            for coeffs in product(range(k), repeat=len(kernel)))
+    return sorted(v for v in span if next(filter(None, v), 0) == 1)
 
 
 # -- certification ---------------------------------------------------------------
@@ -407,8 +416,8 @@ def units_from_generators(order: SubOrder, gens,
     """Wrap a user-supplied multiplicatively independent system, uncertified.
 
     No reduction, no refinement: the group is exactly the one generated.
-    Serves covering-manifold computations and high-rank fields where
-    certification is out of reach (certified_index_bound = 0).
+    Serves covering-manifold computations, where the group is a subgroup on
+    purpose (certified_index_bound = 0).
     """
     table = table or EmbeddingTable(order)
     for g in gens:
@@ -430,10 +439,10 @@ def certify_units(order: SubOrder, candidates,
     candidates that are left out are in the certified group whenever the
     bound reaches 1.
 
-    ``certified_index_bound`` is 1 for a certified fundamental system, k > 1
-    when the system may still have index up to k (root refinement exhausted),
-    and 0 when no proven floor applies (rank >= 4, best effort).  A field
-    with no real place raises ValueError.
+    ``certified_index_bound`` is 1 for a certified fundamental system and 0
+    when no proven regulator floor applies (degree 6 outside the floors'
+    table), where the system is best effort.  A field with no real place
+    raises ValueError.
     """
     table = table or EmbeddingTable(order)
     s, t = table.s, table.t
@@ -456,26 +465,21 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
     """Bound the index of the lattice in the unit group and push the bound to 1.
 
     Each pass bounds the index by regulator / floor.  For each prime k up to
-    the bound, residue characters rule out the projective classes gens^cls
-    that have no k-th root up to sign; root extraction tries the surviving
-    classes, and the first root found replaces a generator (the lattice's
-    index drops by k).  A pass that finds none has ruled out every prime
-    index it tried.
+    the bound, root extraction tries the classes gens^cls in the common
+    kernel of the residue characters over F_k, and the first root found
+    replaces a generator (the lattice's index drops by k).  A pass that finds
+    none has ruled out every prime up to the bound, so the index is 1; with
+    no proven floor the bound is 0.
     """
     s, t = table.s, table.t
-    r = s + t - 1
     floor = regulator_floor(s, t, abs(order.disc), order.n)
     while True:
         reg = regulator_of(table, lattice.gens)
-        bound = 0 if r >= 4 or floor is None else \
+        bound = 0 if floor is None else \
             int(mp.floor(reg.upper / mp.mpf(floor.numerator) * floor.denominator))
-        # with several complex places each root test costs k^t phase choices;
-        # try primes up to 3 there and keep the honest residual bound
-        top = min(bound, 3) if t > 1 else bound
         roots = ((w, k, cls)
-                 for k in primerange(2, top + 1)
-                 for cls in _character_survivors(order, lattice.gens, k,
-                                                 _projective_classes(k, r))
+                 for k in primerange(2, bound + 1)
+                 for cls in _character_kernel(order, lattice.gens, k)
                  if (w := _try_kth_root(order, table,
                                         order.power_product(lattice.gens, cls), k,
                                         lattice.logs_of(cls))) is not None)
@@ -483,10 +487,8 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
         if root is None:
             break
         lattice.adjoin_root(*root)
-    if 1 < bound == top:
-        bound = 1  # no prime index survives the exhaustive root search
     tp = totally_positive_generators(order, table, lattice.gens)
-    return UnitGroupData(order, list(lattice.gens), reg, bound, tp, table)
+    return UnitGroupData(order, list(lattice.gens), reg, min(bound, 1), tp, table)
 
 
 # -- totally positive subgroup -----------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -33,8 +34,9 @@ def test_regen_volumebounds():
 def test_regen_minvol():
     checks = regen_minvol()
     assert all(c.ok for c in checks)
-    skipped = [c for c in checks if "not recomputed" in c.got]
-    assert len(skipped) == 2  # the two high-rank rows
+    # every row recomputed: disc, volume and second-volume bound for s = 1..5
+    assert [c.cell for c in checks] == [f"{cell}_s{s}" for s in range(1, 6)
+                                        for cell in ("disc1st", "vol1st", "v2nd")]
 
 
 def test_cli_field_text(capsys):
@@ -86,11 +88,16 @@ def test_cli_field_malformed(capsys):
                  id="paper-tables --format"),
     pytest.param(["field", "T^3 - T + 1", "--samples", "10"],
                  id="field --samples 10"),
+    # not integers: the message gives the reason, not a private type name
+    pytest.param(["field", "T^3 - T + 1", "--precision", "abc"], id="--precision abc"),
+    pytest.param(["inoue", "abc"], id="inoue abc"),
+    pytest.param(["mcvol", "T^3 - T + 1", "--samples", "1e6"], id="mcvol --samples 1e6"),
 ])
 def test_cli_field_rejects_with_json_error(capsys, argv):
     rc = main(argv)
     err = json.loads(capsys.readouterr().err)
     assert rc == 1 and err["exit_code"] == 1 and err["error"]
+    assert not re.search(r"\b_\w", err["error"])
 
 
 def test_cli_out_of_range_options_keep_the_reason(capsys):
@@ -119,10 +126,12 @@ def test_cli_field_json_large(capsys):
     assert report["units"]["certified_index_bound"] == 1
 
 
-def test_cli_certified_only_rejects_high_rank(capsys):
-    rc = main(["field", "T^6 - T^5 - 2*T^4 + 3*T^3 - T^2 - 2*T + 1",
-               "--certified-only"])
-    assert rc == 3
+def test_cli_certified_only_rejects_unproven_floor(capsys):
+    # degree 6 with two complex places: no proven regulator floor applies
+    assert main(["units", "T^6 - T - 1", "--certified-only"]) == 3
+    # the s = 4 minimum (unit rank 4) has one and certifies
+    assert main(["field", "T^6 - T^5 - 2*T^4 + 3*T^3 - T^2 - 2*T + 1",
+                 "--certified-only"]) == 0
 
 
 def test_cli_units_and_jideal(capsys):

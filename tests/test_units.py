@@ -1,6 +1,8 @@
 import random
+from itertools import product
 
 import pytest
+from sympy import isprime
 
 import otkit.unitgroup
 from otkit.embeddings import EmbeddingTable
@@ -8,10 +10,10 @@ from otkit.intmat import hnf
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.roots import isolate_roots
-from otkit.unitgroup import (InsufficientUnitsError, _character_survivors,
-                             _projective_classes, _try_kth_root, _UnitLattice,
-                             certify_units, j_ideal, torsion_group, totally_positive_generators,
-                             unit_group, units_from_generators)
+from otkit.unitgroup import (CHARACTER_PRIMES, InsufficientUnitsError, _character_kernel,
+                             _roots_mod, _try_kth_root, _UnitLattice, certify_units,
+                             j_ideal, torsion_group, totally_positive_generators, unit_group,
+                             units_from_generators)
 
 P = IntPolynomial
 
@@ -93,13 +95,25 @@ def test_rank_two_root_classes(quartic275, exponents):
     (lambda u: -(u * u), 2),
 ], ids=["u^2", "u^3", "u^5", "-u^2"])
 def test_characters_keep_the_root_class(disc23, power, k):
-    # the class of a +-k-th power survives every character; at the other
+    # the class of a +-k-th power is in every character kernel; at the other
     # primes the one class has no root and a character rules it out
     order, _, _, ug = disc23
     gens = [power(ug.generators[0])]
     for p in (2, 3, 5):
-        survivors = _character_survivors(order, gens, p, _projective_classes(p, 1))
-        assert survivors == ([(1,)] if p == k else [])
+        assert _character_kernel(order, gens, p) == ([(1,)] if p == k else [])
+
+
+@pytest.mark.parametrize("poly", ["T^7 - T - 6", "T^6 - T - 1", "T^3 + 2*T + 2000"])
+def test_roots_mod_are_every_root(poly):
+    f = P.parse(poly)
+    for q in (2, 3, 5, 7, 29, 43, 97, 113, 181, 2003):
+        assert _roots_mod(f, q) == [a for a in range(q)
+                                    if sum(c * a ** j for j, c in enumerate(f.coeffs)) % q == 0]
+
+
+def _normalized_classes(k, r):
+    """Every class of F_k^r - 0 up to scaling: first nonzero coordinate 1."""
+    return [c for c in product(range(k), repeat=r) if next(filter(None, c), 0) == 1]
 
 
 @pytest.mark.parametrize("exponents, k, root_class", [
@@ -110,24 +124,82 @@ def test_characters_keep_the_root_class(disc23, power, k):
 def test_characters_rank_two(quartic275, exponents, k, root_class):
     order, _, _, ug = quartic275
     gens = [order.power_product(ug.generators, e) for e in exponents]
-    classes = _projective_classes(k, 2)
-    survivors = _character_survivors(order, gens, k, classes)
-    assert survivors == [root_class]
-    # every class ruled out is free of a k-th root up to sign
+    kernel = _character_kernel(order, gens, k)
+    assert kernel == [root_class]
+    # every class outside the kernel is free of a k-th root up to sign
     table = ug.table
-    for cls in classes:
-        if cls not in survivors:
+    for cls in _normalized_classes(k, 2):
+        if cls not in kernel:
             assert _try_kth_root(order, table, order.power_product(gens, cls), k) is None
 
 
-@pytest.mark.parametrize("poly, bound, regulator", [
-    ("T^5 - T - 3", 54, 13.5995724803910963678),   # index bound above the cap of 3
-    ("T^5 - T - 1", 1, 0.432343878824973521495),
+@pytest.mark.parametrize("poly, exponents, root_class", [
+    ("T^5 - T - 3", [(2, 0), (0, 1)], (1, 0)),                             # t = 2
+    ("T^5 - T^3 - 2*T^2 + 1", [(1, 0, 0), (0, 2, 0), (0, 0, 1)], (0, 1, 0)),   # r = 3
+], ids=["T^5 - T - 3", "T^5 - T^3 - 2*T^2 + 1"])
+def test_characters_keep_the_square_class(poly, exponents, root_class):
+    order, _, _, ug = _field(poly)
+    gens = [order.power_product(ug.generators, e) for e in exponents]
+    assert _character_kernel(order, gens, 2) == [root_class]
+
+
+def _character(order, q, a, k):
+    """x -> x^((q-1)/k) after the ring map T -> a mod q."""
+    inv_den = pow(order.den, -1, q)
+    basis = [sum(b * pow(a, j, q) for j, b in enumerate(col)) * inv_den % q
+             for col in zip(*order.basis_num)]
+    return lambda x: pow(sum(c * b for c, b in zip(x.coords, basis)), (q - 1) // k, q)
+
+
+@pytest.mark.parametrize("exponents", [
+    [(1, 0), (0, 1)],
+    [(2, 0), (0, 1)],
+    [(1, 0), (0, 3)],
+    [(2, 0), (1, 1)],
+    [(2, 1), (0, 3)],
+    [(5, 0), (0, 7)],
 ])
-def test_two_complex_places_cap_root_search(poly, bound, regulator):
-    # t = 2: root extraction stops at k = 3 and keeps the residual bound
+def test_character_kernel_is_the_filtered_enumeration(quartic275, exponents):
+    # the kernel is exactly the set of classes whose power product has every
+    # character value 1, checked class by class with no linear algebra
+    order, _, _, ug = quartic275
+    gens = [order.power_product(ug.generators, e) for e in exponents]
+    for k in (2, 3, 5, 7):
+        qs = [q for q in range(2 * k + 1, 10 ** 4, 2 * k) if isprime(q) and order.den % q]
+        classes = {c: order.power_product(gens, c) for c in _normalized_classes(k, 2)}
+        survivors = sorted(
+            c for c, v in classes.items()
+            if all(_character(order, q, a, k)(v) == 1
+                   for q in qs[:CHARACTER_PRIMES]
+                   for a in _roots_mod(order.ambient.f, q)))
+        assert _character_kernel(order, gens, k) == survivors
+
+
+@pytest.mark.parametrize("poly, k", [
+    ("T^3 - 2*T - 7", 13), ("T^3 - 2*T - 7", 31), ("T^3 - 2*T - 7", 67),
+    ("T^3 + 2*T + 2000", 2), ("T^3 + 2*T + 2000", 13), ("T^3 + 2*T + 2000", 31),
+    ("T^3 + 2*T + 2000", 67),
+])
+def test_kth_root_of_a_large_power_decides_its_signs(poly, k):
+    # u^k's smallest embedding is near e^-max_log and its coordinates near
+    # e^max_log, max_log = k |log|u||: its real sign needs the bits of both
+    order, _, _, ug = _field(poly)
+    u = ug.generators[0]
+    logs = [k * float(x.mid()) for x in ug.table.log_vector(u)[:1]]
+    w = _try_kth_root(order, ug.table, u ** k, k, logs)
+    assert w in (u, -u)
+
+
+@pytest.mark.parametrize("poly, regulator", [
+    pytest.param("T^5 - T - 1", 0.432343878824973521495, id="T^5 - T - 1"),
+    pytest.param("T^5 - T - 3", 13.5995724803910963678, id="T^5 - T - 3"),
+    pytest.param("T^5 - T - 5", 35.8726333308896640030, id="T^5 - T - 5"),
+    pytest.param("T^5 - T - 7", 41.6076616001937695796, id="T^5 - T - 7"),
+])
+def test_two_complex_places_certify(poly, regulator):
+    # t = 2: the character kernels rule out every prime up to the index bound
     _, _, _, ug = _field(poly)
-    assert ug.certified_index_bound == bound
+    assert ug.certified_index_bound == 1
     assert abs(float(ug.regulator.mid()) - regulator) < 1e-9
 
 

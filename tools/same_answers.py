@@ -11,13 +11,16 @@ directory), one fresh process per command, and writes one JSON file:
   every ``PANEL`` field of ``bench/panel.py`` and for ``T^4 - 2*T^2 - 2``,
   which has a purely imaginary root;
 * ``units``: stdout and exit code of ``otkit units <poly> --format json`` for
-  ``T^5 - T - c``, c = 1, 3, 5, 7 (two complex places);
+  ``T^5 - T - c``, c = 1, 3, 5, 7 (two complex places), for the published
+  s = 4 and s = 5 minimal-volume fields (unit ranks 4 and 5), and for
+  ``T^6 - T - 1`` (degree 6 with no proven regulator floor);
 * ``scan``: stdout and exit code of ``otkit scan --format csv`` for
   (s, B, D) = (1, 6, 200), (2, 2, 500) and (3, 2, 4600);
 * ``commands``: stdout and exit code of one run each of ``jideal``,
-  ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``
-  and ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
-  totally positive generator comes back), keyed by the command line;
+  ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``,
+  ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
+  totally positive generator comes back) and ``paper-tables minvol``, keyed
+  by the command line;
 * ``presentation``: stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
   --presentation`` and ``reconstruct --source`` on the saved file, with the
@@ -50,7 +53,11 @@ from panel import LEDGER, PANEL  # noqa: E402
 SCANS = [(1, 6, 200), (2, 2, 500), (3, 2, 4600)]
 REDUCIBLE = ["T^4 + 3*T^2 + 2", "T^3 - T + 6"]
 FIELDS = [poly for _, poly, _, _ in PANEL] + ["T^4 - 2*T^2 - 2"]
-UNITS = [f"T^5 - T - {c}" for c in (1, 3, 5, 7)]
+UNITS = [f"T^5 - T - {c}" for c in (1, 3, 5, 7)] + [
+    "T^6 - T^5 - 2*T^4 + 3*T^3 - T^2 - 2*T + 1",   # the s = 4 minimum
+    "T^7 - 3*T^5 - T^4 + T^3 + 3*T^2 + T - 1",     # the s = 5 minimum
+    "T^6 - T - 1",
+]
 COMMANDS = [
     ["jideal", "T^3 - 2*T - 7", "--format", "json"],
     ["volume", "T^4 - T^3 + 2*T - 1", "--format", "json"],
@@ -59,6 +66,7 @@ COMMANDS = [
     ["mcvol", "T^3 - T + 1", "--samples", "20000", "--seed", "1", "--format", "json"],
     ["paper-tables", "prop5index"],
     ["paper-tables", "computeJ"],
+    ["paper-tables", "minvol"],
 ]
 PRESENTED = "T^3 - T + 2"
 WORKERS = 2
