@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from mpmath import iv, mp, mpf
+from mpmath.libmp import to_int
 
 from .config import working_precision
 
@@ -148,13 +149,11 @@ class RealBall:
 
     def floor_strict(self) -> int | None:
         """The integer n with [self] inside [n, n+1), or None if undecidable."""
-        import math
-
-        lo = math.floor(self.lower)
-        hi = math.floor(self.upper)
-        if lo == hi:
-            return int(lo)
-        return None
+        if not (mp.isfinite(self.lower) and mp.isfinite(self.upper)):
+            return None
+        # exact: math.floor would round an mpf through float64
+        lo, hi = (to_int(x, "f") for x in self.v._mpi_)
+        return lo if lo == hi else None
 
 
 class ComplexBall:

@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         if poly:
             p.add_argument("poly", help="defining polynomial, e.g. 'T^3 - T + 1'")
         p.add_argument("--precision", type=_precision_bits, default=DEFAULT_PRECISION,
-                       help="working precision in bits (env OTKIT_PRECISION)")
+                       help="working precision in bits")
         if fmt:
             p.add_argument("--format", choices=("json", "csv", "text"), default="text")
         if units:

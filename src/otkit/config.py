@@ -1,25 +1,13 @@
-"""Working precision: its default, its scope, and escalation."""
+"""Working precision: its default and its scope."""
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
 from mpmath import iv
 
 MIN_PRECISION = 64
-
-
-def _env_precision() -> int:
-    raw = os.environ.get("OTKIT_PRECISION", "")
-    try:
-        bits = int(raw)
-    except ValueError:
-        return 192
-    return max(MIN_PRECISION, bits)
-
-
-DEFAULT_PRECISION = _env_precision()
+DEFAULT_PRECISION = 192
 
 iv.prec = DEFAULT_PRECISION
 
@@ -44,19 +32,3 @@ def precision(bits: int):
 
 class PrecisionError(ArithmeticError):
     """A decision could not be made even after escalating precision."""
-
-
-def decide(compute, max_bits: int):
-    """Evaluate ``compute()`` at increasing precision until it returns non-None.
-
-    ``compute`` must return None exactly when the current precision is
-    insufficient to decide its answer.
-    """
-    bits = working_precision()
-    while bits <= max_bits:
-        with precision(bits):
-            out = compute()
-        if out is not None:
-            return out
-        bits *= 2
-    raise PrecisionError(f"undecidable even at {max_bits} bits")

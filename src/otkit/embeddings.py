@@ -5,11 +5,16 @@ from __future__ import annotations
 from itertools import permutations, product
 
 import numpy as np
+from mpmath import mpf
 
 from .balls import ComplexBall, RealBall
+from .config import PrecisionError, precision
 from .orders import OrderElement, SubOrder
 from .polynomials import IntPolynomial
 from .roots import EmbeddingSet, isolate_roots
+
+MAX_BITS = 16384                # the one cap on every escalation
+LOG_RADIUS = mpf(2) ** -64      # the widest log enclosure log_vector returns
 
 
 def _dot(values, coeffs, zero):
@@ -20,17 +25,52 @@ def _dot(values, coeffs, zero):
 class EmbeddingTable:
     """The Minkowski matrix of an order basis, as ball rows: one per real
     place, then a Re and an Im row per complex place (upper root).  Every
-    embedding of an element is a dot product of its coordinates with them."""
+    embedding of an element is a dot product of its coordinates with them.
+
+    The table owns its precision: ``at(bits)`` is the same table with its
+    roots refined, and ``decide`` escalates through those tables.  No other
+    code raises an embedding's precision.
+    """
 
     def __init__(self, order: SubOrder, emb: EmbeddingSet | None = None):
         self.order = order
         self.emb = emb or isolate_roots(order.ambient.f)
+        self.bits = self.emb.precision_bits
         self.s = self.emb.s
         self.t = self.emb.t
-        self.rows = [self._basis_values(r) for r in self.emb.real]
-        for z in self.emb.complex_upper:
-            vals = self._basis_values(z)
-            self.rows += [[v.re for v in vals], [v.im for v in vals]]
+        self._finer: dict[int, EmbeddingTable] = {}   # shared by all refinements
+        with precision(self.bits):
+            self.rows = [self._basis_values(r) for r in self.emb.real]
+            for z in self.emb.complex_upper:
+                vals = self._basis_values(z)
+                self.rows += [[v.re for v in vals], [v.im for v in vals]]
+
+    def at(self, bits: int) -> "EmbeddingTable":
+        """This table at ``bits`` of precision (itself when it has as many)."""
+        if bits <= self.bits:
+            return self
+        if bits not in self._finer:
+            tb = EmbeddingTable(self.order, self.emb.refine(bits))
+            tb._finer = self._finer
+            self._finer[bits] = tb
+        return self._finer[bits]
+
+    def decide(self, question):
+        """``question(tb)`` at tb.bits, for tb this table, then at twice its
+        bits and so on up to MAX_BITS; the first answer other than None.
+
+        ``question`` returns None exactly when tb's precision cannot decide
+        its answer.  Raises PrecisionError past the cap.
+        """
+        bits = self.bits
+        while bits <= MAX_BITS:
+            tb = self.at(bits)
+            with precision(bits):
+                out = question(tb)
+            if out is not None:
+                return out
+            bits *= 2
+        raise PrecisionError(f"undecidable even at {MAX_BITS} bits")
 
     def _basis_values(self, x):
         """Values of the basis elements at the place of the root x."""
@@ -49,21 +89,22 @@ class EmbeddingTable:
         return ComplexBall(self.real_value(x, i), self.real_value(x, i + 1))
 
     def log_vector(self, u: OrderElement) -> list[RealBall]:
-        """Weighted log embedding: log|sigma| at real places, 2 log|sigma| at complex."""
-        out = [abs(self.real_value(u, j)).log() for j in range(self.s)]
-        for j in range(self.t):
-            out.append(self.complex_value(u, j).abs2().log())
-        return out
+        """Weighted log embedding: log|sigma| at real places, 2 log|sigma| at
+        complex; each enclosure finite and of radius at most 2^-64."""
+        def logs(tb):
+            out = [abs(tb.real_value(u, j)).log() for j in range(tb.s)]
+            out += [tb.complex_value(u, j).abs2().log() for j in range(tb.t)]
+            return out if all(x.upper - x.lower <= 2 * LOG_RADIUS for x in out) else None
 
-    def sign_vector(self, u: OrderElement) -> list[int] | None:
-        """Real-place signs as F2 bits (1 = negative); None when undecided."""
-        bits = []
-        for j in range(self.s):
-            sg = self.real_value(u, j).sign()
-            if sg is None or sg == 0:
-                return None
-            bits.append(1 if sg < 0 else 0)
-        return bits
+        return self.decide(logs)
+
+    def sign_vector(self, u: OrderElement) -> list[int]:
+        """Real-place signs of a nonzero u as F2 bits (1 = negative)."""
+        def signs(tb):
+            sg = [tb.real_value(u, j).sign() for j in range(tb.s)]
+            return None if None in sg or 0 in sg else [1 if x < 0 else 0 for x in sg]
+
+        return self.decide(signs)
 
     def minkowski_matrix(self) -> list[list[RealBall]]:
         """Square matrix with basis columns: real rows, then Re/Im rows per complex place."""

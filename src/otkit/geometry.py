@@ -17,8 +17,8 @@ from math import prod
 import numpy as np
 from mpmath import mp
 
-from .balls import RealBall, ball_det, ball_pi, ball_solve
-from .config import PrecisionError, decide, precision, working_precision
+from .balls import ComplexBall, RealBall, ball_det, ball_pi, ball_solve
+from .config import PrecisionError
 from .embeddings import EmbeddingTable
 from .factorint import trial_factor
 from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
@@ -71,12 +71,9 @@ def _log_matrix(table: EmbeddingTable, gens) -> list[list[RealBall]]:
     exactly 2^s times the regulator; this is the normalization behind the
     closed-form volume.  (The squares of the totally positive generators
     span a finer quantity whenever the unit sign group is nontrivial, so
-    they are not used here.)  The logs are taken at the precision of the
-    table's roots: a large unit has large coordinates and a tiny embedding,
-    whose enclosure touches zero at fewer bits, and for its square.
+    they are not used here.)
     """
-    with precision(max(working_precision(), table.emb.precision_bits)):
-        cols = [table.log_vector(g)[:table.s] for g in gens]
+    cols = [table.log_vector(g)[:table.s] for g in gens]
     return [list(row) for row in zip(*cols)]
 
 
@@ -231,38 +228,39 @@ def reduce_to_domain(point, dom: FundamentalDomainData):
     with the group element acting as z |-> sigma(eps^e) z + sigma(a).
     """
     s = dom.s
-    order = dom.order
-    table = dom.table
     pts = [(_to_ball(z.real), _to_ball(z.imag)) for z in _as_complex_list(point, s)]
     for j in range(s):
         if not pts[j][1].is_positive():
             raise ValueError("upper-half-plane coordinates need positive imaginary part")
 
-    def attempt():
+    def question(tb):
         try:
-            return _reduce_once(pts, dom, s, order, table)
+            return _reduce_once(pts, dom, tb)
         except ArithmeticError:
             return None
 
-    return decide(attempt, 1 << 14)
+    return dom.table.decide(question)
 
 
-def _reduce_once(pts, dom, s, order, table):
+def _reduce_once(pts, dom, tb):
+    """One reduction with the unit and translation values of ``tb``; None
+    when a floor or a sign is undecided at its precision."""
+    s, order = dom.s, dom.order
     r = [pts[j][1].log() / 2 for j in range(s)]
     beta = ball_solve(dom.L, r)
     ns = _floor_vector(beta)
     if ns is None:
         return None
     w = order.power_product(dom.eps, [-e for e in ns])
-    scale_r = [table.real_value(w, j) for j in range(s)]
+    scale_r = [tb.real_value(w, j) for j in range(s)]
+    # w is totally positive, yet the floors of alpha below can be decided
+    # while a tiny sigma(w) straddles zero
     if not all(v.is_positive() for v in scale_r):
-        return None     # w is totally positive; a tiny sigma(w) went undecided
-    scale_c = table.complex_value(w, 0)
+        return None
+    scale_c = tb.complex_value(w, 0)
     zs = []
     for j in range(s):
         zs.append((pts[j][0] * scale_r[j], pts[j][1] * scale_r[j]))
-    from .balls import ComplexBall
-
     zc = ComplexBall(pts[s][0], pts[s][1]) * scale_c
     # fiber coordinates: x_j (real places) and the complex coordinate
     target = [zs[j][0] for j in range(s)] + [zc.re, zc.im]
@@ -271,8 +269,8 @@ def _reduce_once(pts, dom, s, order, table):
     if ms is None:
         return None
     a = order.element([-m for m in ms])
-    shift_r = [table.real_value(a, j) for j in range(s)]
-    shift_c = table.complex_value(a, 0)
+    shift_r = [tb.real_value(a, j) for j in range(s)]
+    shift_c = tb.complex_value(a, 0)
     reduced = []
     for j in range(s):
         reduced.append(complex(float(zs[j][0] + shift_r[j]), float(zs[j][1])))

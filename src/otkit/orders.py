@@ -10,11 +10,11 @@ discriminant; an unfactored discriminant cofactor makes the result
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import intmat
 from .factorint import square_divisor_primes
-from .intmat import charpoly, det_bareiss, hnf, kernel_mod_p
+from .intmat import det_bareiss, hnf, kernel_mod_p
 from .polynomials import IntPolynomial, count_real_roots, is_irreducible, poly_discriminant
 
 
@@ -233,19 +233,6 @@ class SubOrder:
         return [Fraction(sum(self.basis_num[r][c] * x.coords[c] for c in range(self.n)),
                          self.den) for r in range(self.n)]
 
-    def coerce(self, x: OrderElement) -> OrderElement:
-        """Move an element from another order over the same field into this one."""
-        if x.order is self:
-            return x
-        if x.order.ambient.f != self.ambient.f:
-            raise ValueError("element lives over a different defining polynomial")
-        vec = x.order.to_power_fractions(x)
-        den = lcm(*(v.denominator for v in vec))
-        out = self.from_power_coords([int(v * den) for v in vec], den)
-        if out is None:
-            raise ValueError("element is not integral in the target order")
-        return out
-
     def multiply(self, x: OrderElement, y: OrderElement) -> OrderElement:
         n = self.n
         out = [0] * n
@@ -314,9 +301,6 @@ class SubOrder:
     def trace(self, x: OrderElement) -> int:
         M = self.mult_matrix(x)
         return sum(M[i][i] for i in range(self.n))
-
-    def char_poly(self, x: OrderElement) -> IntPolynomial:
-        return IntPolynomial(charpoly(self.mult_matrix(x)))
 
     def is_unit(self, x: OrderElement) -> bool:
         return abs(self.norm(x)) == 1

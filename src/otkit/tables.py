@@ -204,9 +204,13 @@ def regen_minvol() -> list[CellCheck]:
         pref = volume_prefactor(s)
         v2 = float((RealBall(pref) * RealBall(row["disc_2nd"]).sqrt()
                     * RealBall(row["reg_floor"])).mid())
+        # a second-volume bound below the first volume leaves room for a
+        # smaller field
+        note = "" if v2 > got else "below vol1st: does not prove the minimum"
         checks.append(CellCheck("minvol", f"v2nd_s{s}", row["v2nd_bound"],
                                 mp.nstr(v2, 8),
-                                _float_cell_ok(row["v2nd_bound"], v2, abs_tol=1e-4)))
+                                _float_cell_ok(row["v2nd_bound"], v2, abs_tol=1e-4),
+                                note))
     return checks
 
 

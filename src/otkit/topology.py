@@ -107,10 +107,6 @@ def presentation_from_field(order: SubOrder, gens) -> GroupPresentation:
     return GroupPresentation(mats)
 
 
-def group_identity(p: GroupPresentation) -> SemidirectElement:
-    return SemidirectElement([0] * p.lattice_rank, [0] * p.free_rank)
-
-
 def group_multiply(a: SemidirectElement, b: SemidirectElement,
                    p: GroupPresentation) -> SemidirectElement:
     u = [x + y for x, y in zip(a.u, intmat.mat_vec(p.rho(a.v), list(b.u)))]

@@ -28,7 +28,7 @@ from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd
 
 from . import intmat
 from .balls import RealBall, ball_det
-from .config import PrecisionError, decide, precision, working_precision
+from .config import PrecisionError
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder, signature
@@ -102,17 +102,6 @@ class IdealHNF:
     def contains(self, x: OrderElement) -> bool:
         return intmat.solve_hnf(self.basis, list(x.coords)) is not None
 
-    def module_closed(self) -> bool:
-        """O-module check: every basis-column times every order generator stays inside."""
-        n = self.order.n
-        for c in range(n):
-            col = self.order.element([self.basis[r][c] for r in range(n)])
-            for i in range(n):
-                e = self.order.element([1 if j == i else 0 for j in range(n)])
-                if not self.contains(col * e):
-                    return False
-        return True
-
     def __eq__(self, other):
         return isinstance(other, IdealHNF) and self.basis == other.basis
 
@@ -149,13 +138,6 @@ class _UnitLattice:
         self.gens: list[OrderElement] = []
         self._logs: list[list[float]] = []
 
-    def _logvec(self, u) -> list[float]:
-        out = [float(x.mid()) for x in self.table.log_vector(u)[: self.rank]]
-        if not all(np.isfinite(v) for v in out):
-            # an embedding enclosure touched zero: logs are unusable
-            raise PrecisionError("log vector not finite at this precision")
-        return out
-
     def logs_of(self, exps) -> list[float]:
         """The float log vector of the power product of the generators."""
         return [sum(e * lg[j] for e, lg in zip(exps, self._logs)) for j in range(self.rank)]
@@ -167,7 +149,7 @@ class _UnitLattice:
             raise ValueError("inserting a non-unit into the unit lattice")
         if len(self.gens) >= self.rank or u.is_pm_one():
             return False
-        lam = np.array(self._logvec(u))
+        lam = np.array([float(x.mid()) for x in self.table.log_vector(u)[:self.rank]])
         if self.gens:
             A = np.array(self._logs).T
             try:
@@ -316,48 +298,45 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
         logs = [float(x.mid()) for x in table.log_vector(v)[:s + t - 1]]
     # the weighted logs of a unit sum to 0, which gives the last place's log
     max_log = max(abs(x) for x in [*logs, sum(logs)])
-    if not np.isfinite(max_log):
-        raise PrecisionError("log vector not finite in root extraction")
     # v's coordinates are near e^max_log and its smallest embedding can be
     # near e^-max_log: deciding its signs takes both ranges
-    bits = max(working_precision(), int(2 * max_log / 0.693) + 160)
-    with precision(bits):
-        emb = table.emb.refine(bits)
-        tb = table if emb is table.emb else EmbeddingTable(order, emb)
+    def places(tb):
         rvals = [tb.real_value(v, j) for j in range(s)]
-        signs = [b.sign() for b in rvals]
-        if None in signs:
-            raise PrecisionError("undecided embedding sign in root extraction")
-        if k % 2 == 0:
-            if len(set(signs)) > 1:
-                return None  # an even power is totally positive, and +-v is not
-            if signs and signs[0] < 0:
-                v = -v
-        with mp.workprec(bits):
-            mink = tb.minkowski_matrix()
-            inv = (mp.matrix([[x.mid() for x in row] for row in mink]) ** -1).tolist()
-            reals = []
-            for sg, b in zip(signs, rvals):
-                m = mp.exp(mp.log(abs(b).mid()) / k)
-                reals.append((m, -m) if k % 2 == 0 else (sg * m,))
-            cplx = []
-            for j in range(t):
-                z = tb.complex_value(v, j)
-                rho = mp.exp(mp.log(z.abs2().mid()) / (2 * k))
-                phi = mp.atan2(z.im.mid(), z.re.mid())
-                angles = [phi / k + 2 * mp.pi * l / k for l in range(k)]
-                cplx.append([(rho * mp.cos(a), rho * mp.sin(a)) for a in angles])
-            # the order fixes which of +-w comes back, so the printed generators:
-            # sign choices with place 0 varying fastest, then phases
-            for combo in product(*reversed(reals), *cplx):
-                rhs = [*combo[:s][::-1], *(x for z in combo[s:] for x in z)]
-                coords = [int(mp.nint(mp.fdot(row, rhs))) for row in inv]
-                if not any(coords):
-                    continue
-                w = order.element(coords)
-                wk = w ** k
-                if wk == v or wk == -v:
-                    return w
+        if any(b.sign() is None for b in rvals):
+            return None
+        return tb, rvals, [tb.complex_value(v, j) for j in range(t)]
+
+    tb, rvals, cvals = table.at(int(2 * max_log / 0.693) + 160).decide(places)
+    signs = [b.sign() for b in rvals]
+    if k % 2 == 0:
+        if len(set(signs)) > 1:
+            return None  # an even power is totally positive, and +-v is not
+        if signs and signs[0] < 0:
+            v, cvals = -v, [-z for z in cvals]
+    with mp.workprec(tb.bits):
+        mink = tb.minkowski_matrix()
+        inv = (mp.matrix([[x.mid() for x in row] for row in mink]) ** -1).tolist()
+        reals = []
+        for sg, b in zip(signs, rvals):
+            m = mp.exp(mp.log(abs(b).mid()) / k)
+            reals.append((m, -m) if k % 2 == 0 else (sg * m,))
+        cplx = []
+        for z in cvals:
+            rho = mp.exp(mp.log(z.abs2().mid()) / (2 * k))
+            phi = mp.atan2(z.im.mid(), z.re.mid())
+            angles = [phi / k + 2 * mp.pi * l / k for l in range(k)]
+            cplx.append([(rho * mp.cos(a), rho * mp.sin(a)) for a in angles])
+        # the order fixes which of +-w comes back, so the printed generators:
+        # sign choices with place 0 varying fastest, then phases
+        for combo in product(*reversed(reals), *cplx):
+            rhs = [*combo[:s][::-1], *(x for z in combo[s:] for x in z)]
+            coords = [int(mp.nint(mp.fdot(row, rhs))) for row in inv]
+            if not any(coords):
+                continue
+            w = order.element(coords)
+            wk = w ** k
+            if wk == v or wk == -v:
+                return w
     return None
 
 
@@ -504,12 +483,7 @@ def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
     """
     s = table.s
     r = len(gens)
-    sign_cols = []
-    for g in gens:
-        sv = table.sign_vector(g)
-        if sv is None:
-            raise PrecisionError("undecided unit sign")
-        sign_cols.append(sv)
+    sign_cols = [table.sign_vector(g) for g in gens]
     if s == 0:
         return list(gens)
     A = [[sign_cols[j][i] for j in range(r)] + [1] for i in range(s)]
@@ -522,8 +496,6 @@ def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
     for c in range(r):
         u = order.power_product(gens, [H[i][c] for i in range(r)])
         sv = table.sign_vector(u)
-        if sv is None:
-            raise PrecisionError("undecided sign for totally positive generator")
         if all(b == 1 for b in sv):
             u = -u
             sv = [0] * s
@@ -564,25 +536,16 @@ def torsion_group(order: SubOrder, gens) -> AbelianGroupInvariants:
 # -- orchestration --------------------------------------------------------------------
 
 
-UNIT_GROUP_MAX_BITS = 8192
-
-
 def unit_group(order: SubOrder) -> UnitGroupData:
     """Find and certify the unit group of an order.
 
-    The skewed-LLL sweep finds r independent units, and certification closes
-    their index.  Precision escalates automatically whenever a decision was
-    ambiguous.  A field with no real place raises ValueError.
+    One table, one skewed-LLL sweep to r independent units, one
+    certification of their index; every decision the table's precision
+    cannot make escalates inside the table.  A field with no real place
+    raises ValueError.
     """
     _require_real_place(signature(order.ambient.f).s)
-
-    def attempt():
-        try:
-            table = EmbeddingTable(order)
-            lattice = _UnitLattice(order, table, table.s + table.t - 1)
-            sweep_units(order, table, lattice)
-            return _certify_lattice(order, table, lattice)
-        except PrecisionError:
-            return None
-
-    return decide(attempt, UNIT_GROUP_MAX_BITS)
+    table = EmbeddingTable(order)
+    lattice = _UnitLattice(order, table, table.s + table.t - 1)
+    sweep_units(order, table, lattice)
+    return _certify_lattice(order, table, lattice)

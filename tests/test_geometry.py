@@ -5,7 +5,6 @@ import pytest
 from mpmath import mp
 
 import otkit.geometry
-from otkit.config import PrecisionError
 from otkit.embeddings import EmbeddingTable
 from otkit.factorint import trial_factor
 from otkit.geometry import (_scan_polynomials, apply_group_element, domain_contains,
@@ -61,12 +60,13 @@ def test_large_unit_cell_and_determinant_path_are_finite(fields, poly):
     det = volume_determinant_path(order, ug).value
     assert mp.isfinite(det.lower) and mp.isfinite(det.upper)
     assert det.overlaps(ot_volume(1, abs(order.disc), ug.regulator).value)
-    # a reduction lands in the cell or says that it cannot decide
-    try:
-        red, _ = reduce_to_domain([0.3 + 1.2j, 0.1 + 0.2j], dom)
-    except PrecisionError:
-        return
-    assert domain_contains(red, dom)
+    # the reduction decides sigma(w) and its floors on refined rows
+    rng = random.Random(poly)
+    for _ in range(10):
+        pt = [complex(rng.uniform(-5, 5), rng.uniform(0.05, 6)),
+              complex(rng.uniform(-5, 5), rng.uniform(-5, 5))]
+        red, _ = reduce_to_domain(pt, dom)
+        assert domain_contains(red, dom)
 
 
 def test_mc_volume_quartic(quartic275):

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from mpmath import mpf
 
 from otkit.balls import RealBall
-from otkit.config import PrecisionError, precision
+from otkit.config import PrecisionError, precision, working_precision
 from otkit.embeddings import EmbeddingTable
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial
@@ -186,6 +187,33 @@ def test_refine_reaches_requested_width():
     (lo, hi), = e._real_intervals
     (a, b, c, d), = e._complex_rects
     assert max(_log2_width(lo, hi), _log2_width(a, b), _log2_width(c, d)) < -16384
+
+
+@pytest.mark.parametrize("ball, floor", [
+    (RealBall(2 ** 60 + Fraction(7, 2)), 2 ** 60 + 3),
+    (RealBall(3 - Fraction(1, 2 ** 100)), 2),
+    (RealBall(-Fraction(1, 2 ** 100)), -1),
+])
+def test_floor_strict_is_exact(ball, floor):
+    # these floors are wrong through float64: 2^60 and 3 for the first two
+    assert ball.floor_strict() == floor
+
+
+def test_table_escalates_through_its_refinements():
+    order, table = _table("T^3 - T + 1")
+    assert table.at(table.bits) is table and table.bits == 192
+    asked = []
+
+    def undecided(tb):
+        asked.append((tb.bits, tb.emb.precision_bits, working_precision()))
+
+    with pytest.raises(PrecisionError):
+        table.decide(undecided)
+    bits = [192 * 2 ** i for i in range(7)]
+    assert asked == [(b, b, b) for b in bits]
+    # the refinements are cached, and shared with the refined tables
+    assert table.at(384).at(768) is table.at(768)
+    assert all(r.contains(f) for r, f in zip(table.rows[0], table.at(768).rows[0]))
 
 
 def test_refinement_raises_below_working_precision():

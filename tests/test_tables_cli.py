@@ -37,6 +37,11 @@ def test_regen_minvol():
     # every row recomputed: disc, volume and second-volume bound for s = 1..5
     assert [c.cell for c in checks] == [f"{cell}_s{s}" for s in range(1, 6)
                                         for cell in ("disc1st", "vol1st", "v2nd")]
+    # for s = 4 and 5 the second-volume bound is below the first volume
+    notes = {c.cell: c.note for c in checks if c.cell.startswith("v2nd")}
+    assert notes == {"v2nd_s1": "", "v2nd_s2": "", "v2nd_s3": "",
+                     "v2nd_s4": "below vol1st: does not prove the minimum",
+                     "v2nd_s5": "below vol1st: does not prove the minimum"}
 
 
 def test_cli_field_text(capsys):
@@ -269,25 +274,6 @@ def test_cli_precision_reaches_the_computation(capsys):
         return float(json.loads(capsys.readouterr().out)["regulator"]["rad"])
 
     assert regulator_rad("--precision", "320") < regulator_rad()
-
-
-def test_env_precision_override():
-    import os
-    import subprocess
-    import sys
-
-    env = dict(os.environ, OTKIT_PRECISION="256")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from otkit.config import DEFAULT_PRECISION; print(DEFAULT_PRECISION)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "256"
-    env["OTKIT_PRECISION"] = "16"  # clamped to the minimum
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from otkit.config import DEFAULT_PRECISION; print(DEFAULT_PRECISION)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "64"
 
 
 def test_precision_sets_and_restores_interval_context():

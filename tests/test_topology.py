@@ -10,7 +10,7 @@ from otkit.topology import (DegenerateCompositumError, GroupPresentation,
                             SemidirectElement, commutator,
                             commutator_sample_closure, compositum,
                             cubic_galois_closure_degree,
-                            example_compositum_action, group_identity,
+                            example_compositum_action,
                             group_inverse, group_multiply, h1,
                             mobius_action_check, presentation_from_field,
                             reconstruct_minpoly)
@@ -41,7 +41,7 @@ def test_group_law_and_commutator(f2_field):
     order, ug, p = _presentation(f2_field)[0], f2_field[3], None
     p = presentation_from_field(order, ug.totally_positive_generators)
     rng = random.Random(2)
-    e = group_identity(p)
+    e = SemidirectElement([0] * p.lattice_rank, [0] * p.free_rank)
     for _ in range(12):
         a = SemidirectElement([rng.randint(-3, 3) for _ in range(3)],
                               [rng.randint(-2, 2)])

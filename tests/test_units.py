@@ -2,11 +2,13 @@ import random
 from itertools import product
 
 import pytest
+from mpmath import mpf
 from sympy import isprime
 
+import otkit.embeddings
 import otkit.unitgroup
 from otkit.embeddings import EmbeddingTable
-from otkit.intmat import hnf
+from otkit.intmat import charpoly, hnf
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.roots import isolate_roots
@@ -271,7 +273,12 @@ def test_j_is_module_and_matches_torsion(f2_field):
     order, _, _, ug = f2_field
     gens = ug.totally_positive_generators
     J = j_ideal(order, gens)
-    assert J.module_closed()
+    # an O-module: each basis column times each order basis element stays in J
+    n = order.n
+    for c in range(n):
+        col = order.element([J.basis[r][c] for r in range(n)])
+        assert all(J.contains(col * order.element([int(i == j) for j in range(n)]))
+                   for i in range(n))
     assert J.norm == torsion_group(order, gens).order_of_torsion == 4
 
 
@@ -282,7 +289,7 @@ def test_curiosity_norm_identity():
         g = ug.totally_positive_generators[0]
         J = j_ideal(order, [g])
         norm_direct = abs(order.norm(order.one() - g))
-        cp = order.char_poly(g)
+        cp = P(charpoly(order.mult_matrix(g)))
         norm_res = abs(resultant(cp, P([1, -1])))
         assert J.norm == norm_direct == norm_res
 
@@ -344,8 +351,32 @@ def test_big_regulator_field_certified():
     assert index == 2
     assert ug.certified_index_bound == 1
     assert abs(float(ug.regulator.mid()) - 62.2798080973) < 1e-6
+    # the generator's logs come from the refined table, not the 192-bit one
+    assert ug.regulator.rad() < mpf(2) ** -64
     J = j_ideal(order, ug.totally_positive_generators)
     assert J.norm == 2 ** 2 * 5 ** 2 * 7 * 967 * 1649120827309715616889
+
+
+def test_one_sweep_and_one_root_isolation(monkeypatch):
+    # the last unit of the sweep needs 384 bits for its logs: the table
+    # refines itself instead of the sweep restarting at 384 bits
+    calls = {"isolate_roots": 0, "_sweep_lll": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(otkit.embeddings, "isolate_roots")
+    counted(otkit.unitgroup, "_sweep_lll")
+    order, _, _ = maximalize(build_order(P.parse("T^3 - 3*T^2 - 3*T - 166")))
+    ug = unit_group(order)
+    assert ug.certified_index_bound == 1
+    assert calls == {"isolate_roots": 1, "_sweep_lll": 94}
 
 
 def test_unit_group_escalates_from_low_precision():
@@ -377,7 +408,7 @@ def test_characters_leave_no_root_extraction(monkeypatch):
 
 def test_kth_root_of_a_unit_with_a_tiny_complex_embedding():
     # the 43-digit fundamental unit's log enclosure at the complex place is
-    # infinite at the default precision; its logs come from the real place
+    # infinite at the default precision, so the table refines its roots
     order, _, _, ug = _field("T^3 + T^2 - 5*T + 114")
     g = ug.generators[0]
     assert _try_kth_root(order, EmbeddingTable(order), g, 2) is None

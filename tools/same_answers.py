@@ -75,7 +75,6 @@ WORKERS = 2
 def otkit(args: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one ``otkit`` command."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("OTKIT_PRECISION", None)
     proc = subprocess.run([sys.executable, "-m", "otkit.cli", *args],
                           capture_output=True, text=True, env=env, cwd=ROOT)
     return proc.returncode, proc.stdout, proc.stderr
