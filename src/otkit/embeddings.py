@@ -57,20 +57,22 @@ class EmbeddingTable:
 
     def decide(self, question):
         """``question(tb)`` at tb.bits, for tb this table, then at twice its
-        bits and so on up to MAX_BITS; the first answer other than None.
+        bits and so on, last at the cap: MAX_BITS, or this table's bits if
+        more.  Returns the first answer other than None.
 
         ``question`` returns None exactly when tb's precision cannot decide
-        its answer.  Raises PrecisionError past the cap.
+        its answer.  Raises PrecisionError when the cap cannot.
         """
-        bits = self.bits
-        while bits <= MAX_BITS:
+        bits, cap = self.bits, max(MAX_BITS, self.bits)
+        while True:
             tb = self.at(bits)
             with precision(bits):
                 out = question(tb)
             if out is not None:
                 return out
-            bits *= 2
-        raise PrecisionError(f"undecidable even at {MAX_BITS} bits")
+            if bits == cap:
+                raise PrecisionError(f"undecidable even at {cap} bits")
+            bits = min(2 * bits, cap)
 
     def _basis_values(self, x):
         """Values of the basis elements at the place of the root x."""

@@ -28,7 +28,6 @@ from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd
 
 from . import intmat
 from .balls import RealBall, ball_det
-from .config import PrecisionError
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder, signature
@@ -152,10 +151,7 @@ class _UnitLattice:
         lam = np.array([float(x.mid()) for x in self.table.log_vector(u)[:self.rank]])
         if self.gens:
             A = np.array(self._logs).T
-            try:
-                c, *_ = np.linalg.lstsq(A, lam, rcond=None)
-            except np.linalg.LinAlgError as exc:
-                raise PrecisionError(f"least squares failed: {exc}") from exc
+            c, *_ = np.linalg.lstsq(A, lam, rcond=None)
             if np.linalg.norm(lam - A @ c) <= 1e-6 * max(1.0, np.linalg.norm(lam)):
                 return False
         self.gens.append(u)
@@ -174,16 +170,16 @@ class _UnitLattice:
 def regulator_of(table: EmbeddingTable, gens) -> RealBall:
     """|det| of the weighted log matrix over the first s+t-1 places."""
     r = len(gens)
-    rows = [table.log_vector(g)[:r] for g in gens]
-    M = [[rows[i][j] for i in range(r)] for j in range(r)]
-    try:
-        det = ball_det(M)
-    except ArithmeticError as exc:
-        raise PrecisionError(str(exc)) from exc
-    reg = abs(det)
-    if reg.contains_zero():
-        raise PrecisionError("regulator enclosure touches zero")
-    return reg
+
+    def regulator(tb):
+        rows = [tb.log_vector(g)[:r] for g in gens]
+        try:
+            reg = abs(ball_det([[rows[i][j] for i in range(r)] for j in range(r)]))
+        except ArithmeticError:      # a pivot straddles zero
+            return None
+        return None if reg.contains_zero() else reg
+
+    return table.decide(regulator)
 
 
 # -- skewed-LLL sweep ----------------------------------------------------------
@@ -298,34 +294,41 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
         logs = [float(x.mid()) for x in table.log_vector(v)[:s + t - 1]]
     # the weighted logs of a unit sum to 0, which gives the last place's log
     max_log = max(abs(x) for x in [*logs, sum(logs)])
-    # v's coordinates are near e^max_log and its smallest embedding can be
-    # near e^-max_log: deciding its signs takes both ranges
-    def places(tb):
-        rvals = [tb.real_value(v, j) for j in range(s)]
-        if any(b.sign() is None for b in rvals):
-            return None
-        return tb, rvals, [tb.complex_value(v, j) for j in range(t)]
+    even = k % 2 == 0
 
-    tb, rvals, cvals = table.at(int(2 * max_log / 0.693) + 160).decide(places)
-    signs = [b.sign() for b in rvals]
-    if k % 2 == 0:
-        if len(set(signs)) > 1:
-            return None  # an even power is totally positive, and +-v is not
-        if signs and signs[0] < 0:
-            v, cvals = -v, [-z for z in cvals]
-    with mp.workprec(tb.bits):
-        mink = tb.minkowski_matrix()
-        inv = (mp.matrix([[x.mid() for x in row] for row in mink]) ** -1).tolist()
-        reals = []
-        for sg, b in zip(signs, rvals):
-            m = mp.exp(mp.log(abs(b).mid()) / k)
-            reals.append((m, -m) if k % 2 == 0 else (sg * m,))
-        cplx = []
-        for z in cvals:
-            rho = mp.exp(mp.log(z.abs2().mid()) / (2 * k))
-            phi = mp.atan2(z.im.mid(), z.re.mid())
-            angles = [phi / k + 2 * mp.pi * l / k for l in range(k)]
-            cplx.append([(rho * mp.cos(a), rho * mp.sin(a)) for a in angles])
+    # v's coordinates are near e^max_log and its smallest embedding can be
+    # near e^-max_log: deciding its signs takes both ranges, and so does
+    # every value below, all taken at tb's precision
+    def roots_at_places(tb):
+        rvals = [tb.real_value(v, j) for j in range(s)]
+        signs = [b.sign() for b in rvals]
+        if None in signs:
+            return None
+        # an even power is totally positive: its phases are those of +-v's
+        flip = -1 if even and signs and signs[0] < 0 else 1
+        with mp.workprec(tb.bits):
+            inv = (mp.matrix([[x.mid() for x in row] for row in tb.rows]) ** -1).tolist()
+            reals = []
+            for sg, b in zip(signs, rvals):
+                m = mp.exp(mp.log(abs(b).mid()) / k)
+                reals.append((m, -m) if even else (sg * m,))
+            cplx = []
+            for j in range(t):
+                z = tb.complex_value(v, j)
+                rho = mp.exp(mp.log(z.abs2().mid()) / (2 * k))
+                phi = mp.atan2(flip * z.im.mid(), flip * z.re.mid())
+                # the k roots: one, then successive turns by e^(2 pi i / k)
+                roots, turn = [mp.rect(rho, phi / k)], mp.expjpi(mp.mpf(2) / k)
+                while len(roots) < k:
+                    roots.append(roots[-1] * turn)
+                cplx.append([(w.real, w.imag) for w in roots])
+        return tb.bits, signs, inv, reals, cplx
+
+    bits, signs, inv, reals, cplx = \
+        table.at(int(2 * max_log / 0.693) + 160).decide(roots_at_places)
+    if even and len(set(signs)) > 1:
+        return None  # an even power is totally positive, and +-v is not
+    with mp.workprec(bits):
         # the order fixes which of +-w comes back, so the printed generators:
         # sign choices with place 0 varying fastest, then phases
         for combo in product(*reversed(reals), *cplx):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from mpmath import mpf
 
+import otkit.embeddings
 from otkit.balls import RealBall
 from otkit.config import PrecisionError, precision, working_precision
 from otkit.embeddings import EmbeddingTable
@@ -209,11 +210,24 @@ def test_table_escalates_through_its_refinements():
 
     with pytest.raises(PrecisionError):
         table.decide(undecided)
-    bits = [192 * 2 ** i for i in range(7)]
+    # doubling, with the last question at the cap itself
+    bits = [192 * 2 ** i for i in range(7)] + [16384]
     assert asked == [(b, b, b) for b in bits]
     # the refinements are cached, and shared with the refined tables
     assert table.at(384).at(768) is table.at(768)
     assert all(r.contains(f) for r, f in zip(table.rows[0], table.at(768).rows[0]))
+
+
+def test_a_table_above_the_cap_asks_once(monkeypatch):
+    # a table refined past MAX_BITS still asks its question at its own bits
+    monkeypatch.setattr(otkit.embeddings, "MAX_BITS", 256)
+    _, table = _table("T^3 - T + 1")
+    tb = table.at(384)
+    assert tb.decide(lambda t: t.bits) == 384
+    asked = []
+    with pytest.raises(PrecisionError):
+        table.decide(lambda t: asked.append(t.bits))
+    assert asked == [192, 256]
 
 
 def test_refinement_raises_below_working_precision():

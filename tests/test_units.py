@@ -180,11 +180,12 @@ def test_character_kernel_is_the_filtered_enumeration(quartic275, exponents):
 @pytest.mark.parametrize("poly, k", [
     ("T^3 - 2*T - 7", 13), ("T^3 - 2*T - 7", 31), ("T^3 - 2*T - 7", 67),
     ("T^3 + 2*T + 2000", 2), ("T^3 + 2*T + 2000", 13), ("T^3 + 2*T + 2000", 31),
-    ("T^3 + 2*T + 2000", 67),
+    ("T^3 + 2*T + 2000", 67), ("T^3 + 2*T + 2000", 97),
 ])
 def test_kth_root_of_a_large_power_decides_its_signs(poly, k):
     # u^k's smallest embedding is near e^-max_log and its coordinates near
-    # e^max_log, max_log = k |log|u||: its real sign needs the bits of both
+    # e^max_log, max_log = k |log|u||: its real sign needs the bits of both,
+    # past the escalation cap of 16384 bits for k = 97
     order, _, _, ug = _field(poly)
     u = ug.generators[0]
     logs = [k * float(x.mid()) for x in ug.table.log_vector(u)[:1]]
@@ -355,6 +356,19 @@ def test_big_regulator_field_certified():
     assert ug.regulator.rad() < mpf(2) ** -64
     J = j_ideal(order, ug.totally_positive_generators)
     assert J.norm == 2 ** 2 * 5 ** 2 * 7 * 967 * 1649120827309715616889
+
+
+def test_root_with_coordinates_beyond_the_working_precision():
+    # u^8's coordinates exceed 2^256: its reconstruction from u^16 takes the
+    # refined table's precision, not the working precision's 192 bits
+    order, _, _, ug = _field("T^3 + 2*T + 2000")
+    u = ug.generators[0]
+    w = u ** 8
+    assert max(abs(c) for c in w.coords) > 2 ** 256
+    assert _try_kth_root(order, ug.table, w ** 2, 2) in (w, -w)
+    cert = certify_units(order, [u ** 16], table=ug.table)
+    assert cert.certified_index_bound == 1
+    assert cert.generators[0] in (u, -u)
 
 
 def test_one_sweep_and_one_root_isolation(monkeypatch):
