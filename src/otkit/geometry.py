@@ -9,6 +9,7 @@ and the minimal-volume scan.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -23,7 +24,7 @@ from .embeddings import EmbeddingTable
 from .factorint import trial_factor
 from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
                      signature)
-from .polynomials import IntPolynomial, integer_roots, is_squarefree
+from .polynomials import IntPolynomial, NotSquarefreeError, integer_roots
 from .unitgroup import (InsufficientUnitsError, UnitGroupData,
                         torsion_group, unit_group)
 
@@ -283,6 +284,8 @@ def _as_complex_list(point, s):
     pts = [complex(z) for z in point]
     if len(pts) != s + 1:
         raise ValueError("expected s+1 coordinates")
+    if not all(map(cmath.isfinite, pts)):
+        raise ValueError("coordinates must be finite")
     return pts
 
 
@@ -413,9 +416,11 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
     degree = s + 2
     done: list[tuple[ScanRecord, EmbeddingTable]] = []   # one per proven field
     for f in _scan_polynomials(degree, coeff_bound):
-        # cheap exact filters before the irreducibility test in build_order;
-        # signature needs a squarefree f
-        if not is_squarefree(f) or signature(f) != (s, 1):
+        # a cheap exact filter before the irreducibility test in build_order
+        try:
+            if signature(f) != (s, 1):
+                continue
+        except NotSquarefreeError:
             continue
         try:
             mo = build_order(f)

@@ -15,7 +15,8 @@ from math import gcd
 from . import intmat
 from .factorint import square_divisor_primes
 from .intmat import det_bareiss, hnf, kernel_mod_p
-from .polynomials import IntPolynomial, count_real_roots, is_irreducible, poly_discriminant
+from .polynomials import (IntPolynomial, is_irreducible, poly_discriminant, sturm_count,
+                          sturm_sequence)
 
 
 class ReduciblePolynomialError(ValueError):
@@ -47,8 +48,9 @@ class Signature:
 
 
 def signature(f: IntPolynomial) -> Signature:
-    """Real/complex place counts of Q[T]/(f), by exact Sturm count."""
-    s = count_real_roots(f)
+    """Real/complex place counts of Q[T]/(f), by exact Sturm count; raises
+    NotSquarefreeError when f has a repeated root."""
+    s = sturm_count(sturm_sequence(f), None, None)
     n = f.degree
     if (n - s) % 2:
         raise ArithmeticError("inconsistent real root count")

@@ -214,9 +214,9 @@ def poly_discriminant(f: IntPolynomial) -> int:
 def _divide(f: IntPolynomial, g: IntPolynomial, scale: int = 1):
     """Quotient and remainder of ``scale * f`` by g over Z.
 
-    The one division loop: divmod by a monic g (scale 1), and the
-    pseudo-remainders of the gcd (lc(g)^(d+1)) and of the Sturm chain (an
-    even power of lc(g)). Raises ArithmeticError when a step is inexact.
+    The one division loop: divmod by a monic g (scale 1) and the
+    pseudo-remainders of the Sturm chain (an even power of lc(g)). Raises
+    ArithmeticError when a step is inexact.
     """
     r = [scale * c for c in f.coeffs]
     dg, lead = g.degree, g.leading()
@@ -234,25 +234,20 @@ def _divide(f: IntPolynomial, g: IntPolynomial, scale: int = 1):
     return IntPolynomial(q), IntPolynomial(r)
 
 
-def poly_gcd(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Z (positive leading coefficient)."""
-    a, b = (f, g) if f.degree >= g.degree else (g, f)
-    a, b = a.primitive(), b.primitive()
-    while not b.is_zero():
-        rem = _divide(a, b, b.leading() ** (a.degree - b.degree + 1))[1]
-        a, b = b, rem.primitive()
-    return a
-
-
-def is_squarefree(f: IntPolynomial) -> bool:
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
 # ---- Sturm sequences -----------------------------------------------------
 
 
+class NotSquarefreeError(ValueError):
+    """Raised for inputs with repeated roots, which have no Sturm chain."""
+
+
 def sturm_sequence(f: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm chain of a squarefree polynomial, integer-scaled by positive factors."""
+    """Sturm chain of f, integer-scaled by positive factors.
+
+    The chain is the one remainder sequence of f and f': its last element is
+    gcd(f, f') up to a constant, so NotSquarefreeError is raised when that
+    element is not constant.
+    """
     seq = [f, f.derivative()]
     while seq[-1].degree > 0:
         a, b = seq[-2], seq[-1]
@@ -260,7 +255,7 @@ def sturm_sequence(f: IntPolynomial) -> list[IntPolynomial]:
         scale = b.leading() ** (2 * ((a.degree - b.degree + 2) // 2))
         rem = _divide(a, b, scale)[1]
         if rem.is_zero():
-            break
+            raise NotSquarefreeError(f"{f.format()} has repeated roots")
         g = rem.content()
         seq.append(IntPolynomial([-c // g for c in rem.coeffs]))
     return seq
@@ -271,32 +266,18 @@ def _sign_variations(vals) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
 
-def sturm_count(f: IntPolynomial, a: Fraction | None, b: Fraction | None) -> int:
-    """Number of real roots of squarefree ``f`` in (a, b]; None means +-infinity."""
-    seq = sturm_sequence(f)
+def sturm_count(chain: list[IntPolynomial], a: Fraction | None,
+                b: Fraction | None) -> int:
+    """Number of real roots in (a, b] of the polynomial whose Sturm chain is
+    ``chain``; None means +-infinity."""
+    def variations(x, sign):
+        if x is not None:
+            return _sign_variations([p(Fraction(x)) for p in chain])
+        # the sign of each p at +-infinity: that of its leading term
+        return _sign_variations([p.leading() * (sign if p.degree % 2 else 1)
+                                 for p in chain])
 
-    def vals_at(x):
-        if x is None:
-            return None
-        return [p(Fraction(x)) for p in seq]
-
-    def vals_at_inf(sign):
-        out = []
-        for p in seq:
-            if p.is_zero():
-                out.append(0)
-            else:
-                lc = p.leading()
-                out.append(lc if (sign > 0 or p.degree % 2 == 0) else -lc)
-        return out
-
-    va = vals_at(a) if a is not None else vals_at_inf(-1)
-    vb = vals_at(b) if b is not None else vals_at_inf(+1)
-    return _sign_variations(va) - _sign_variations(vb)
-
-
-def count_real_roots(f: IntPolynomial) -> int:
-    return sturm_count(f, None, None)
+    return variations(a, -1) - variations(b, 1)
 
 
 # ---- irreducibility -------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Certified root isolation: Sturm bisection over Q plus Krawczyk rectangles.
+"""Certified root isolation: Sturm bisection over Q, then Krawczyk contraction.
 
-Real roots are isolated exactly (rational sign-change intervals, with exact
-rational roots split off first), then polished by interval Newton.  Complex
-conjugate pairs start from floating-point seeds and are certified by a
-Krawczyk test on a rectangle in the upper half plane; the global count
-``s + 2t = deg f`` makes the certification exhaustive.
+Real roots are isolated exactly by one Sturm chain (rational sign-change
+intervals, with integer roots made exact).  Complex conjugate pairs start
+from floating-point seeds and are certified by a Krawczyk test on a
+rectangle in the upper half plane; the global count ``s + 2t = deg f`` makes
+the certification exhaustive.  One Krawczyk contraction tightens both kinds.
 """
 
 from __future__ import annotations
@@ -18,35 +18,26 @@ from mpmath.libmp import to_rational
 
 from .balls import ComplexBall, RealBall
 from .config import PrecisionError, precision, working_precision
-from .polynomials import (IntPolynomial, _sign_at, integer_roots, is_squarefree,
-                          sturm_count)
+from .polynomials import IntPolynomial, _sign_at, integer_roots, sturm_count, sturm_sequence
 
 
 MAX_STEPS = 200     # contraction steps per root before refinement gives up
 
 
-class NotSquarefreeError(ValueError):
-    """Raised for inputs with repeated roots, which cannot be isolated."""
-
-
-def _ball(lo, hi) -> RealBall:
-    """Outward enclosure of the rational interval [lo, hi] at the working precision."""
-    return RealBall.from_endpoints(RealBall(lo).lower, RealBall(hi).upper)
-
-
 class EmbeddingSet:
     """Certified enclosures of all roots of a squarefree monic polynomial."""
 
-    def __init__(self, poly: IntPolynomial, precision_bits: int,
-                 real_intervals, complex_rects):
+    def __init__(self, poly: IntPolynomial, precision_bits: int, roots):
+        """``roots``: what the contraction returned for each root, a RealBall
+        per real root, then a ComplexBall per upper complex root; ``real``
+        and ``complex_upper`` are them rounded outward to ``precision_bits``."""
         self.poly = poly
         self.precision_bits = precision_bits
-        self._real_intervals = real_intervals    # list[(Fraction lo, Fraction hi)]
-        self._complex_rects = complex_rects      # list[(Fraction,)*4], im > 0
+        self._roots = roots
         with precision(precision_bits):
-            self.real = [_ball(lo, hi) for lo, hi in real_intervals]
-            self.complex_upper = [ComplexBall(_ball(a, b), _ball(c, d))
-                                  for a, b, c, d in complex_rects]
+            rounded = [_rounded(z) for z in roots]
+        self.real = [z for z in rounded if isinstance(z, RealBall)]
+        self.complex_upper = [z for z in rounded if isinstance(z, ComplexBall)]
 
     @property
     def s(self) -> int:
@@ -60,16 +51,31 @@ class EmbeddingSet:
         """A new set with every enclosure tightened to the requested precision."""
         if precision_bits <= self.precision_bits:
             return self
-        return _polish(self.poly, self._real_intervals, self._complex_rects,
-                       precision_bits)
+        return EmbeddingSet(self.poly, precision_bits,
+                            _polish(self.poly, self._roots, precision_bits))
 
     def __repr__(self):
         return (f"EmbeddingSet({self.poly.format()!r}, s={self.s}, t={self.t}, "
                 f"bits={self.precision_bits})")
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    return Fraction(*to_rational(x._mpf_))
+def _parts(z) -> tuple[RealBall, ...]:
+    return (z,) if isinstance(z, RealBall) else (z.re, z.im)
+
+
+def _of_kind(z, parts):
+    """A real or complex ball like ``z`` from its parts."""
+    return parts[0] if isinstance(z, RealBall) else ComplexBall(*parts)
+
+
+def _rounded(z):
+    """``z`` rounded outward to the working precision (by interval unary plus)."""
+    return _of_kind(z, [RealBall._raw(+b.v) for b in _parts(z)])
+
+
+def _ball(lo, hi) -> RealBall:
+    """Outward enclosure of the rational interval [lo, hi] at the working precision."""
+    return RealBall.from_endpoints(RealBall(lo).lower, RealBall(hi).upper)
 
 
 def _cauchy_bound(f: IntPolynomial) -> int:
@@ -78,9 +84,10 @@ def _cauchy_bound(f: IntPolynomial) -> int:
     return 1 + (m + lead - 1) // lead + 1
 
 
-def _isolate_real(f: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open isolating intervals for all real roots of f (no rational roots)."""
-    total = sturm_count(f, None, None)
+def _isolate_real(f: IntPolynomial, chain) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint isolating intervals (a, b] for all real roots of f, whose
+    Sturm chain is ``chain``."""
+    total = sturm_count(chain, None, None)
     if total == 0:
         return []
     M = _cauchy_bound(f)
@@ -92,7 +99,7 @@ def _isolate_real(f: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
             done.append((a, b))
             continue
         m = (a + b) / 2
-        left = sturm_count(f, a, m)
+        left = sturm_count(chain, a, m)
         if left:
             work.append((a, m, left))
         if cnt - left:
@@ -102,118 +109,95 @@ def _isolate_real(f: IntPolynomial) -> list[tuple[Fraction, Fraction]]:
 
 
 def _bisect(f: IntPolynomial, lo: Fraction, hi: Fraction, narrow):
-    """Halve the isolating interval [lo, hi] until ``narrow(lo, hi)`` holds."""
-    s_lo = _sign_at(f, lo)
+    """Halve the interval (lo, hi], which holds one root of f, a simple and
+    irrational one, until ``narrow(lo, hi)`` holds."""
+    s_hi = _sign_at(f, hi)      # lo may be another root of f; hi is none
     while not narrow(lo, hi):
         m = (lo + hi) / 2
-        if _sign_at(f, m) == s_lo:
-            lo = m
-        else:
+        if _sign_at(f, m) == s_hi:
             hi = m
+        else:
+            lo = m
     return lo, hi
 
 
-def _target(bits: int, ends) -> mpf:
-    """Width goal for a root enclosed by ``ends``: 2^-bits, relative above 1."""
-    return mpf(2) ** (-bits) * int(max(1, *map(abs, ends)))
+def _quarter(f: IntPolynomial, z: RealBall) -> RealBall:
+    """A quarter of the real enclosure z that still holds its root: two exact
+    bisection steps."""
+    lo, hi = (Fraction(*to_rational(x._mpf_)) for x in (z.lower, z.upper))
+    w = (hi - lo) / 4
+    return _ball(*_bisect(f, lo, hi, lambda a, b: b - a <= w))
 
 
-def _meet(x: RealBall, y: RealBall) -> tuple[mpf, mpf]:
-    lo, hi = max(x.lower, y.lower), min(x.upper, y.upper)
-    if lo > hi:
-        raise ArithmeticError("root enclosure became empty")
-    return lo, hi
+def _target(bits: int, z) -> mpf:
+    """Width goal for the root in the enclosure z: 2^-bits, relative above 1."""
+    ends = [abs(x) for b in _parts(z) for x in (b.lower, b.upper)]
+    return mpf(2) ** (-bits) * int(max(1, *ends))
 
 
-def _newton(f, fp, lo: Fraction, hi: Fraction, target):
-    """Contract an isolating interval below ``target`` by interval Newton."""
-    for _ in range(MAX_STEPS):
-        Z = _ball(lo, hi)
-        if Z.rad() * 2 < target:
-            return lo, hi
-        der = fp(Z)
-        if not der.contains_zero():
-            m = _mpf_to_fraction(Z.mid())
-            width = hi - lo
-            lo, hi = map(_mpf_to_fraction, _meet(Z, RealBall(m) - RealBall(f(m)) / der))
-            if hi - lo <= width * 3 / 4:
-                continue
-        # f' may vanish on Z, or Newton contracts slowly: two bisection steps
-        w = (hi - lo) / 4
-        lo, hi = _bisect(f, lo, hi, lambda a, b: b - a <= w)
-    raise PrecisionError(f"interval Newton did not reach {mp.nstr(target, 5)}")
+def _width(z) -> mpf:
+    return 2 * max(b.rad() for b in _parts(z))
 
 
-def _krawczyk(f, fp, rect) -> tuple[ComplexBall, ComplexBall] | None:
-    """The Krawczyk image K of a rectangle Z, and Z; None when f'(Z) is
-    centred on zero.
+def _krawczyk(f, fp, z):
+    """The Krawczyk image K of a real or complex enclosure z, or None when
+    f'(z) is centred on zero.
 
-    K = m - y f(m) + (1 - y f'(Z)) (Z - m) with m the midpoint of Z and y the
-    inverse of the midpoint of f'(Z) at the working precision, so each step
-    about doubles the correct bits; the interval terms make K hold every root
-    in Z, and K inside the interior of Z proves exactly one.
+    K = m - y f(m) + (1 - y f'(z)) (z - m) with m the midpoint of z, rounded
+    outward, and y the inverse of the midpoint of f'(z), both at the working
+    precision, so each step about doubles the correct bits; the interval
+    terms make K hold every root in z, and K inside the interior of z proves
+    exactly one (R. Krawczyk, Computing 4, 1969).
     """
-    a, b, c, d = rect
-    Z = ComplexBall(_ball(a, b), _ball(c, d))
-    m = ComplexBall(RealBall(_mpf_to_fraction(Z.re.mid())),
-                    RealBall(_mpf_to_fraction(Z.im.mid())))
-    D = fp(Z)
+    D = fp(z)
     with mp.workprec(working_precision()):
-        um, vm = D.re.mid(), D.im.mid()
-        det = um * um + vm * vm
+        c = [b.mid() for b in _parts(D)]
+        det = sum(x * x for x in c)
         if det == 0:
             return None
-        y = ComplexBall(RealBall(um / det), RealBall(-vm / det))
-    return m - y * f(m) + (1 - y * D) * (Z - m), Z
+        y = _of_kind(z, [RealBall(c[0] / det)] + [RealBall(-x / det) for x in c[1:]])
+    m = _rounded(_of_kind(z, [RealBall(b.mid()) for b in _parts(z)]))
+    return m - y * f(m) + (1 - y * D) * (z - m)
 
 
-def _krawczyk_proves(f, fp, rect) -> bool:
-    out = _krawczyk(f, fp, rect)
-    if out is None:
-        return False
-    K, Z = out
-    return (Z.re.lower < K.re.lower and K.re.upper < Z.re.upper
-            and Z.im.lower < K.im.lower and K.im.upper < Z.im.upper)
+def _proves(f, fp, z) -> bool:
+    """Whether the Krawczyk image of z lies inside its interior."""
+    K = _krawczyk(f, fp, z)
+    return K is not None and all(b.lower < k.lower and k.upper < b.upper
+                                 for b, k in zip(_parts(z), _parts(K)))
 
 
-def _krawczyk_contract(f, fp, rect, target):
-    """Iterate Z <- K ∩ Z until both sides of the rectangle are below ``target``."""
+def _meet(z, K):
+    parts = []
+    for b, k in zip(_parts(z), _parts(K)):
+        lo, hi = max(b.lower, k.lower), min(b.upper, k.upper)
+        if lo > hi:
+            raise ArithmeticError("root enclosure became empty")
+        parts.append(RealBall.from_endpoints(lo, hi))
+    return _of_kind(z, parts)
+
+
+def _contract(f, fp, z, target):
+    """Iterate z <- K ∩ z until z is narrower than ``target``; a real z that a
+    step narrows by less than a quarter is quartered by exact bisection."""
     for _ in range(MAX_STEPS):
-        out = _krawczyk(f, fp, rect)
-        if out is None:
-            raise ArithmeticError("Krawczyk refinement stalled")
-        K, Z = out
-        (a, b), (c, d) = _meet(Z.re, K.re), _meet(Z.im, K.im)
-        rect = tuple(map(_mpf_to_fraction, (a, b, c, d)))
-        if (b - a) < target and (d - c) < target:
-            return rect
-    raise PrecisionError(f"Krawczyk refinement did not reach {mp.nstr(target, 5)}")
+        width = _width(z)
+        if width < target:
+            return z
+        K = _krawczyk(f, fp, z)
+        if K is not None:
+            z = _meet(z, K)
+        if isinstance(z, RealBall) and _width(z) > width * 3 / 4:
+            z = _quarter(f, z)
+    raise PrecisionError(f"Krawczyk contraction did not reach {mp.nstr(target, 5)}")
 
 
-def _polish(f: IntPolynomial, real_intervals, complex_rects, bits: int) -> EmbeddingSet:
-    """Tighten isolating intervals and certified rectangles of every root of f
-    to about 2^-bits relative width: the one path behind isolation and refinement."""
+def _polish(f: IntPolynomial, roots, bits: int) -> list:
+    """Every enclosure of a root of f contracted to about 2^-(bits+16)
+    relative width: the one path behind isolation and refinement."""
     fp = f.derivative()
-
-    def coarse(a, b):
-        return b - a <= max(Fraction(1), abs(a), abs(b)) / (1 << 16)
-
-    real, rects = [], []
     with precision(bits + 48):
-        for lo, hi in real_intervals:
-            if lo != hi:
-                lo, hi = _bisect(f, lo, hi, coarse)
-                lo, hi = _newton(f, fp, lo, hi, _target(bits + 16, (lo, hi)))
-            real.append((lo, hi))
-        for rect in complex_rects:
-            rects.append(_krawczyk_contract(f, fp, rect, _target(bits + 16, rect)))
-    real.sort()
-    rects.sort()
-    # disjointness across all enclosures is a hard guarantee
-    for (a1, b1, c1, d1), (a2, b2, c2, d2) in combinations(rects, 2):
-        if not (b1 < a2 or b2 < a1 or d1 < c2 or d2 < c1):
-            raise ArithmeticError("complex enclosures overlap")
-    return EmbeddingSet(f, bits, real, rects)
+        return [_contract(f, fp, z, _target(bits + 16, z)) for z in roots]
 
 
 def _complex_seeds(f: IntPolynomial, t: int) -> list[complex]:
@@ -237,36 +221,39 @@ def _complex_seeds(f: IntPolynomial, t: int) -> list[complex]:
         return upper([complex(z) for z in rr])
 
 
-def _box(f, fp, z: complex) -> tuple:
+def _box(f, fp, z: complex) -> ComplexBall:
     """The smallest square around a float seed that the Krawczyk test certifies."""
     for scale in (1e-8, 1e-6, 1e-4, 1e-2, 1e-1):
         h = max(abs(z), 1.0) * scale
         if z.imag - h <= 0:
             continue
-        rect = tuple(map(Fraction, (z.real - h, z.real + h, z.imag - h, z.imag + h)))
-        if _krawczyk_proves(f, fp, rect):
-            return rect
+        box = ComplexBall(RealBall.from_endpoints(z.real - h, z.real + h),
+                          RealBall.from_endpoints(z.imag - h, z.imag + h))
+        if _proves(f, fp, box):
+            return box
     raise ArithmeticError(f"could not certify a complex root near {z}")
 
 
 def isolate_roots(f: IntPolynomial, precision_bits: int | None = None) -> EmbeddingSet:
-    """Certified, disjoint enclosures for every root of monic squarefree ``f``."""
+    """Certified, disjoint enclosures for every root of monic squarefree ``f``;
+    NotSquarefreeError from its Sturm chain otherwise."""
     if not f.is_monic():
         raise ValueError("root isolation expects a monic polynomial")
     if f.degree < 1:
         raise ValueError("root isolation expects degree >= 1")
-    if not is_squarefree(f):
-        raise NotSquarefreeError(f"{f.format()} has repeated roots")
+    chain = sturm_sequence(f)
     bits = precision_bits or working_precision()
 
+    def coarse(a, b):
+        return b - a <= max(Fraction(1), abs(a), abs(b)) / (1 << 16)
+
     exact = integer_roots(f)
-    g = f
-    for r in exact:
-        g, rem = g.divmod_monic(IntPolynomial([-r, 1]))
-        assert rem.is_zero()
-    real = [(Fraction(r), Fraction(r)) for r in exact]
-    if g.degree >= 1:
-        real += _isolate_real(g)
+    real = []
+    with precision(bits + 48):
+        for lo, hi in _isolate_real(f, chain):
+            r = next((r for r in exact if lo < r <= hi), None)
+            real.append(RealBall(r) if r is not None
+                        else _ball(*_bisect(f, lo, hi, coarse)))
 
     s = len(real)
     n = f.degree
@@ -274,12 +261,19 @@ def isolate_roots(f: IntPolynomial, precision_bits: int | None = None) -> Embedd
         raise ArithmeticError("real root count inconsistent with the degree")
     t = (n - s) // 2
 
-    rects = []
+    boxes = []
     if t:
         seeds = _complex_seeds(f, t)
         if len(seeds) != t:
             raise ArithmeticError("could not seed the complex roots")
         fp = f.derivative()
         with precision(max(bits, 64) + 32):
-            rects = [_box(f, fp, z) for z in seeds]
-    return _polish(f, real, rects, bits)
+            boxes = [_box(f, fp, z) for z in seeds]
+    roots = _polish(f, real + boxes, bits)
+    upper = sorted(roots[s:], key=lambda z: (z.re.lower, z.re.upper,
+                                             z.im.lower, z.im.upper))
+    # disjointness across all enclosures is a hard guarantee
+    for z, w in combinations(upper, 2):
+        if z.re.overlaps(w.re) and z.im.overlaps(w.im):
+            raise ArithmeticError("complex enclosures overlap")
+    return EmbeddingSet(f, bits, roots[:s] + upper)

@@ -16,7 +16,7 @@ from .balls import ComplexBall, RealBall
 from .factorint import is_perfect_square
 from .intmat import hnf, minpoly_matrix, snf
 from .orders import Signature, SubOrder, signature
-from .polynomials import IntPolynomial, is_irreducible, is_squarefree, resultant
+from .polynomials import IntPolynomial, NotSquarefreeError, is_irreducible, resultant
 from .unitgroup import AbelianGroupInvariants, IdealHNF
 
 
@@ -263,7 +263,9 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
         if not h.is_monic():
             last_error = DegenerateCompositumError("resultant is not monic")
             continue
-        if not is_squarefree(h):
+        try:
+            sig = signature(h)
+        except NotSquarefreeError:
             last_error = DegenerateCompositumError(
                 "resultant has repeated factors: compositum is degenerate")
             continue
@@ -272,7 +274,7 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
             last_error = DegenerateCompositumError(
                 "resultant factors: compositum is smaller than the product degree")
             continue
-        return h, signature(h)
+        return h, sig
     raise last_error or DegenerateCompositumError("no usable shift found")
 
 

@@ -30,7 +30,7 @@ from . import intmat
 from .balls import RealBall, ball_det
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
-from .orders import OrderElement, SubOrder, signature
+from .orders import OrderElement, SubOrder
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -245,8 +245,11 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     s, t = table.s, table.t
     r = s + t - 1
     mults = [1] * s + [2] * t
-    norm_bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** t
-                     * abs(order.disc) ** 0.5) + 8
+    # |disc| and its square root rounded to 53 bits as in float64, without
+    # the float's overflow above 2^1024
+    with mp.workprec(53):
+        norm_bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** t
+                         * mp.sqrt(mp.mpf(abs(order.disc)))) + 8
     reps: dict = {}
     grid_radius_cap = 220 if r == 1 else 8
     for radius in range(0, grid_radius_cap + 1):
@@ -431,12 +434,13 @@ def certify_units(order: SubOrder, candidates,
     _require_real_place(s)
     r = s + t - 1
     lattice = _UnitLattice(order, table, r)
-    cands = sorted(candidates,
-                   key=lambda u: float(np.linalg.norm(
-                       [float(x.mid()) for x in table.log_vector(u)[:r]])))
+    cands = list(candidates)
+    # before any log vector: a non-unit has no finite one
+    if not all(order.is_unit(u) for u in cands):
+        raise ValueError("candidate is not a unit")
+    cands.sort(key=lambda u: float(np.linalg.norm(
+        [float(x.mid()) for x in table.log_vector(u)[:r]])))
     for u in cands:
-        if not order.is_unit(u):
-            raise ValueError("candidate is not a unit")
         lattice.insert(u)
     if len(lattice.gens) < r:
         raise InsufficientUnitsError("insufficient units: the candidates are not of full rank")
@@ -547,8 +551,8 @@ def unit_group(order: SubOrder) -> UnitGroupData:
     cannot make escalates inside the table.  A field with no real place
     raises ValueError.
     """
-    _require_real_place(signature(order.ambient.f).s)
     table = EmbeddingTable(order)
+    _require_real_place(table.s)
     lattice = _UnitLattice(order, table, table.s + table.t - 1)
     sweep_units(order, table, lattice)
     return _certify_lattice(order, table, lattice)

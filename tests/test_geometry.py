@@ -69,6 +69,22 @@ def test_large_unit_cell_and_determinant_path_are_finite(fields, poly):
         assert domain_contains(red, dom)
 
 
+@pytest.mark.parametrize("point", [
+    [complex(0.5, float("inf")), complex(1, 1)],     # inf imaginary part
+    [complex(float("nan"), 1), complex(1, 1)],       # NaN real part
+    [complex(0.5, 1), complex(float("inf"), 0)],     # inf complex coordinate
+], ids=["inf-imag", "nan-real", "inf-complex"])
+def test_non_finite_points_rejected(disc23, point):
+    order, _, _, ug = disc23
+    dom = fundamental_domain(order, ug)
+    with pytest.raises(ValueError, match="finite"):
+        reduce_to_domain(point, dom)
+    with pytest.raises(ValueError, match="finite"):
+        domain_contains(point, dom)
+    with pytest.raises(ValueError, match="finite"):
+        apply_group_element(point, (order.zero(), [1]), dom)
+
+
 def test_mc_volume_quartic(quartic275):
     order, _, _, ug = quartic275
     dom = fundamental_domain(order, ug)

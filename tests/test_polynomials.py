@@ -4,9 +4,9 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from otkit.polynomials import (IntPolynomial, count_real_roots, integer_roots,
-                               is_irreducible, is_squarefree, poly_discriminant,
-                               poly_gcd, resultant, sturm_count)
+from otkit.polynomials import (IntPolynomial, NotSquarefreeError, integer_roots,
+                               is_irreducible, poly_discriminant, resultant,
+                               sturm_count, sturm_sequence)
 
 P = IntPolynomial
 
@@ -76,15 +76,19 @@ def test_resultant_multiplicative(f, g, h):
     assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
 
 
+def _real_roots(text):
+    return sturm_count(sturm_sequence(P.parse(text)), None, None)
+
+
 def test_sturm_and_signature_counts():
-    assert count_real_roots(P.parse("T^3 - T + 1")) == 1
-    assert count_real_roots(P.parse("T^4 - T - 1")) == 2
+    assert _real_roots("T^3 - T + 1") == 1
+    assert _real_roots("T^4 - T - 1") == 2
     # degree gap of two in the chain: the scale must be an even power
-    assert count_real_roots(P.parse("T^4 + T - 1")) == 2
-    assert count_real_roots(P.parse("T^2 + 1")) == 0
-    f = P.parse("T^3 - T + 1")  # real root near -1.3247
-    assert sturm_count(f, Fraction(-2), Fraction(-1)) == 1
-    assert sturm_count(f, Fraction(0), Fraction(1)) == 0
+    assert _real_roots("T^4 + T - 1") == 2
+    assert _real_roots("T^2 + 1") == 0
+    chain = sturm_sequence(P.parse("T^3 - T + 1"))  # real root near -1.3247
+    assert sturm_count(chain, Fraction(-2), Fraction(-1)) == 1
+    assert sturm_count(chain, Fraction(0), Fraction(1)) == 0
 
 
 @pytest.mark.parametrize("factors, roots", [
@@ -116,7 +120,7 @@ def test_irreducibility():
     # degree-9 resultant polynomial of a compositum
     big = P.parse("T^9 + 3*T^8 + 6*T^7 + 8*T^6 + 9*T^5 + 7*T^4 - 11*T^3 "
                   "- 14*T^2 - 11*T - 23")
-    assert is_squarefree(big)
+    assert sturm_sequence(big)[-1].degree == 0
 
 
 @pytest.mark.parametrize("factors, witness", [
@@ -167,19 +171,22 @@ def test_divmod_monic(f, g):
     assert r.degree < g.degree
 
 
-def test_gcd_and_squarefree():
-    assert poly_gcd(P.parse("T^2 - 1"), P.parse("T^3 - 1")) == P.parse("T - 1")
-    assert is_squarefree(P.parse("T^3 - T + 1"))
-    assert not is_squarefree(P.parse("T^2 - 2*T + 1"))
+def test_squarefree_decided_by_the_chain():
+    assert sturm_sequence(P.parse("T^3 - T + 1"))[-1].degree == 0
+    # (T - 1)^2, (T^2 + 1)^2 and (T - 1)^3 (T + 1)^2
+    for text in ("T^2 - 2*T + 1", "T^4 + 2*T^2 + 1", "T^5 - T^4 - 2*T^3 + 2*T^2 + T - 1"):
+        with pytest.raises(NotSquarefreeError):
+            sturm_sequence(P.parse(text))
 
 
-@given(nonzero_poly(), nonzero_poly(), nonzero_poly())
-def test_gcd_divides_both(f, g, c):
-    a, b = f * c, g * c
-    h = poly_gcd(a, b)
-    for p in (a, b):
-        assert _sympy_poly(p).prem(_sympy_poly(h)).is_zero
-    assert _sympy_poly(h).prem(_sympy_poly(c)).is_zero
+@given(nonzero_poly(), nonzero_poly())
+def test_chain_decides_squarefreeness(f, g):
+    for h in (f, f * g * g):
+        if _sympy_poly(h).sqf_part().degree() == h.degree:
+            sturm_sequence(h)
+        else:
+            with pytest.raises(NotSquarefreeError):
+                sturm_sequence(h)
 
 
 def test_shift_and_eval():

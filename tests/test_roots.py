@@ -4,15 +4,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from mpmath import mpf
+from mpmath.libmp import to_rational
 
 import otkit.embeddings
-from otkit.balls import RealBall
+import otkit.orders
+import otkit.roots
+from otkit.balls import ComplexBall, RealBall
 from otkit.config import PrecisionError, precision, working_precision
 from otkit.embeddings import EmbeddingTable
+from otkit.geometry import _scan_polynomials, min_volume_scan
 from otkit.orders import build_order, maximalize
-from otkit.polynomials import IntPolynomial
-from otkit.roots import (EmbeddingSet, NotSquarefreeError, _krawczyk_contract,
-                         _newton, isolate_roots)
+from otkit.polynomials import IntPolynomial, NotSquarefreeError
+from otkit.roots import EmbeddingSet, _contract, isolate_roots
 
 P = IntPolynomial
 
@@ -30,6 +33,23 @@ def test_exact_rational_roots():
     e = isolate_roots(P.parse("T^2 - 1"), 96)
     assert [float(b.mid()) for b in e.real] == [-1.0, 1.0]
     assert all(float(b.rad()) == 0 for b in e.real)
+    e2 = e.refine(384)
+    assert [float(b.mid()) for b in e2.real] == [-1.0, 1.0]
+    assert all(b.rad() == 0 for b in e2.real)
+
+
+@pytest.mark.parametrize("text, roots", [
+    # the isolating interval of sqrt(2) starts at the integer root 0
+    ("T^3 - 2*T", [-2 ** 0.5, 0, 2 ** 0.5]),
+    ("T^3 - T^2 - 2*T + 2", [-2 ** 0.5, 1, 2 ** 0.5]),
+    ("T^3 - 3*T^2 + T + 1", [1 - 2 ** 0.5, 1, 1 + 2 ** 0.5]),
+])
+def test_integer_and_irrational_roots_together(text, roots):
+    e = isolate_roots(P.parse(text), 96).refine(256)
+    assert e.s == 3
+    for b, r in zip(e.real, roots):
+        assert abs(float(b.mid()) - r) < 1e-12
+        assert b.rad() < mpf(2) ** -250
 
 
 def test_signature_counts():
@@ -177,17 +197,18 @@ def test_enclosures_disjoint_and_upper():
         assert a < b
 
 
-def _log2_width(lo, hi):
-    w = hi - lo
+def _log2_width(b):
+    w = Fraction(*to_rational(b.upper._mpf_)) - Fraction(*to_rational(b.lower._mpf_))
     return w.numerator.bit_length() - w.denominator.bit_length()
 
 
 def test_refine_reaches_requested_width():
+    # checked on what the contraction returns, before rounding to 16384 bits
     e = isolate_roots(P.parse("T^3 - T + 1")).refine(16384)
     assert e.precision_bits == 16384
-    (lo, hi), = e._real_intervals
-    (a, b, c, d), = e._complex_rects
-    assert max(_log2_width(lo, hi), _log2_width(a, b), _log2_width(c, d)) < -16384
+    x, z = e._roots
+    assert isinstance(x, RealBall) and isinstance(z, ComplexBall)
+    assert max(_log2_width(x), _log2_width(z.re), _log2_width(z.im)) < -16384 - 16
 
 
 @pytest.mark.parametrize("ball, floor", [
@@ -232,11 +253,41 @@ def test_a_table_above_the_cap_asks_once(monkeypatch):
 
 def test_refinement_raises_below_working_precision():
     f = P.parse("T^3 - T + 1")
-    fp = f.derivative()
     e = isolate_roots(f, 64)
     target = mpf(2) ** -1000
-    with precision(64):
-        with pytest.raises(PrecisionError):
-            _krawczyk_contract(f, fp, e._complex_rects[0], target)
-        with pytest.raises(PrecisionError):
-            _newton(f, fp, *e._real_intervals[0], target)
+    for z in e._roots:     # a real interval, then a complex rectangle
+        with precision(64):
+            with pytest.raises(PrecisionError):
+                _contract(f, f.derivative(), z, target)
+
+
+def _count_sturm_sequences(monkeypatch, module):
+    calls = []
+    original = module.sturm_sequence
+
+    def counted(f):
+        calls.append(f)
+        return original(f)
+
+    monkeypatch.setattr(module, "sturm_sequence", counted)
+    return calls
+
+
+def test_one_sturm_chain_per_isolation(monkeypatch):
+    chains = _count_sturm_sequences(monkeypatch, otkit.roots)
+    f = P.parse("T^7 - 3*T^5 - T^4 + T^3 + 3*T^2 + T - 1")    # s = 5
+    e = isolate_roots(f)
+    assert e.s == 5 and chains == [f]
+    e.refine(1000)
+    assert chains == [f]
+
+
+def test_one_sturm_chain_per_scanned_polynomial(monkeypatch):
+    signatures = _count_sturm_sequences(monkeypatch, otkit.orders)
+    isolations = _count_sturm_sequences(monkeypatch, otkit.roots)
+    records = min_volume_scan(1, 1, 40)
+    assert records
+    assert signatures == list(_scan_polynomials(3, 1))
+    # one isolation per table: one per field that reaches its unit group
+    assert 0 < len(isolations) <= len(signatures)
+    assert len(set(isolations)) == len(isolations)

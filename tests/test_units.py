@@ -215,6 +215,25 @@ def test_no_real_place_refused():
         certify_units(order, [order.one()])
 
 
+def test_non_unit_candidates_rejected(disc23):
+    # checked before the candidates' log vectors: zero has none
+    order, _, _, ug = disc23
+    u = ug.generators[0]
+    for cands in ([order.element([2, 0, 0])], [order.zero(), u], [u, order.zero()]):
+        with pytest.raises(ValueError, match="not a unit"):
+            certify_units(order, cands)
+
+
+def test_sweep_norm_bound_beyond_float64(monkeypatch):
+    # |disc| is about 2.7 * 10^321, beyond float64; with no LLL candidates
+    # the sweep ends in its own error, not in an OverflowError
+    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll", lambda *args: [])
+    order, _, _ = maximalize(build_order(P.parse(f"T^3 + T + {10 ** 160 + 7}")))
+    assert abs(order.disc) > 2 ** 1024
+    with pytest.raises(InsufficientUnitsError):
+        unit_group(order)
+
+
 def test_insufficient_candidates_rejected(disc23):
     order, _, _, ug = disc23
     with pytest.raises(InsufficientUnitsError):

@@ -19,8 +19,9 @@ directory), one fresh process per command, and writes one JSON file:
 * ``commands``: stdout and exit code of one run each of ``jideal``,
   ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``,
   ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
-  totally positive generator comes back) and ``paper-tables minvol``, keyed
-  by the command line;
+  totally positive generator comes back), ``paper-tables minvol``, ``field``
+  of ``T^3 + 2*T + 2000`` at 64 bits and ``units`` of ``T^5 - T - 3`` at 1000
+  bits, keyed by the command line;
 * ``presentation``: stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
   --presentation`` and ``reconstruct --source`` on the saved file, with the
@@ -67,6 +68,10 @@ COMMANDS = [
     ["paper-tables", "prop5index"],
     ["paper-tables", "computeJ"],
     ["paper-tables", "minvol"],
+    # contraction targets other than the default 192 + 16 bits: this
+    # field's table escalates from 64 bits, and 1000 bits from the start
+    ["field", "T^3 + 2*T + 2000", "--precision", "64", "--format", "json"],
+    ["units", "T^5 - T - 3", "--precision", "1000", "--format", "json"],
 ]
 PRESENTED = "T^3 - T + 2"
 WORKERS = 2
