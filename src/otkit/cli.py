@@ -111,7 +111,7 @@ def _volume_dict(v) -> dict:
 def cmd_field(args) -> int:
     f = _parse_poly(args.poly)
     order, index, order_cert, ug = _field(f, args, need="volume")
-    sig = signature(f)
+    s, t = ug.table.s, ug.table.t
     gens = ug.totally_positive_generators
     J = j_ideal(order, gens)
     tors = torsion_group(order, gens)
@@ -125,7 +125,7 @@ def cmd_field(args) -> int:
     report = {
         "poly": f.format(),
         "degree": f.degree,
-        "signature": {"s": sig.s, "t": sig.t},
+        "signature": {"s": s, "t": t},
         "disc_power_basis": str(order.ambient.disc_f),
         "disc": str(order.disc),
         "index": str(index),
@@ -139,7 +139,7 @@ def cmd_field(args) -> int:
                     "order": str(tors.order_of_torsion)},
         "volume": {k: _volume_dict(v) for k, v in vols.items()},
     }
-    if sig.s == 1:
+    if s == 1:
         report["torsion_bound"] = _ball_dict(
             torsion_upper_bound(vols["closed_form"].value, abs(order.disc)))
     _emit(report, args.format, text_renderer=_render_field_text)
