@@ -155,6 +155,7 @@ def _krawczyk(f, fp, z):
         det = sum(x * x for x in c)
         if det == 0:
             return None
+        # y = 1 / c = conj(c) / |c|^2
         y = _of_kind(z, [RealBall(c[0] / det)] + [RealBall(-x / det) for x in c[1:]])
     m = _rounded(_of_kind(z, [RealBall(b.mid()) for b in _parts(z)]))
     return m - y * f(m) + (1 - y * D) * (z - m)

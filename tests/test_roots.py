@@ -255,7 +255,8 @@ def test_refinement_raises_below_working_precision():
     f = P.parse("T^3 - T + 1")
     e = isolate_roots(f, 64)
     target = mpf(2) ** -1000
-    for z in e._roots:     # a real interval, then a complex rectangle
+    assert [type(z) for z in e._roots] == [RealBall, ComplexBall]
+    for z in e._roots:
         with precision(64):
             with pytest.raises(PrecisionError):
                 _contract(f, f.derivative(), z, target)
