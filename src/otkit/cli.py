@@ -373,12 +373,19 @@ def _sample_count(text: str) -> int:
     return samples
 
 
-def _inoue_m(text: str) -> int:
-    # T^3 + mT - 1 is irreducible for every m >= 1
-    m = _integer(text)
-    if m < 1:
-        raise argparse.ArgumentTypeError(f"m must be >= 1, got {m}")
-    return m
+def _positive(text: str) -> int:
+    n = _integer(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
+def _seed(text: str) -> int:
+    # the Monte Carlo generator is keyed by the seed, a 128-bit key
+    seed = _integer(text)
+    if not 0 <= seed < 2 ** 128:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2^128), got {seed}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         if mc:
             p.add_argument("--samples", type=_sample_count, default=1_000_000)
         if seed:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         return p
 
     p = command("field", cmd_field, "full invariant report for one field",
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("inoue", cmd_inoue,
                 "closed-form volume of the prescribed-torsion family",
                 poly=False, units=False)
-    p.add_argument("m", type=_inoue_m)
+    p.add_argument("m", type=_positive)  # T^3 + mT - 1 is irreducible for m >= 1
     command("bound", cmd_bound, "torsion upper bound from volume and discriminant")
     p = command("scan", cmd_scan, "minimal-volume scan over bounded fields",
                 poly=False, units=False)
@@ -435,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "recover the field from a presentation", poly=False, seed=True)
     p.add_argument("presentation", help="presentation JSON file")
     p.add_argument("--source", help="original polynomial for a round-trip check")
-    p.add_argument("--trials", type=int, default=64)
+    p.add_argument("--trials", type=_positive, default=64)
     p = command("paper-tables", cmd_paper_tables,
                 "regenerate a reference table and diff it",
                 poly=False, fmt=False, units=False)

@@ -1,10 +1,12 @@
-"""Exact integer matrix algebra: products, determinants, HNF, SNF, kernels.
+"""Exact integer matrix algebra: products, powers, determinants, HNF, SNF, kernels.
 
 Matrices are plain ``list[list[int]]`` in row-major layout.  Sizes here are
 tiny (at most ~12 rows), so everything uses arbitrary-precision pivoting and
 no modular shortcuts.  All elimination over Z/Q goes through one
 fraction-free (Bareiss) routine, every lattice reduction over Z (the SNF
-too) through ``hnf``, and all elimination over F_p through ``kernel_mod_p``.
+too) through ``hnf``, all elimination over F_p through ``kernel_mod_p``, and
+every square-and-multiply (of matrices, order elements or residues) through
+``power``.
 """
 
 from __future__ import annotations
@@ -30,19 +32,18 @@ def mat_vec(A, v) -> list[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in A]
 
 
-def mat_pow(A, e: int) -> list[list[int]]:
+def power(x, e: int, mul, one):
+    """``one * x^e`` for ``e >= 0`` by binary powering (Cohen, GTM 138, 1.2),
+    for any associative ``mul`` under which the powers of ``x`` commute."""
     if e < 0:
-        raise ValueError("use an explicit inverse for negative powers")
-    n = len(A)
-    out = identity(n)
-    base = copy(A)
+        raise ValueError("negative exponent: power the inverse instead")
     while e:
         if e & 1:
-            out = mat_mul(out, base)
+            one = mul(one, x)
         e >>= 1
         if e:
-            base = mat_mul(base, base)
-    return out
+            x = mul(x, x)
+    return one
 
 
 def stack_one_minus(mats) -> list[list[int]]:
@@ -224,26 +225,6 @@ def lattice_det(H) -> int:
     if not hnf_is_full_rank(H):
         raise ValueError("lattice is not of full rank")
     return prod(H[i][i] for i in range(len(H)))
-
-
-def solve_hnf(H, v) -> list[int] | None:
-    """Solve ``H x = v`` over Z for a full-rank upper-triangular HNF basis.
-
-    Returns the integer coordinate vector, or None when ``v`` is outside the
-    lattice spanned by the columns of ``H``.
-    """
-    n = len(H)
-    x = [0] * n
-    r = list(v)
-    for i in range(n - 1, -1, -1):
-        num = r[i]
-        if num % H[i][i]:
-            return None
-        x[i] = num // H[i][i]
-        if x[i]:
-            for t in range(i + 1):
-                r[t] -= x[i] * H[t][i]
-    return x
 
 
 def snf(M) -> tuple[list[int], int]:

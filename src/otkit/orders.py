@@ -9,6 +9,7 @@ discriminant; an unfactored discriminant cofactor makes the result
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
@@ -29,22 +30,7 @@ class ReduciblePolynomialError(ValueError):
         super().__init__(msg)
 
 
-class Signature:
-    __slots__ = ("s", "t")
-
-    def __init__(self, s: int, t: int):
-        self.s = s
-        self.t = t
-
-    def __iter__(self):
-        return iter((self.s, self.t))
-
-    def __eq__(self, other):
-        return (self.s, self.t) == (other.s, other.t) if isinstance(other, Signature) \
-            else (self.s, self.t) == tuple(other)
-
-    def __repr__(self):
-        return f"Signature(s={self.s}, t={self.t})"
+Signature = namedtuple("Signature", "s t")
 
 
 def signature(f: IntPolynomial) -> Signature:
@@ -124,7 +110,7 @@ class OrderElement:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        return self.order.power(self, e)
+        return self.order.power_product([self], [e])
 
     def is_pm_one(self) -> bool:
         return self == self.order.one() or self == -self.order.one()
@@ -248,35 +234,20 @@ class SubOrder:
                             out[r] += c * t[r]
         return OrderElement(self, out)
 
-    def power(self, x: OrderElement, e: int) -> OrderElement:
-        if e < 0:
-            inv = self.inverse_unit(x)
-            return self.power(inv, -e)
-        out = self.one()
-        base = x
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
     def power_product(self, gens, exps) -> OrderElement:
         """The product of ``g ** e`` over paired generators and exponents."""
         out = self.one()
         for g, e in zip(gens, exps):
-            if e:
-                out = out * g ** e
+            out = intmat.power(g if e >= 0 else self.inverse_unit(g), abs(e),
+                               self.multiply, out)
         return out
 
     def inverse_unit(self, u: OrderElement) -> OrderElement:
         """Inverse of a unit (norm +-1) inside the order."""
-        M = self.mult_matrix(u)
-        x = intmat.solve_int(M, list(self.one().coords))
-        if x is None:
+        inv = self.divide_exact(self.one(), u)
+        if inv is None:
             raise ValueError("element is not a unit of the order")
-        return OrderElement(self, x)
+        return inv
 
     def divide_exact(self, x: OrderElement, y: OrderElement) -> OrderElement | None:
         """x / y inside the order, or None when the quotient is not integral."""
@@ -341,11 +312,10 @@ def _p_radical(order: SubOrder, p: int):
     while q < n:
         q *= p
         e += 1
-    cols = []
-    for i in range(n):
-        b = order.element([1 if j == i else 0 for j in range(n)])
-        w = _power_mod_p(order, b, p ** e, p)
-        cols.append(w)
+    one = [c % p for c in order.one().coords]
+    cols = [intmat.power([1 if j == i else 0 for j in range(n)], p ** e,
+                         lambda a, b: _mul_mod_p(order, a, b, p), one)
+            for i in range(n)]
     F = [[cols[j][i] % p for j in range(n)] for i in range(n)]
     ker = kernel_mod_p(F, p)
     gens = [[v[i] for i in range(n)] for v in ker]
@@ -354,18 +324,6 @@ def _p_radical(order: SubOrder, p: int):
         for i in range(n):
             stacked[i].append(g[i])
     return hnf(stacked)
-
-
-def _power_mod_p(order: SubOrder, x: OrderElement, e: int, p: int):
-    out = [c % p for c in order.one().coords]
-    base = [c % p for c in x.coords]
-    while e:
-        if e & 1:
-            out = _mul_mod_p(order, out, base, p)
-        e >>= 1
-        if e:
-            base = _mul_mod_p(order, base, base, p)
-    return out
 
 
 def _mul_mod_p(order: SubOrder, a, b, p: int):

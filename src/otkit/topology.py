@@ -53,10 +53,7 @@ class GroupPresentation:
         out = intmat.identity(self.lattice_rank)
         for M, Minv, e in zip(self.action_matrices, self._inverses,
                               list(exponents)):
-            if e > 0:
-                out = intmat.mat_mul(out, intmat.mat_pow(M, e))
-            elif e < 0:
-                out = intmat.mat_mul(out, intmat.mat_pow(Minv, -e))
+            out = intmat.power(M if e > 0 else Minv, abs(e), intmat.mat_mul, out)
         return out
 
     def to_dict(self) -> dict:

@@ -99,7 +99,7 @@ class IdealHNF:
         self.norm = norm
 
     def contains(self, x: OrderElement) -> bool:
-        return intmat.solve_hnf(self.basis, list(x.coords)) is not None
+        return intmat.solve_int(self.basis, list(x.coords)) is not None
 
     def __eq__(self, other):
         return isinstance(other, IdealHNF) and self.basis == other.basis

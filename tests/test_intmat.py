@@ -9,7 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 from otkit import intmat
 from otkit.balls import RealBall, ball_det, ball_solve
 from otkit.intmat import (charpoly, det_bareiss, hnf, kernel_mod_p, lattice_det,
-                          minpoly_matrix, snf, solve, solve_hnf, solve_int)
+                          minpoly_matrix, snf, solve, solve_int)
 from otkit.polynomials import IntPolynomial
 
 
@@ -27,8 +27,23 @@ def test_hnf_triangular_normalization():
 
 def test_hnf_membership():
     H = hnf([[2, 0], [1, 3]])
-    assert solve_hnf(H, [2, 1]) is not None
-    assert solve_hnf(H, [1, 0]) is None
+    assert solve_int(H, [2, 1]) is not None
+    assert solve_int(H, [1, 0]) is None
+
+
+square2 = st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                  min_size=2, max_size=2)
+
+
+@given(square2, square2, st.integers(0, 9), st.integers(-9, -1))
+def test_power_agrees_with_repeated_products(A, one, e, negative):
+    # ``one`` is any matrix: power returns one * A^e, not just A^e
+    want = one
+    for _ in range(e):
+        want = intmat.mat_mul(want, A)
+    assert intmat.power(A, e, intmat.mat_mul, one) == want
+    with pytest.raises(ValueError):
+        intmat.power(A, negative, intmat.mat_mul, one)
 
 
 def test_snf_trivial_cases():

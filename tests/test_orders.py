@@ -146,3 +146,12 @@ def test_unit_inverse_and_division(disc23):
     assert u * ui == order.one()
     assert order.divide_exact(u * u, u) == u
     assert order.divide_exact(order.one(), order.element([2, 0, 0])) is None
+
+
+@pytest.mark.parametrize("exps", [(2, -3), (-1, 4), (-2, -1), (0, -5)])
+def test_power_product_inverts_under_negated_exponents(quartic275, exps):
+    order, _, _, ug = quartic275
+    gens = ug.generators
+    assert len(gens) == 2
+    neg = [-e for e in exps]
+    assert order.power_product(gens, exps) * order.power_product(gens, neg) == order.one()

@@ -97,6 +97,12 @@ def test_cli_field_malformed(capsys):
     pytest.param(["field", "T^3 - T + 1", "--precision", "abc"], id="--precision abc"),
     pytest.param(["inoue", "abc"], id="inoue abc"),
     pytest.param(["mcvol", "T^3 - T + 1", "--samples", "1e6"], id="mcvol --samples 1e6"),
+    # out of range, rejected while parsing instead of deep in the command
+    pytest.param(["reconstruct", "p.json", "--trials", "0"], id="reconstruct --trials 0"),
+    pytest.param(["mcvol", "T^3 - T + 1", "--samples", "1000", "--seed", "-1"],
+                 id="mcvol --seed -1"),
+    pytest.param(["field", "T^3 - T + 1", "--mc", "--seed", "-1"], id="field --mc --seed -1"),
+    pytest.param(["mcvol", "T^3 - T + 1", "--seed", str(2 ** 128)], id="mcvol --seed 2^128"),
 ])
 def test_cli_field_rejects_with_json_error(capsys, argv):
     rc = main(argv)
@@ -206,6 +212,17 @@ def test_cli_reconstruct_non_primitive(tmp_path, capsys):
     rc = main(["reconstruct", str(pres), "--format", "json"])
     assert rc == 4
     assert json.loads(capsys.readouterr().out)["primitive"] is False
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_reconstruct_rejects_trials_below_one(tmp_path, capsys, trials):
+    pres = tmp_path / "p.json"
+    # the companion matrix of T^3 - T + 1
+    pres.write_text(json.dumps({"n": 3, "matrices": [[[0, 0, -1], [1, 0, 1], [0, 1, 0]]]}))
+    rc = main(["reconstruct", str(pres), "--trials", trials])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1 and err["exit_code"] == 1
+    assert "--trials: must be >= 1" in err["error"]
 
 
 def test_cli_inoue_and_bound(capsys):

@@ -37,6 +37,14 @@ def test_presentation_validation(disc23):
         GroupPresentation([[[0, 1], [1, 0]], [[1, 1], [0, 1]]])  # do not commute
 
 
+@pytest.mark.parametrize("v", [(1, -1), (-2, 3), (0, -2), (-1, -1)])
+def test_rho_of_negated_exponents_is_the_inverse(quartic275, v):
+    _, _, p = _presentation(quartic275)
+    assert p.free_rank == 2
+    back = [-e for e in v]
+    assert intmat.mat_mul(p.rho(v), p.rho(back)) == intmat.identity(p.lattice_rank)
+
+
 def test_group_law_and_commutator(f2_field):
     order, ug, p = _presentation(f2_field)[0], f2_field[3], None
     p = presentation_from_field(order, ug.totally_positive_generators)

@@ -22,10 +22,13 @@ directory), one fresh process per command, and writes one JSON file:
   totally positive generator comes back), ``paper-tables minvol``, ``field``
   of ``T^3 + 2*T + 2000`` at 64 bits and ``units`` of ``T^5 - T - 3`` at 1000
   bits, keyed by the command line;
-* ``presentation``: stdout and exit code of ``h1 --poly ...
+* ``presentation``: for ``T^3 - T + 2`` (unit rank 1) and ``T^4 - T^3 +
+  2*T - 1`` (unit rank 2), stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
   --presentation`` and ``reconstruct --source`` on the saved file, with the
-  directory's path replaced by ``<tmp>``;
+  directory's path replaced by ``<tmp>``; and of ``reconstruct`` on
+  ``BLOCKS``, whose words with negative exponents are reached before a
+  primitive one;
 * ``reducible``: stderr and exit code of ``otkit field`` on two reducible
   polynomials;
 * ``ledger``: exit code and last stderr line (the JSON error, or the
@@ -73,7 +76,14 @@ COMMANDS = [
     ["field", "T^3 + 2*T + 2000", "--precision", "64", "--format", "json"],
     ["units", "T^5 - T - 3", "--precision", "1000", "--format", "json"],
 ]
-PRESENTED = "T^3 - T + 2"
+PRESENTED = ["T^3 - T + 2", "T^4 - T^3 + 2*T - 1"]
+# two commuting block-diagonal actions on Z^4, neither generator primitive
+# (minimal polynomials of degree 2 and 3): reconstruct tries each generator
+# and its inverse, then random words, and answers with the word (-3, -1)
+BLOCKS = {"n": 4, "matrices": [
+    [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]],
+]}
 WORKERS = 2
 
 
@@ -86,20 +96,27 @@ def otkit(args: list[str]) -> tuple[int, str, str]:
 
 
 def presentation_round_trip() -> dict:
-    """Save a field's presentation, then read it back with h1 and reconstruct."""
+    """Save each field's presentation, then read it back with h1 and
+    reconstruct; reconstruct ``BLOCKS`` from a file."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        path = str(Path(tmp) / "p.json")
-        steps = {
-            "h1 --poly": ["h1", "--poly", PRESENTED, "--save-presentation", path,
-                          "--format", "json"],
-            "h1 --presentation": ["h1", "--presentation", path, "--format", "json"],
-            "reconstruct --source": ["reconstruct", path, "--source", PRESENTED,
-                                     "--format", "json"],
-        }
-        out = {}
-        for key, args in steps.items():
-            rc, stdout, _ = otkit(args)
-            out[key] = {"exit": rc, "stdout": stdout.replace(tmp, "<tmp>")}
+        for poly in PRESENTED:
+            path = str(Path(tmp) / "p.json")
+            steps = {
+                "h1 --poly": ["h1", "--poly", poly, "--save-presentation", path,
+                              "--format", "json"],
+                "h1 --presentation": ["h1", "--presentation", path, "--format", "json"],
+                "reconstruct --source": ["reconstruct", path, "--source", poly,
+                                         "--format", "json"],
+            }
+            out[poly] = {}
+            for key, args in steps.items():
+                rc, stdout, _ = otkit(args)
+                out[poly][key] = {"exit": rc, "stdout": stdout.replace(tmp, "<tmp>")}
+        path = Path(tmp) / "blocks.json"
+        path.write_text(json.dumps(BLOCKS))
+        rc, stdout, _ = otkit(["reconstruct", str(path), "--format", "json"])
+        out["blocks"] = {"exit": rc, "stdout": stdout}
     return out
 
 
