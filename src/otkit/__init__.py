@@ -8,7 +8,7 @@ minimal-volume scans.
 
 from .config import precision, working_precision
 from .polynomials import IntPolynomial, poly_discriminant, resultant
-from .roots import EmbeddingSet, isolate_roots
+from .roots import isolate_roots
 from .orders import (MonogenicOrder, OrderElement, ReduciblePolynomialError,
                      Signature, SubOrder, build_order, maximalize, signature)
 from .unitgroup import (AbelianGroupInvariants, IdealHNF, InsufficientUnitsError,

@@ -194,20 +194,18 @@ def cmd_jideal(args) -> int:
 def _load_presentation(path: str) -> GroupPresentation:
     try:
         return GroupPresentation.load(path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CliError(EXIT_ERROR, f"bad presentation file: {exc}") from exc
 
 
 def cmd_h1(args) -> int:
     if args.presentation:
         p = _load_presentation(args.presentation)
-    elif args.poly:
+    else:
         order, _, _, ug = _field(_parse_poly(args.poly), args)
         p = presentation_from_field(order, ug.totally_positive_generators)
         if args.save_presentation:
             p.save(args.save_presentation)
-    else:
-        raise CliError(EXIT_ERROR, "give either --poly or --presentation")
     free, tors = h1(p)
     out = {"free_rank": free,
            "torsion_factors": [str(x) for x in tors.factors],
@@ -422,8 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("jideal", cmd_jideal, "the ideal generated by 1-u over the units")
     p = command("h1", cmd_h1, "first homology from a field or presentation",
                 poly=False)
-    p.add_argument("--poly", help="defining polynomial")
-    p.add_argument("--presentation", help="presentation JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly", help="defining polynomial")
+    source.add_argument("--presentation", help="presentation JSON file")
     p.add_argument("--save-presentation", help="write the field presentation here")
     command("volume", cmd_volume, "closed-form and determinant-path volumes")
     command("mcvol", cmd_mcvol, "Monte-Carlo volume cross-check", mc=True, seed=True)
@@ -436,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
                 poly=False, units=False)
     p.add_argument("--certified-only", action="store_true")
     p.add_argument("--s", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--coeff-bound", type=int, default=2)
-    p.add_argument("--disc-max", type=int, required=True)
+    p.add_argument("--coeff-bound", type=_positive, default=2)
+    p.add_argument("--disc-max", type=_positive, required=True)
     p = command("reconstruct", cmd_reconstruct,
                 "recover the field from a presentation", poly=False, seed=True)
     p.add_argument("presentation", help="presentation JSON file")

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from copy import copy
 from itertools import permutations, product
 
 import numpy as np
 from mpmath import mpf
 
 from .balls import ComplexBall, RealBall
-from .config import PrecisionError, precision
+from .config import PrecisionError, precision, working_precision
 from .orders import OrderElement, SubOrder
 from .polynomials import IntPolynomial
-from .roots import EmbeddingSet, isolate_roots
+from .roots import _polish, _rounded, isolate_roots
 
 MAX_BITS = 16384                # the one cap on every escalation
 LOG_RADIUS = mpf(2) ** -64      # the widest log enclosure log_vector returns
@@ -32,16 +33,23 @@ class EmbeddingTable:
     code raises an embedding's precision.
     """
 
-    def __init__(self, order: SubOrder, emb: EmbeddingSet | None = None):
+    def __init__(self, order: SubOrder):
         self.order = order
-        self.emb = emb or isolate_roots(order.ambient.f)
-        self.bits = self.emb.precision_bits
-        self.s = self.emb.s
-        self.t = self.emb.t
         self._finer: dict[int, EmbeddingTable] = {}   # shared by all refinements
-        with precision(self.bits):
-            self.rows = [self._basis_values(r) for r in self.emb.real]
-            for z in self.emb.complex_upper:
+        bits = working_precision()
+        self._build(bits, isolate_roots(order.ambient.f, bits))
+
+    def _build(self, bits: int, roots) -> None:
+        """Keep the contracted ``roots`` for refinement; round them outward
+        to ``bits`` and make the rows from them."""
+        self.bits = bits
+        self._roots = roots
+        with precision(bits):
+            rounded = [_rounded(z) for z in roots]
+            real = [z for z in rounded if isinstance(z, RealBall)]
+            self.s, self.t = len(real), len(rounded) - len(real)
+            self.rows = [self._basis_values(r) for r in real]
+            for z in rounded[self.s:]:
                 vals = self._basis_values(z)
                 self.rows += [[v.re for v in vals], [v.im for v in vals]]
 
@@ -50,8 +58,8 @@ class EmbeddingTable:
         if bits <= self.bits:
             return self
         if bits not in self._finer:
-            tb = EmbeddingTable(self.order, self.emb.refine(bits))
-            tb._finer = self._finer
+            tb = copy(self)     # the same order and the same shared cache
+            tb._build(bits, _polish(self.order.ambient.f, self._roots, bits))
             self._finer[bits] = tb
         return self._finer[bits]
 
@@ -108,16 +116,6 @@ class EmbeddingTable:
 
         return self.decide(signs)
 
-    def minkowski_matrix(self) -> list[list[RealBall]]:
-        """Square matrix with basis columns: real rows, then Re/Im rows per complex place."""
-        return [row[:] for row in self.rows]
-
-    def float_rows(self):
-        """float64 embedding rows for bulk filtering (real rows, complex rows)."""
-        mids = np.array([[float(v.mid()) for v in row] for row in self.rows])
-        s = self.s
-        return mids[:s], mids[s::2] + 1j * mids[s + 1::2]
-
     def root_of(self, f: IntPolynomial) -> OrderElement | None:
         """A root of f in the order, or None when none is found.
 
@@ -135,9 +133,8 @@ class EmbeddingTable:
         upper = [z for z in roots[self.s:] if z.imag > 0]
         if len(upper) != self.t:
             return None
-        rows, crows = self.float_rows()
-        minkowski = np.vstack([rows, crows.real, crows.imag])
-        targets = [np.concatenate([r, np.real(z), np.imag(z)])
+        minkowski = np.array([[float(v.mid()) for v in row] for row in self.rows])
+        targets = [[*r, *(p for w in z for p in (w.real, w.imag))]
                    for r in permutations(real)
                    for zs in permutations(upper)
                    for z in product(*((w, w.conjugate()) for w in zs))]

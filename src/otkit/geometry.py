@@ -78,19 +78,18 @@ def _log_matrix(table: EmbeddingTable, gens) -> list[list[RealBall]]:
     return [list(row) for row in zip(*cols)]
 
 
-def volume_determinant_path(order: SubOrder, units: UnitGroupData,
-                            table: EmbeddingTable | None = None) -> VolumeResult:
+def volume_determinant_path(order: SubOrder, units: UnitGroupData) -> VolumeResult:
     """Volume from raw numeric matrices: no discriminant or regulator symbols.
 
     (1/2^s) * (s+1)/2^(2s+s^2-1) * |det Minkowski| * |det logs of squares|,
     where the logs of the squares have determinant 2^s |det L|.
     """
-    table = table or units.table
+    table = units.table
     if table.t != 1:
         raise ValueError("volume is defined for one complex place")
     s = table.s
     detB = abs(ball_det(_log_matrix(table, units.generators))) * 2 ** s
-    detA = abs(ball_det(table.minkowski_matrix()))
+    detA = abs(ball_det(table.rows))
     pref = Fraction(1, 2 ** s) * density_prefactor(s)
     value = RealBall(pref) * detA * detB
     return VolumeResult(value, s, abs(order.disc), units.regulator,
@@ -193,17 +192,16 @@ class FundamentalDomainData:
         return self.table.s
 
 
-def fundamental_domain(order: SubOrder, units: UnitGroupData,
-                       table: EmbeddingTable | None = None) -> FundamentalDomainData:
+def fundamental_domain(order: SubOrder, units: UnitGroupData) -> FundamentalDomainData:
     """The cell of the squared-unit group action: unit part spanned by the
     generator log vectors (y scales by sigma(g^2), so r = log(y)/2 shifts by
     one generator log per group step), fibers by the Minkowski cell."""
-    table = table or units.table
+    table = units.table
     if table.t != 1:
         raise ValueError("fundamental domain implemented for one complex place")
     gens = units.generators
     L = _log_matrix(table, gens)
-    A = table.minkowski_matrix()
+    A = table.rows
     if abs(ball_det(L)).contains_zero() or abs(ball_det(A)).contains_zero():
         raise PrecisionError("degenerate domain matrices")
     eps = [g * g for g in gens]

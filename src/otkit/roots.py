@@ -24,41 +24,6 @@ from .polynomials import IntPolynomial, _sign_at, integer_roots, sturm_count, st
 MAX_STEPS = 200     # contraction steps per root before refinement gives up
 
 
-class EmbeddingSet:
-    """Certified enclosures of all roots of a squarefree monic polynomial."""
-
-    def __init__(self, poly: IntPolynomial, precision_bits: int, roots):
-        """``roots``: what the contraction returned for each root, a RealBall
-        per real root, then a ComplexBall per upper complex root; ``real``
-        and ``complex_upper`` are them rounded outward to ``precision_bits``."""
-        self.poly = poly
-        self.precision_bits = precision_bits
-        self._roots = roots
-        with precision(precision_bits):
-            rounded = [_rounded(z) for z in roots]
-        self.real = [z for z in rounded if isinstance(z, RealBall)]
-        self.complex_upper = [z for z in rounded if isinstance(z, ComplexBall)]
-
-    @property
-    def s(self) -> int:
-        return len(self.real)
-
-    @property
-    def t(self) -> int:
-        return len(self.complex_upper)
-
-    def refine(self, precision_bits: int) -> "EmbeddingSet":
-        """A new set with every enclosure tightened to the requested precision."""
-        if precision_bits <= self.precision_bits:
-            return self
-        return EmbeddingSet(self.poly, precision_bits,
-                            _polish(self.poly, self._roots, precision_bits))
-
-    def __repr__(self):
-        return (f"EmbeddingSet({self.poly.format()!r}, s={self.s}, t={self.t}, "
-                f"bits={self.precision_bits})")
-
-
 def _parts(z) -> tuple[RealBall, ...]:
     return (z,) if isinstance(z, RealBall) else (z.re, z.im)
 
@@ -235,15 +200,17 @@ def _box(f, fp, z: complex) -> ComplexBall:
     raise ArithmeticError(f"could not certify a complex root near {z}")
 
 
-def isolate_roots(f: IntPolynomial, precision_bits: int | None = None) -> EmbeddingSet:
-    """Certified, disjoint enclosures for every root of monic squarefree ``f``;
-    NotSquarefreeError from its Sturm chain otherwise."""
+def isolate_roots(f: IntPolynomial, bits: int | None = None) -> list:
+    """Certified, disjoint enclosures for every root of monic squarefree ``f``,
+    contracted to about 2^-(bits+16): a RealBall per real root, ascending,
+    then a ComplexBall per upper complex root; NotSquarefreeError from its
+    Sturm chain otherwise."""
     if not f.is_monic():
         raise ValueError("root isolation expects a monic polynomial")
     if f.degree < 1:
         raise ValueError("root isolation expects degree >= 1")
     chain = sturm_sequence(f)
-    bits = precision_bits or working_precision()
+    bits = bits or working_precision()
 
     def coarse(a, b):
         return b - a <= max(Fraction(1), abs(a), abs(b)) / (1 << 16)
@@ -277,4 +244,4 @@ def isolate_roots(f: IntPolynomial, precision_bits: int | None = None) -> Embedd
     for z, w in combinations(upper, 2):
         if z.re.overlaps(w.re) and z.im.overlaps(w.im):
             raise ArithmeticError("complex enclosures overlap")
-    return EmbeddingSet(f, bits, roots[:s] + upper)
+    return roots[:s] + upper

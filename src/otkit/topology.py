@@ -20,6 +20,13 @@ from .polynomials import IntPolynomial, NotSquarefreeError, is_irreducible, resu
 from .unitgroup import AbelianGroupInvariants, IdealHNF
 
 
+def _entry(v) -> int:
+    """A presentation entry: an int, not a float or a bool that int() would round."""
+    if type(v) is not int:
+        raise ValueError(f"presentation entries must be integers, got {v!r}")
+    return v
+
+
 class GroupPresentation:
     """Z^n acted on by commuting unimodular matrices, one per free generator."""
 
@@ -62,9 +69,11 @@ class GroupPresentation:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroupPresentation":
-        mats = [[[int(v) for v in row] for row in M] for M in d["matrices"]]
+        if not isinstance(d, dict):
+            raise ValueError("a presentation is a JSON object")
+        mats = [[[_entry(v) for v in row] for row in M] for M in d["matrices"]]
         p = cls(mats)
-        if p.lattice_rank != int(d["n"]):
+        if p.lattice_rank != _entry(d["n"]):
             raise ValueError("presentation rank disagrees with its matrices")
         return p
 

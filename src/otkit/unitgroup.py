@@ -203,7 +203,7 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log):
     from sympy.polys.matrices import DomainMatrix
 
     n = order.n
-    mink = table.minkowski_matrix()
+    mink = table.rows
     row_weight = []
     for j in range(table.s):
         row_weight.append(weights_log[j])

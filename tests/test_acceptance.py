@@ -21,7 +21,6 @@ from otkit.geometry import (fundamental_domain, inoue_closed_form, mc_volume,
 from otkit.intmat import hnf
 from otkit.orders import ReduciblePolynomialError, build_order, maximalize, signature
 from otkit.polynomials import IntPolynomial, poly_discriminant
-from otkit.roots import isolate_roots
 from otkit.tables import _float_cell_ok, load_expected
 from otkit.topology import (commutator_sample_closure, compositum,
                             example_compositum_action, h1,
@@ -147,7 +146,7 @@ def test_criterion_5_prescribed_torsion_family():
         if not (free == 1 and tors.factors == ([m] if m > 1 else [])):
             ok = False
             details.append(f"h1 m={m}")
-        table = EmbeddingTable(po, isolate_roots(f))
+        table = EmbeddingTable(po)
         supplied = units_from_generators(po, [po.tbar()], table=table)
         vi = inoue_closed_form(m)
         vd = volume_determinant_path(po, supplied)

@@ -14,7 +14,6 @@ from otkit.geometry import (_scan_polynomials, apply_group_element, domain_conta
                             volume_determinant_path, volume_lower_bound)
 from otkit.orders import build_order
 from otkit.polynomials import IntPolynomial
-from otkit.roots import isolate_roots
 from otkit.unitgroup import units_from_generators
 
 P = IntPolynomial
@@ -146,7 +145,7 @@ def test_inoue_matches_determinant_path():
     for m in (1, 2, 9, 20):
         f = P([-1, m, 0, 1])
         po = build_order(f).power_suborder()
-        table = EmbeddingTable(po, isolate_roots(f))
+        table = EmbeddingTable(po)
         supplied = units_from_generators(po, [po.tbar()], table=table)
         vi = inoue_closed_form(m)
         vd = volume_determinant_path(po, supplied)

@@ -15,27 +15,32 @@ from otkit.embeddings import EmbeddingTable
 from otkit.geometry import _scan_polynomials, min_volume_scan
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, NotSquarefreeError
-from otkit.roots import EmbeddingSet, _contract, isolate_roots
+from otkit.roots import _contract, _polish, isolate_roots
 
 P = IntPolynomial
 
 
+def _signature(roots):
+    real = sum(isinstance(z, RealBall) for z in roots)
+    return real, len(roots) - real
+
+
 def test_known_real_roots():
     e = isolate_roots(P.parse("T^3 + T^2 - 1"), 128)
-    assert e.s == 1 and e.t == 1
-    r = float(e.real[0].mid())
-    assert abs(r - 0.7548776662466927) < 1e-12
+    assert [type(z) for z in e] == [RealBall, ComplexBall]
+    assert abs(float(e[0].mid()) - 0.7548776662466927) < 1e-12
     e2 = isolate_roots(P.parse("T^3 + T + 1"), 128)
-    assert abs(float(e2.real[0].mid()) + 0.6823278038280193) < 1e-12
+    assert abs(float(e2[0].mid()) + 0.6823278038280193) < 1e-12
 
 
 def test_exact_rational_roots():
-    e = isolate_roots(P.parse("T^2 - 1"), 96)
-    assert [float(b.mid()) for b in e.real] == [-1.0, 1.0]
-    assert all(float(b.rad()) == 0 for b in e.real)
-    e2 = e.refine(384)
-    assert [float(b.mid()) for b in e2.real] == [-1.0, 1.0]
-    assert all(b.rad() == 0 for b in e2.real)
+    f = P.parse("T^2 - 1")
+    e = isolate_roots(f, 96)
+    assert [float(b.mid()) for b in e] == [-1.0, 1.0]
+    assert all(float(b.rad()) == 0 for b in e)
+    e2 = _polish(f, e, 384)
+    assert [float(b.mid()) for b in e2] == [-1.0, 1.0]
+    assert all(b.rad() == 0 for b in e2)
 
 
 @pytest.mark.parametrize("text, roots", [
@@ -45,18 +50,18 @@ def test_exact_rational_roots():
     ("T^3 - 3*T^2 + T + 1", [1 - 2 ** 0.5, 1, 1 + 2 ** 0.5]),
 ])
 def test_integer_and_irrational_roots_together(text, roots):
-    e = isolate_roots(P.parse(text), 96).refine(256)
-    assert e.s == 3
-    for b, r in zip(e.real, roots):
+    f = P.parse(text)
+    e = _polish(f, isolate_roots(f, 96), 256)
+    assert _signature(e) == (3, 0)
+    for b, r in zip(e, roots):
         assert abs(float(b.mid()) - r) < 1e-12
         assert b.rad() < mpf(2) ** -250
 
 
 def test_signature_counts():
-    e = isolate_roots(P.parse("T^4 - T - 1"), 96)
-    assert (e.s, e.t) == (2, 1)
-    e9 = isolate_roots(P.parse("T^9 - T^3 + 2*T - 1"), 96)
-    assert e9.s + 2 * e9.t == 9
+    assert _signature(isolate_roots(P.parse("T^4 - T - 1"), 96)) == (2, 1)
+    s, t = _signature(isolate_roots(P.parse("T^9 - T^3 + 2*T - 1"), 96))
+    assert s + 2 * t == 9
 
 
 def test_nonsquarefree_rejected():
@@ -65,22 +70,22 @@ def test_nonsquarefree_rejected():
 
 
 def _balls(e):
-    return e.real + [b for z in e.complex_upper for b in (z.re, z.im)]
+    return [b for z in e for b in ((z,) if isinstance(z, RealBall) else (z.re, z.im))]
 
 
 # T^5 - T - 3 has two complex places; T^4 - 2*T^2 - 2 has a purely imaginary root
 @pytest.mark.parametrize("text", ["T^3 - T + 1", "T^5 - T - 3", "T^4 - 2*T^2 - 2"])
 def test_refinement_shrinks(text):
-    e = isolate_roots(P.parse(text), 96)
-    e2 = e.refine(256)
-    assert isinstance(e2, EmbeddingSet)
-    assert (e2.s, e2.t, e2.precision_bits) == (e.s, e.t, 256)
+    f = P.parse(text)
+    e = isolate_roots(f, 96)
+    e2 = _polish(f, e, 256)
+    assert [type(z) for z in e2] == [type(z) for z in e]
     for coarse, fine in zip(_balls(e), _balls(e2)):
         assert coarse.contains(fine)
         assert float(fine.rad()) < float(coarse.rad()) / 2
     if text == "T^4 - 2*T^2 - 2":
-        assert e.complex_upper[0].re.contains_zero()
-        assert e2.complex_upper[0].re.contains_zero()
+        assert e[-1].re.contains_zero()
+        assert e2[-1].re.contains_zero()
 
 
 TABLE_FIELDS = ["T^3 - T + 1", "T^5 - T - 3", "T^4 - 2*T^2 - 2",
@@ -99,7 +104,7 @@ def test_table_values_match_numpy(text):
     order, table = _table(text)
     f = order.ambient.f
     roots = np.roots([float(c) for c in reversed(f.coeffs)])
-    places = table.emb.real + table.emb.complex_upper
+    places = table._roots
     rng = random.Random(text)
     for _ in range(10):
         x = order.element([rng.randint(-9, 9) for _ in range(order.n)])
@@ -116,12 +121,14 @@ def test_table_values_match_numpy(text):
 
 @pytest.mark.parametrize("text", TABLE_FIELDS)
 def test_minkowski_columns_and_float_rows(text):
-    """Column c of the Minkowski matrix is the embedding of basis element c,
-    and the float rows are its midpoints."""
+    """Column c of the rows (the Minkowski matrix) is the embedding of basis
+    element c, and a float solve against the rows' midpoints, as in
+    ``root_of``, gives back that basis element."""
     order, table = _table(text)
     s, t, n = table.s, table.t, order.n
-    M = table.minkowski_matrix()
+    M = table.rows
     assert len(M) == n and all(len(row) == n for row in M)
+    mids = np.array([[float(b.mid()) for b in row] for row in M])
     for c in range(n):
         e = order.element([int(i == c) for i in range(n)])
         col = ([table.real_value(e, j) for j in range(s)]
@@ -129,11 +136,8 @@ def test_minkowski_columns_and_float_rows(text):
                                                 table.complex_value(e, j).im)])
         for b, m in zip(col, (row[c] for row in M)):
             assert (b.lower, b.upper) == (m.lower, m.upper)
-    realf, cplxf = table.float_rows()
-    mids = [[float(b.mid()) for b in row] for row in M]
-    assert realf.tolist() == mids[:s]
-    assert cplxf.tolist() == [[complex(a, b) for a, b in zip(re, im)]
-                              for re, im in zip(mids[s::2], mids[s + 1::2])]
+        x = np.linalg.solve(mids, [float(b.mid()) for b in col])
+        assert np.round(x).tolist() == list(e.coords)
 
 
 # the second quartic pair comes from the (2, 2, 500) scan: disc -400, where
@@ -163,16 +167,17 @@ def test_root_of_rejects_other_field():
     assert a.root_of(oa.ambient.f) is not None
 
 
-def _roots_sum_product(e):
-    with precision(e.precision_bits):
+def _roots_sum_product(e, bits):
+    with precision(bits):
         total = RealBall(0)
         prod = RealBall(1)
-        for b in e.real:
-            total = total + b
-            prod = prod * b
-        for z in e.complex_upper:
-            total = total + z.re * 2
-            prod = prod * z.abs2()
+        for z in e:
+            if isinstance(z, RealBall):
+                total = total + z
+                prod = prod * z
+            else:
+                total = total + z.re * 2
+                prod = prod * z.abs2()
     return total, prod
 
 
@@ -180,8 +185,7 @@ def _roots_sum_product(e):
                                   "T^5 - T^3 - 2*T^2 + 1", "T^3 + 2*T + 2000"])
 def test_root_sum_and_product_invariants(text):
     f = P.parse(text)
-    e = isolate_roots(f, 128)
-    total, prod = _roots_sum_product(e)
+    total, prod = _roots_sum_product(isolate_roots(f, 128), 128)
     n = f.degree
     a_top = f.coeffs[-2]
     assert total.contains(-a_top)
@@ -190,9 +194,10 @@ def test_root_sum_and_product_invariants(text):
 
 def test_enclosures_disjoint_and_upper():
     e = isolate_roots(P.parse("T^7 - T - 3"), 96)
-    for z in e.complex_upper:
-        assert z.im.is_positive()
-    mids = sorted(float(b.mid()) for b in e.real)
+    s, t = _signature(e)
+    for z in e[s:]:
+        assert isinstance(z, ComplexBall) and z.im.is_positive()
+    mids = [float(b.mid()) for b in e[:s]]
     for a, b in zip(mids, mids[1:]):
         assert a < b
 
@@ -204,9 +209,9 @@ def _log2_width(b):
 
 def test_refine_reaches_requested_width():
     # checked on what the contraction returns, before rounding to 16384 bits
-    e = isolate_roots(P.parse("T^3 - T + 1")).refine(16384)
-    assert e.precision_bits == 16384
-    x, z = e._roots
+    tb = _table("T^3 - T + 1")[1].at(16384)
+    assert tb.bits == 16384
+    x, z = tb._roots
     assert isinstance(x, RealBall) and isinstance(z, ComplexBall)
     assert max(_log2_width(x), _log2_width(z.re), _log2_width(z.im)) < -16384 - 16
 
@@ -227,13 +232,13 @@ def test_table_escalates_through_its_refinements():
     asked = []
 
     def undecided(tb):
-        asked.append((tb.bits, tb.emb.precision_bits, working_precision()))
+        asked.append((tb.bits, working_precision()))
 
     with pytest.raises(PrecisionError):
         table.decide(undecided)
     # doubling, with the last question at the cap itself
     bits = [192 * 2 ** i for i in range(7)] + [16384]
-    assert asked == [(b, b, b) for b in bits]
+    assert asked == [(b, b) for b in bits]
     # the refinements are cached, and shared with the refined tables
     assert table.at(384).at(768) is table.at(768)
     assert all(r.contains(f) for r, f in zip(table.rows[0], table.at(768).rows[0]))
@@ -255,8 +260,8 @@ def test_refinement_raises_below_working_precision():
     f = P.parse("T^3 - T + 1")
     e = isolate_roots(f, 64)
     target = mpf(2) ** -1000
-    assert [type(z) for z in e._roots] == [RealBall, ComplexBall]
-    for z in e._roots:
+    assert [type(z) for z in e] == [RealBall, ComplexBall]
+    for z in e:
         with precision(64):
             with pytest.raises(PrecisionError):
                 _contract(f, f.derivative(), z, target)
@@ -276,10 +281,10 @@ def _count_sturm_sequences(monkeypatch, module):
 
 def test_one_sturm_chain_per_isolation(monkeypatch):
     chains = _count_sturm_sequences(monkeypatch, otkit.roots)
-    f = P.parse("T^7 - 3*T^5 - T^4 + T^3 + 3*T^2 + T - 1")    # s = 5
-    e = isolate_roots(f)
-    assert e.s == 5 and chains == [f]
-    e.refine(1000)
+    order, table = _table("T^7 - 3*T^5 - T^4 + T^3 + 3*T^2 + T - 1")    # s = 5
+    f = order.ambient.f
+    assert table.s == 5 and chains == [f]
+    table.at(1000)
     assert chains == [f]
 
 

@@ -103,6 +103,9 @@ def test_cli_field_malformed(capsys):
                  id="mcvol --seed -1"),
     pytest.param(["field", "T^3 - T + 1", "--mc", "--seed", "-1"], id="field --mc --seed -1"),
     pytest.param(["mcvol", "T^3 - T + 1", "--seed", str(2 ** 128)], id="mcvol --seed 2^128"),
+    *(pytest.param(["scan", "--s", "1", *bounds], id=f"scan {' '.join(bounds)}")
+      for value in ("-1", "0", "-5")
+      for bounds in (["--disc-max", value], ["--disc-max", "50", "--coeff-bound", value])),
 ])
 def test_cli_field_rejects_with_json_error(capsys, argv):
     rc = main(argv)
@@ -189,6 +192,32 @@ def test_cli_h1_malformed_presentation(tmp_path, capsys):
     assert main(["h1", "--presentation", str(bad)]) == 1
     bad.write_text(json.dumps({"n": 2, "matrices": [[[2, 0], [0, 1]]]}))
     assert main(["h1", "--presentation", str(bad)]) == 1
+
+
+@pytest.mark.parametrize("content", [
+    [1, 2],                                     # not an object
+    {"n": 3, "matrices": [[[0.9, 0, -1], [1, 0, 1], [0, 1, 0]]]},   # int() would read 0
+    {"n": 1, "matrices": [[[True]]]},           # int() would read 1
+    {"n": 2, "matrices": [[5]]},                # a row that is not a list
+], ids=["list", "float entry", "bool entry", "flat matrix"])
+def test_cli_h1_presentation_of_wrong_types(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    rc = main(["h1", "--presentation", str(bad), "--format", "json"])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert rc == 1 and err["exit_code"] == 1 and captured.out == ""
+    assert err["error"].startswith("bad presentation file")
+
+
+def test_cli_h1_takes_one_source(tmp_path, capsys):
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"n": 3, "matrices": [[[0, 0, -1], [1, 0, 1], [0, 1, 0]]]}))
+    rc = main(["h1", "--poly", "T^3 - T + 2", "--presentation", str(pres)])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert rc == 1 and err["exit_code"] == 1 and captured.out == ""
+    assert "not allowed with argument" in err["error"]
 
 
 def test_cli_reconstruct(tmp_path, capsys):

@@ -11,7 +11,6 @@ from otkit.embeddings import EmbeddingTable
 from otkit.intmat import charpoly, hnf
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
-from otkit.roots import isolate_roots
 from otkit.unitgroup import (CHARACTER_PRIMES, InsufficientUnitsError, _character_kernel,
                              _roots_mod, _try_kth_root, _UnitLattice, certify_units,
                              j_ideal, torsion_group, totally_positive_generators, unit_group,
@@ -246,8 +245,7 @@ def test_totally_positive_examples():
     tp = ug.totally_positive_generators[0]
     assert ug.table.sign_vector(tp) == [0]
     po = build_order(P.parse("T^3 + T + 1")).power_suborder()
-    emb = isolate_roots(P.parse("T^3 + T + 1"))
-    table = EmbeddingTable(po, emb)
+    table = EmbeddingTable(po)
     s_elt = po.tbar()
     tp2 = totally_positive_generators(po, table, [s_elt])
     # the root is negative, so the positive generator is -S
@@ -357,8 +355,7 @@ def test_quartic_certification(quartic275):
 def test_units_from_generators_unreduced():
     f = P([-1, 8, 0, 1])  # unit index 2 over the maximal order
     po = build_order(f).power_suborder()
-    emb = isolate_roots(f)
-    table = EmbeddingTable(po, emb)
+    table = EmbeddingTable(po)
     supplied = units_from_generators(po, [po.tbar()], table=table)
     assert supplied.certified_index_bound == 0
     full = unit_group(maximalize(build_order(f))[0])

@@ -19,8 +19,9 @@ directory), one fresh process per command, and writes one JSON file:
 * ``commands``: stdout and exit code of one run each of ``jideal``,
   ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``,
   ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
-  totally positive generator comes back), ``paper-tables minvol``, ``field``
-  of ``T^3 + 2*T + 2000`` at 64 bits and ``units`` of ``T^5 - T - 3`` at 1000
+  totally positive generator comes back), ``paper-tables minvol``,
+  ``paper-tables volumebounds``, ``paper-tables quartics`` (so every
+  reference table is recorded), ``field`` of ``T^3 + 2*T + 2000`` at 64 bits and ``units`` of ``T^5 - T - 3`` at 1000
   bits, keyed by the command line;
 * ``presentation``: for ``T^3 - T + 2`` (unit rank 1) and ``T^4 - T^3 +
   2*T - 1`` (unit rank 2), stdout and exit code of ``h1 --poly ...
@@ -71,6 +72,8 @@ COMMANDS = [
     ["paper-tables", "prop5index"],
     ["paper-tables", "computeJ"],
     ["paper-tables", "minvol"],
+    ["paper-tables", "volumebounds"],
+    ["paper-tables", "quartics"],
     # contraction targets other than the default 192 + 16 bits: this
     # field's table escalates from 64 bits, and 1000 bits from the start
     ["field", "T^3 + 2*T + 2000", "--precision", "64", "--format", "json"],
