@@ -204,8 +204,8 @@ def cmd_h1(args) -> int:
     else:
         order, _, _, ug = _field(_parse_poly(args.poly), args)
         p = presentation_from_field(order, ug.totally_positive_generators)
-        if args.save_presentation:
-            p.save(args.save_presentation)
+    if args.save_presentation:
+        p.save(args.save_presentation)
     free, tors = h1(p)
     out = {"free_rank": free,
            "torsion_factors": [str(x) for x in tors.factors],

@@ -21,7 +21,6 @@ from mpmath import mp
 from .balls import ComplexBall, RealBall, ball_det, ball_pi, ball_solve
 from .config import PrecisionError
 from .embeddings import EmbeddingTable
-from .factorint import trial_factor
 from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
                      signature)
 from .polynomials import IntPolynomial, NotSquarefreeError, integer_roots
@@ -426,7 +425,7 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
             continue
         # index^2 divides disc f, so |disc K| >= |disc f| / (its largest square
         # divisor) once the square part is fully known
-        factors, _, complete = trial_factor(mo.disc_f)
+        factors, _, complete = mo.disc_factors
         if complete and abs(mo.disc_f) > disc_bound * prod(p ** (e - e % 2)
                                                             for p, e in factors):
             continue

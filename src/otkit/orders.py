@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import intmat
-from .factorint import square_divisor_primes
+from .factorint import trial_factor
 from .intmat import det_bareiss, hnf, kernel_mod_p
 from .polynomials import (IntPolynomial, is_irreducible, poly_discriminant, sturm_count,
                           sturm_sequence)
@@ -51,6 +52,11 @@ class MonogenicOrder:
         self.n = f.degree
         self.disc_f = disc_f
         self._power = None
+
+    @cached_property
+    def disc_factors(self):
+        """``trial_factor(disc_f)``, computed once per order."""
+        return trial_factor(self.disc_f)
 
     def power_suborder(self) -> "SubOrder":
         if self._power is None:
@@ -374,9 +380,9 @@ def maximalize(mo: MonogenicOrder):
     case the returned order is maximal at all primes found but maximality
     overall is unverified.
     """
-    primes, complete, _cofactor = square_divisor_primes(mo.disc_f)
+    factors, _, complete = mo.disc_factors
     order = mo.power_suborder()
-    for p in primes:
+    for p in (p for p, e in factors if e >= 2):
         while True:
             if order.disc % (p * p):
                 break

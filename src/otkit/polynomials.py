@@ -10,6 +10,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
+from sympy import divisors
 from sympy.polys.domains import ZZ
 from sympy.polys.factortools import dup_zz_factor
 
@@ -305,7 +306,7 @@ def integer_roots(f: IntPolynomial) -> list[int]:
     if c0 == 0:
         return sorted({0, *integer_roots(IntPolynomial(f.coeffs[1:]))})
     if abs(c0) <= _DIVISOR_LIMIT:
-        return sorted(r for r in _divisors_signed(c0) if f(r) == 0)
+        return sorted(r for d in divisors(abs(c0)) for r in (d, -d) if f(r) == 0)
     return _linear_roots(_factors(f))
 
 
@@ -317,17 +318,6 @@ def _linear_roots(factors) -> list[int]:
 def _sign_at(f: IntPolynomial, q: "Fraction|int") -> int:
     v = f(q)
     return (v > 0) - (v < 0)
-
-
-def _divisors_signed(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.extend([d, -d, n // d, -(n // d)])
-        d += 1
-    return sorted(set(out))
 
 
 def is_irreducible(f: IntPolynomial) -> tuple[bool, IntPolynomial | None]:

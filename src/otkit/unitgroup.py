@@ -25,6 +25,8 @@ from sympy import discrete_log, isprime, primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd,
                                      gf_pow_mod, gf_sub)
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMRankError
 
 from . import intmat
 from .balls import RealBall, ball_det
@@ -199,9 +201,6 @@ def _ring_vectors(r: int, radius: int):
 
 def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log):
     """LLL-reduce the Minkowski lattice with per-place log-weights; returns coord rows."""
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-
     n = order.n
     mink = table.rows
     row_weight = []
@@ -223,7 +222,9 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log):
     A = DomainMatrix([[ZZ(Z[r][c]) for r in range(n)] for c in range(n)], (n, n), ZZ)
     try:
         _, T = A.lll_transform()
-    except Exception:
+    except (DMRankError, AssertionError):
+        # sympy rounds mu through float without gmpy2, and its closing
+        # size-reduction asserts then fail on large entries
         return []
     Tm = T.to_Matrix().tolist()
     rows = [[int(v) for v in row] for row in Tm]

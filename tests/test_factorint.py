@@ -1,8 +1,11 @@
+import time
+
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
-from otkit.factorint import (factor_string, is_perfect_square,
-                             square_divisor_primes, trial_factor)
+from otkit.factorint import (FACTOR_LIMIT, factor_string, is_perfect_square,
+                             trial_factor)
 
 
 def test_trial_factor_examples():
@@ -22,14 +25,14 @@ def test_trial_factor_large_prime_cofactor():
 
 
 def test_trial_factor_perfect_power_cofactor():
-    p = 1000003  # prime just above the default bound
-    factors, cofactor, certified = trial_factor(p * p, bound=10 ** 3)
+    p = 1000003  # prime above the trial-division limit
+    factors, cofactor, certified = trial_factor(p * p)
     assert (p, 2) in factors and certified
 
 
 def test_trial_factor_opaque_cofactor_flagged():
-    p, q = 1000003, 1000033
-    factors, cofactor, certified = trial_factor(p * p * q, bound=10 ** 3)
+    p, q = sympy.nextprime(10 ** 29), sympy.nextprime(3 * 10 ** 29)
+    factors, cofactor, certified = trial_factor(p * p * q)
     assert cofactor == p * p * q
     assert not certified
 
@@ -41,20 +44,42 @@ def test_trial_factor_large_prime_square(exponent):
 
 
 def test_trial_factor_huge_semiprime_flagged():
+    # adjacent 200-digit primes: the Fermat step splits their product
     p = sympy.nextprime(10 ** 200)
     q = sympy.nextprime(p)
-    factors, cofactor, certified = trial_factor(p * q)
-    assert factors == [] and cofactor == p * q and not certified
+    assert trial_factor(p * q) == ([(p, 1), (q, 1)], 1, True)
+
+
+def test_trial_factor_within_budget():
+    p, q = sympy.nextprime(10 ** 29), sympy.nextprime(3 * 10 ** 29)
+    start = time.process_time()
+    result = trial_factor(p * q)
+    assert time.process_time() - start < 1
+    assert result == ([], p * q, False)
+
+
+@pytest.mark.parametrize("n, factors", [
+    (10392843859404577, [(4073821, 1), (2551129237, 1)]),
+    (11310090538332283, [(2275607, 1), (4970142269, 1)]),
+])
+def test_trial_factor_completes_panel_cofactors(n, factors):
+    assert trial_factor(n) == (factors, 1, True)
+
+
+primes_above_limit = st.integers(FACTOR_LIMIT, 999_000).map(sympy.nextprime)
+
+
+@given(st.integers(1, FACTOR_LIMIT), primes_above_limit,
+       st.integers(1, 10 ** 40).map(sympy.nextprime),
+       st.one_of(st.just(1), primes_above_limit))
+def test_trial_factor_finds_primes_below_a_million(k, p, q, p2):
+    n = k * p * q * p2
+    assert trial_factor(n) == (sorted(sympy.factorint(n).items()), 1, True)
 
 
 def test_trial_factor_rejects_zero():
     with pytest.raises(ValueError):
         trial_factor(0)
-
-
-def test_square_divisor_primes():
-    primes, certain, cof = square_divisor_primes(-2075)
-    assert primes == [5] and certain and cof == 1
 
 
 def test_factor_string():

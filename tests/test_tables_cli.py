@@ -8,6 +8,7 @@ from otkit.cli import main
 from otkit.config import PrecisionError
 from otkit.tables import (load_expected, regen_minvol, regen_prop5index,
                           regen_volumebounds)
+from otkit.topology import GroupPresentation
 
 
 def test_expected_data_provenance():
@@ -173,6 +174,16 @@ def test_cli_h1_roundtrip(tmp_path, capsys):
     assert rc == 0 and second == first
     rc = main(["h1", "--presentation", str(tmp_path / "missing.json")])
     assert rc == 1
+
+
+def test_cli_h1_presentation_saved_again(tmp_path, capsys):
+    src, copy = tmp_path / "f.json", tmp_path / "g.json"
+    GroupPresentation([[[0, 0, 1], [1, 0, -1], [0, 1, 0]]]).save(src)
+    rc = main(["h1", "--presentation", str(src), "--save-presentation", str(copy)])
+    capsys.readouterr()
+    assert rc == 0
+    assert (GroupPresentation.load(copy).action_matrices
+            == GroupPresentation.load(src).action_matrices)
 
 
 @pytest.mark.parametrize("argv", [
