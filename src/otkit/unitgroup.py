@@ -2,8 +2,11 @@
 
 Units are found one way: a sweep of skewed-Minkowski LLL reductions (finds
 units of any size in logarithmic steps), which stops as soon as it has r
-independent units.  Every numeric decision funnels through exact integer
-verification; floats and intervals only steer the search.
+independent units.  The sweep walks warm chains: each step reduces the basis
+its chain reached one step earlier, reweighted and scaled so that its
+shortest row keeps a fixed number of bits.  Every numeric decision funnels
+through exact integer verification; floats and intervals only steer the
+search.
 
 Certification alone closes the index of that system, with proven regulator
 lower bounds: the quotient regulator/floor bounds the index.  For each prime
@@ -16,6 +19,7 @@ bound ends at 1, or at 0 when no proven regulator floor applies.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import count, product
 
@@ -30,6 +34,7 @@ from sympy.polys.matrices.exceptions import DMRankError
 
 from . import intmat
 from .balls import RealBall, ball_det
+from .config import precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder
@@ -187,6 +192,12 @@ def regulator_of(table: EmbeddingTable, gens) -> RealBall:
 # -- skewed-LLL sweep ----------------------------------------------------------
 
 
+# the sweep's LLL input: bits kept by its shortest row, and bits of the
+# embeddings beyond those that cancellation and the weights cost
+SWEEP_SCALE_BITS = 100
+SWEEP_SPARE_BITS = 160
+
+
 def _ideal_key(order: SubOrder, x: OrderElement):
     return tuple(tuple(row) for row in hnf(order.mult_matrix(x)))
 
@@ -199,41 +210,44 @@ def _ring_vectors(r: int, radius: int):
             if max(map(abs, v)) == radius]
 
 
-def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log):
-    """LLL-reduce the Minkowski lattice with per-place log-weights; returns coord rows."""
+def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
+    """LLL-reduce a chain's basis under per-place log-weights.
+
+    ``basis`` holds integer coordinate rows; the LLL input is their weighted
+    embeddings, scaled so that the shortest row keeps SWEEP_SCALE_BITS bits
+    whatever the weights.  The embeddings come from the first table on the
+    doubling ladder from ``table.bits`` that has SWEEP_SPARE_BITS beyond the
+    bits they lose.  Returns ``(reduced_basis, candidates)``: the reduced
+    rows, then sums and differences of pairs among the first four.  sympy's
+    DMRankError or AssertionError passes through.
+    """
     n = order.n
-    mink = table.rows
-    row_weight = []
-    for j in range(table.s):
-        row_weight.append(weights_log[j])
-    for j in range(table.t):
-        row_weight.append(weights_log[table.s + j])
-        row_weight.append(weights_log[table.s + j])
-    # enough scale bits that the most downweighted row keeps ~160 bits
-    spread = max(row_weight) - min(row_weight)
-    scale_bits = 320 + int(1.5 * spread)
-    with mp.workprec(scale_bits + 64):
-        W = [mp.exp(w) for w in row_weight]
-        ent = [[mp.mpf(mink[r][c].mid()) * W[r] for c in range(n)] for r in range(n)]
-        mx = max(abs(v) for row in ent for v in row)
-        scl = mp.mpf(2) ** scale_bits / mx
-        Z = [[int(mp.nint(v * scl)) for v in row] for row in ent]
-    # rows of the LLL input are the basis element embeddings
-    A = DomainMatrix([[ZZ(Z[r][c]) for r in range(n)] for c in range(n)], (n, n), ZZ)
-    try:
-        _, T = A.lll_transform()
-    except (DMRankError, AssertionError):
-        # sympy rounds mu through float without gmpy2, and its closing
-        # size-reduction asserts then fail on large entries
-        return []
-    Tm = T.to_Matrix().tolist()
-    rows = [[int(v) for v in row] for row in Tm]
+    # a complex place's weight scales both its Re and its Im row
+    row_weight = [*weights_log[:table.s], *(w for w in weights_log[table.s:] for _ in (0, 1))]
+    # an embedding cancels about as many bits as the largest coordinate has,
+    # and its weight multiplies the error left by up to e^max(weights): at
+    # radius 220 that is 317 bits, without which rank-1 chains lose their way
+    need = (max(abs(c) for row in basis for c in row).bit_length() + SWEEP_SPARE_BITS
+            + int(max(weights_log) / math.log(2)))
+    bits = table.bits
+    while bits < need:
+        bits *= 2
+    tb = table.at(bits)
+    with precision(bits), mp.workprec(bits):
+        places = [[e * x.mid() for x in place]
+                  for e, place in zip(map(mp.exp, row_weight), tb.rows)]
+        ent = [[mp.fdot(place, b) for place in places] for b in basis]
+        scl = mp.mpf(2) ** SWEEP_SCALE_BITS / min(mp.norm(row) for row in ent)
+        Z = [[ZZ(int(mp.nint(v * scl))) for v in row] for row in ent]
+    _, T = DomainMatrix(Z, (n, n), ZZ).lll_transform()
+    rows = [[sum(int(a) * b[c] for a, b in zip(trow, basis)) for c in range(n)]
+            for trow in T.to_Matrix().tolist()]
     combos = list(rows)
     for i in range(min(4, n)):
         for j in range(i + 1, min(4, n)):
             combos.append([a + b for a, b in zip(rows[i], rows[j])])
             combos.append([a - b for a, b in zip(rows[i], rows[j])])
-    return combos
+    return rows, combos
 
 
 def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -> None:
@@ -241,9 +255,15 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
 
     The log-weights step by 1.0 over rings of sup-norm radius up to 220 for
     unit rank 1 (8 above it), and the walk returns as soon as the lattice has
-    full rank; closing its index is left to certification.
+    full rank; closing its index is left to certification.  The walk is a
+    tree of warm chains: radius 0 reduces the identity basis, and every other
+    ring vector reduces the basis reached at its predecessor, the vector with
+    each coordinate of absolute value equal to the radius one step nearer 0
+    (for rank 1, one chain per sign).  Only the previous ring's bases are
+    kept.  A step whose LLL fails leaves its chain where it was, and the
+    error of an unfinished sweep counts those steps.
     """
-    s, t = table.s, table.t
+    n, s, t = order.n, table.s, table.t
     r = s + t - 1
     mults = [1] * s + [2] * t
     # |disc| and its square root rounded to 53 bits as in float64, without
@@ -253,12 +273,29 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
                          * mp.sqrt(mp.mpf(abs(order.disc)))) + 8
     reps: dict = {}
     grid_radius_cap = 220 if r == 1 else 8
+    steps = failed = 0
+    prev: dict = {}
     for radius in range(0, grid_radius_cap + 1):
+        ring = {}
         for v in _ring_vectors(r, radius):
+            if radius:
+                basis = prev[tuple(c - (c > 0) + (c < 0) if abs(c) == radius else c
+                                   for c in v)]
+            else:
+                basis = [[int(i == j) for j in range(n)] for i in range(n)]
             tau = [float(x) for x in v]
             last = -sum(m * x for m, x in zip(mults, tau)) / mults[-1]
             weights = tau + [last]
-            for coords in _sweep_lll(order, table, weights):
+            steps += 1
+            try:
+                basis, combos = _sweep_lll(order, table, weights, basis)
+            except (DMRankError, AssertionError):
+                # sympy rounds mu through float without gmpy2, and its
+                # closing size-reduction asserts can then fail
+                failed += 1
+                combos = []
+            ring[v] = basis
+            for coords in combos:
                 if not any(coords):
                     continue
                 x = order.element(coords)
@@ -275,9 +312,11 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
                     continue
                 if lattice.insert(q) and len(lattice.gens) == r:
                     return
+        prev = ring
+    lost = f"; {failed} of {steps} LLL steps failed" if failed else ""
     raise InsufficientUnitsError(
         f"insufficient units: {len(lattice.gens)} of unit rank {r} after a sweep "
-        f"to radius {grid_radius_cap}")
+        f"to radius {grid_radius_cap}{lost}")
 
 
 # -- k-th root refinement -------------------------------------------------------

@@ -132,6 +132,16 @@ def test_cli_precision_error_is_json(capsys, monkeypatch):
     assert rc == 1 and err == {"error": "undecidable even at 8192 bits", "exit_code": 1}
 
 
+def test_cli_units_names_failed_lll_steps(capsys):
+    # sympy's LLL fails on this field's cold step, so every chain stays at
+    # the identity basis; the JSON error counts the steps it lost
+    rc = main(["units", f"T^3 + T + {10 ** 41 + 7}", "--format", "json"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3 and err["exit_code"] == 3
+    assert re.search(r"after a sweep to radius 220; [1-9]\d* of 441 LLL steps failed$",
+                     err["error"])
+
+
 def test_cli_field_json_large(capsys):
     rc = main(["field", "T^3 + 2*T + 2000", "--format", "json"])
     assert rc == 0

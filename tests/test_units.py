@@ -4,6 +4,8 @@ from itertools import product
 import pytest
 from mpmath import mpf
 from sympy import isprime
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMRankError
 
 import otkit.embeddings
 import otkit.unitgroup
@@ -13,8 +15,8 @@ from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.unitgroup import (CHARACTER_PRIMES, InsufficientUnitsError, _character_kernel,
                              _roots_mod, _try_kth_root, _UnitLattice, certify_units,
-                             j_ideal, torsion_group, totally_positive_generators, unit_group,
-                             units_from_generators)
+                             j_ideal, sweep_units, torsion_group, totally_positive_generators,
+                             unit_group, units_from_generators)
 
 P = IntPolynomial
 
@@ -226,11 +228,46 @@ def test_non_unit_candidates_rejected(disc23):
 def test_sweep_norm_bound_beyond_float64(monkeypatch):
     # |disc| is about 2.7 * 10^321, beyond float64; with no LLL candidates
     # the sweep ends in its own error, not in an OverflowError
-    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll", lambda *args: [])
+    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll", lambda order, table, w, basis: (basis, []))
     order, _, _ = maximalize(build_order(P.parse(f"T^3 + T + {10 ** 160 + 7}")))
     assert abs(order.disc) > 2 ** 1024
     with pytest.raises(InsufficientUnitsError):
         unit_group(order)
+
+
+@pytest.mark.parametrize("poly", ["T^3 + 2*T + 5000", "T^3 + T^2 - 5*T + 114"])
+def test_sweep_lll_steps_do_not_fail(monkeypatch, poly):
+    # a warm chain's LLL input keeps about 100 bits, where sympy's float
+    # rounding of mu does not break its size-reduction asserts
+    failed = []
+    lll = DomainMatrix.lll_transform
+
+    def counted(self, *args, **kwargs):
+        try:
+            return lll(self, *args, **kwargs)
+        except (DMRankError, AssertionError):
+            failed.append(self)
+            raise
+
+    monkeypatch.setattr(DomainMatrix, "lll_transform", counted)
+    order, _, _ = maximalize(build_order(P.parse(poly)))
+    table = EmbeddingTable(order)
+    try:
+        sweep_units(order, table, _UnitLattice(order, table, 1))
+    except InsufficientUnitsError as exc:
+        assert "failed" not in str(exc)
+    assert failed == []
+
+
+def test_sweep_refines_few_tables():
+    # each step's embeddings come from the table's doubling ladder, not from
+    # a table refined to the chain basis's exact bit count
+    order, _, _ = maximalize(build_order(P.parse("T^3 - 3*T^2 - 3*T - 166")))
+    table = EmbeddingTable(order)
+    lattice = _UnitLattice(order, table, 1)
+    sweep_units(order, table, lattice)
+    assert len(lattice.gens) == 1
+    assert len(table._finer) <= 3
 
 
 def test_insufficient_candidates_rejected(disc23):
