@@ -133,8 +133,8 @@ def test_cli_precision_error_is_json(capsys, monkeypatch):
 
 
 def test_cli_units_names_failed_lll_steps(capsys):
-    # sympy's LLL fails on this field's cold step, so every chain stays at
-    # the identity basis; the JSON error counts the steps it lost
+    # sympy's LLL fails on this field's cold step and on many after it;
+    # the JSON error counts the failed steps
     rc = main(["units", f"T^3 + T + {10 ** 41 + 7}", "--format", "json"])
     err = json.loads(capsys.readouterr().err)
     assert rc == 3 and err["exit_code"] == 3

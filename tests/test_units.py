@@ -237,7 +237,7 @@ def test_sweep_norm_bound_beyond_float64(monkeypatch):
 
 @pytest.mark.parametrize("poly", ["T^3 + 2*T + 5000", "T^3 + T^2 - 5*T + 114"])
 def test_sweep_lll_steps_do_not_fail(monkeypatch, poly):
-    # a warm chain's LLL input keeps about 100 bits, where sympy's float
+    # a warm chain's LLL input is nearly reduced already, so sympy's float
     # rounding of mu does not break its size-reduction asserts
     failed = []
     lll = DomainMatrix.lll_transform
