@@ -21,9 +21,9 @@ from mpmath import mp
 from .balls import ComplexBall, RealBall, ball_det, ball_pi, ball_solve
 from .config import PrecisionError
 from .embeddings import EmbeddingTable
-from .orders import (ReduciblePolynomialError, SubOrder, build_order, maximalize,
-                     signature)
-from .polynomials import IntPolynomial, NotSquarefreeError, integer_roots
+from .orders import MonogenicOrder, SubOrder, maximalize, signature
+from .polynomials import (IntPolynomial, NotSquarefreeError, integer_roots, is_irreducible,
+                          poly_discriminant)
 from .unitgroup import (InsufficientUnitsError, UnitGroupData,
                         torsion_group, unit_group)
 
@@ -413,21 +413,22 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
     degree = s + 2
     done: list[tuple[ScanRecord, EmbeddingTable]] = []   # one per proven field
     for f in _scan_polynomials(degree, coeff_bound):
-        # a cheap exact filter before the irreducibility test in build_order
+        # cheap exact filters before the irreducibility test: the signature,
+        # then the square part of disc f
         try:
             if signature(f) != (s, 1):
                 continue
         except NotSquarefreeError:
             continue
-        try:
-            mo = build_order(f)
-        except ReduciblePolynomialError:
-            continue
-        # index^2 divides disc f, so |disc K| >= |disc f| / (its largest square
-        # divisor) once the square part is fully known
+        # for irreducible f, index^2 divides disc f, so |disc K| >= |disc f| /
+        # (its largest square divisor) once the square part is fully known;
+        # the filter drops only reducible f and fields beyond the bound
+        mo = MonogenicOrder(f, poly_discriminant(f))
         factors, _, complete = mo.disc_factors
         if complete and abs(mo.disc_f) > disc_bound * prod(p ** (e - e % 2)
                                                             for p, e in factors):
+            continue
+        if not is_irreducible(f)[0]:
             continue
         order, index, order_cert = maximalize(mo)
         if abs(order.disc) > disc_bound:

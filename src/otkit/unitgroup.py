@@ -15,6 +15,12 @@ linear maps to F_k, and only the classes in their common kernel can be
 +-k-th powers; root extraction on those classes either finds a missing root,
 which replaces a generator and divides the index by k, or rules k out.  The
 bound ends at 1, or at 0 when no proven regulator floor applies.
+
+For cubics with one complex place the floor grows with the discriminant.
+Artin's inequality |disc(minpoly e)| < 4e^3 + 24 holds for every unit e > 1
+of such a field (Cohen, GTM 138); Z[e] lies in the order O, so
+|disc O| < 4e^3 + 24, and the regulator log e of the generator e > 1 of O^*
+exceeds (1/3) log((|disc O| - 24)/4).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from sympy.polys.matrices.exceptions import DMRankError
 
 from . import intmat
 from .balls import RealBall, ball_det
-from .config import precision
+from .config import MIN_PRECISION, precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, lattice_det, snf
 from .orders import OrderElement, SubOrder
@@ -62,6 +68,7 @@ FRIEDMAN_CEILINGS = {
     5: 10 ** 7,
 }
 UNIVERSAL_FLOOR = Fraction(1, 4)
+ARTIN_FLOOR_BITS = 32     # Artin's floor is a multiple of 2^-ARTIN_FLOOR_BITS
 
 
 def _require_real_place(s: int) -> None:
@@ -71,13 +78,40 @@ def _require_real_place(s: int) -> None:
         raise ValueError("unit groups need a real place (s >= 1), got s = 0")
 
 
+def _artin_floor(disc_abs: int) -> Fraction:
+    """(1/3) log((disc_abs - 24)/4), rounded down to a multiple of 2^-32.
+
+    The lower end of a 64-bit interval enclosure, taken exactly: no float
+    enters the floor.
+    """
+    with precision(MIN_PRECISION):
+        lower = ((RealBall(disc_abs - 24) / 4).log() / 3).lower
+    man, exp = lower.man_exp
+    shift = exp + ARTIN_FLOOR_BITS
+    return Fraction(man << shift if shift >= 0 else man >> -shift, 2 ** ARTIN_FLOOR_BITS)
+
+
 def regulator_floor(s: int, t: int, disc_abs: int, degree: int) -> Fraction | None:
-    """Best applicable proven lower bound for the regulator, or None."""
+    """Best applicable proven lower bound for the regulator, or None.
+
+    ``disc_abs`` is |disc O| of the order whose unit group is bounded; it
+    need not be maximal.  For signature (1, 1) (cubics with one complex
+    place) and |disc O| > 28 the floor is at least Artin's: a unit e > 1 of
+    such a field satisfies |disc(minpoly e)| < 4e^3 + 24 (E. Artin; see
+    H. Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+    on units of complex cubic fields).  For a generator e > 1 of O^*, Z[e]
+    lies in O, so |disc O| <= |disc(minpoly e)| and
+    R = log e > (1/3) log((|disc O| - 24)/4).
+    """
     if t == 1 and s in FRIEDMAN_FLOORS and disc_abs <= FRIEDMAN_CEILINGS[s]:
-        return FRIEDMAN_FLOORS[s]
-    if degree != 6:
-        return UNIVERSAL_FLOOR
-    return None
+        floor = FRIEDMAN_FLOORS[s]
+    elif degree != 6:
+        floor = UNIVERSAL_FLOOR
+    else:
+        return None
+    if (s, t) == (1, 1) and disc_abs > 28:
+        floor = max(floor, _artin_floor(disc_abs))
+    return floor
 
 
 class UnitGroupData:

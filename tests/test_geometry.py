@@ -5,6 +5,8 @@ import pytest
 from mpmath import mp
 
 import otkit.geometry
+import otkit.orders
+import otkit.polynomials
 from otkit.embeddings import EmbeddingTable
 from otkit.factorint import trial_factor
 from otkit.geometry import (_scan_polynomials, apply_group_element, domain_contains,
@@ -292,3 +294,34 @@ def test_scan_computes_each_unit_group_once(monkeypatch):
     records = min_volume_scan(1, 3, 100)
     assert all(r.certified for r in records)
     assert calls == [r.poly for r in sorted(records, key=lambda r: r.poly.coeffs)]
+
+
+def test_scan_tests_irreducibility_after_the_square_part_filter(monkeypatch):
+    # the signature and square-part filters drop most polynomials before the
+    # irreducibility test (346 calls when it came first)
+    calls = []
+    is_irreducible = otkit.polynomials.is_irreducible
+
+    def counted(f):
+        calls.append(f)
+        return is_irreducible(f)
+
+    for mod in (otkit.polynomials, otkit.orders, otkit.geometry):
+        if getattr(mod, "is_irreducible", None) is is_irreducible:
+            monkeypatch.setattr(mod, "is_irreducible", counted)
+    records = min_volume_scan(2, 2, 500)
+    assert len(calls) <= 260
+    assert [(r.poly.format(), r.disc, r.index, r.certified, r.torsion_factors)
+            for r in records] == [
+        ("T^4 + T^3 - 2*T - 1", -275, 1, True, []),
+        ("T^4 - T - 1", -283, 1, True, []),
+        ("T^4 + T^3 - T^2 - T - 1", -331, 1, True, []),
+        ("T^4 - T^2 - 1", -400, 1, True, []),
+        ("T^4 + 2*T^3 - T^2 - 2*T - 1", -448, 1, True, []),
+        ("T^4 - T^3 - 2*T^2 - 2*T - 1", -475, 1, True, []),
+        ("T^4 + T^3 - 2*T^2 - 2*T - 1", -491, 1, True, []),
+    ]
+    volumes = [0.07174488548507201, 0.074558174331991257, 0.092147414677493359,
+               0.11969486939755449, 0.13837779888502558, 0.14735074261974931,
+               0.16451603457045856]
+    assert all(abs(float(r.volume.mid()) - v) < 1e-15 for r, v in zip(records, volumes))

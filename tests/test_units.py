@@ -1,5 +1,9 @@
+import math
 import random
+import sys
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from mpmath import mpf
@@ -9,14 +13,17 @@ from sympy.polys.matrices.exceptions import DMRankError
 
 import otkit.embeddings
 import otkit.unitgroup
+from otkit.config import precision, working_precision
 from otkit.embeddings import EmbeddingTable
+from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly, hnf
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
+from otkit.tables import load_expected
 from otkit.unitgroup import (CHARACTER_PRIMES, InsufficientUnitsError, _character_kernel,
                              _roots_mod, _try_kth_root, _UnitLattice, certify_units,
-                             j_ideal, sweep_units, torsion_group, totally_positive_generators,
-                             unit_group, units_from_generators)
+                             j_ideal, regulator_floor, sweep_units, torsion_group,
+                             totally_positive_generators, unit_group, units_from_generators)
 
 P = IntPolynomial
 
@@ -507,3 +514,84 @@ def test_earlier_generators_give_the_same_group(poly, gens):
     assert old.regulator.overlaps(ug.regulator)
     assert (j_ideal(order, old.totally_positive_generators).basis
             == j_ideal(order, ug.totally_positive_generators).basis)
+
+
+# -- regulator floors ---------------------------------------------------------------
+
+
+def _panel_fields():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from panel import LEDGER, PANEL
+
+    # the two large ledger cubics end without full rank; the others certify
+    return ([poly for _, poly, _, _ in PANEL]
+            + [poly for kind, poly in LEDGER if kind != "large"])
+
+
+def _minima():
+    return [row["min_poly"] for row in load_expected()["minvol"]["rows"] if row["s"] >= 4]
+
+
+def _exact(x) -> Fraction:
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("poly", _panel_fields() + _minima())
+def test_regulator_floor_is_below_the_certified_regulator(poly):
+    order, _, _, ug = _field(poly)
+    table = ug.table
+    floor = regulator_floor(table.s, table.t, abs(order.disc), order.n)
+    assert ug.certified_index_bound == 1
+    assert floor is not None and floor <= _exact(ug.regulator.lower)
+
+
+def test_regulator_floor_is_below_the_s1_scan_regulators():
+    # the scan's small discriminants are where Artin's floor comes closest
+    # to R: 0.5365 against 0.6094 at disc -44
+    records = min_volume_scan(1, 6, 200)
+    assert len(records) == 19 and all(rec.certified for rec in records)
+    for rec in records:
+        assert regulator_floor(1, 1, abs(rec.disc), 3) <= _exact(rec.regulator.lower)
+
+
+def test_regulator_floor_of_small_and_large_cubics():
+    # below |disc| 34 Friedman's 0.28 is the larger floor
+    assert regulator_floor(1, 1, 23, 3) == Fraction(7, 25)
+    assert regulator_floor(1, 1, 31, 3) == Fraction(7, 25)
+    # above it Artin's (1/3) log((|d| - 24)/4), rounded down
+    floor = regulator_floor(1, 1, 27000008, 3)
+    assert floor.denominator & (floor.denominator - 1) == 0
+    assert 0 < math.log((27000008 - 24) / 4) / 3 - floor < 2 ** -30
+    # other signatures keep their floors
+    assert regulator_floor(2, 1, 10 ** 8, 4) == Fraction(1, 4)
+    assert regulator_floor(4, 1, 10 ** 8, 6) is None
+
+
+def test_regulator_floor_is_exact_and_keeps_the_precision():
+    # the floor's interval enclosure must leave the working precision as it
+    # found it, at the default and inside a precision scope
+    before = working_precision()
+    floor = regulator_floor(1, 1, 87627, 3)
+    assert working_precision() == before
+    with precision(128):
+        assert regulator_floor(1, 1, 87627, 3) == floor
+        assert working_precision() == 128
+    assert isinstance(floor, Fraction) and floor > Fraction(333, 100)
+
+
+def test_certification_tests_primes_up_to_the_artin_bound(monkeypatch):
+    # R = 95.9 over Artin's floor 3.33 bounds the index by 28; over the
+    # constant 1/4 the bound was 383
+    ks = []
+    character_kernel = otkit.unitgroup._character_kernel
+
+    def recorded(order, gens, k):
+        ks.append(k)
+        return character_kernel(order, gens, k)
+
+    monkeypatch.setattr(otkit.unitgroup, "_character_kernel", recorded)
+    order, _, _ = maximalize(build_order(P.parse("T^3 - 3*T^2 - 3*T - 166")))
+    ug = unit_group(order)
+    assert ug.certified_index_bound == 1
+    assert ks and max(ks) <= 28
