@@ -27,6 +27,7 @@ class EmbeddingTable:
     """The Minkowski matrix of an order basis, as ball rows: one per real
     place, then a Re and an Im row per complex place (upper root).  Every
     embedding of an element is a dot product of its coordinates with them.
+    ``mids`` holds the rows' midpoints, taken once at the table's bits.
 
     The table owns its precision: ``at(bits)`` is the same table with its
     roots refined, and ``decide`` escalates through those tables.  No other
@@ -52,6 +53,7 @@ class EmbeddingTable:
             for z in rounded[self.s:]:
                 vals = self._basis_values(z)
                 self.rows += [[v.re for v in vals], [v.im for v in vals]]
+            self.mids = [[x.mid() for x in row] for row in self.rows]
 
     def at(self, bits: int) -> "EmbeddingTable":
         """This table at ``bits`` of precision (itself when it has as many)."""
@@ -133,7 +135,7 @@ class EmbeddingTable:
         upper = [z for z in roots[self.s:] if z.imag > 0]
         if len(upper) != self.t:
             return None
-        minkowski = np.array([[float(v.mid()) for v in row] for row in self.rows])
+        minkowski = np.array([[float(v) for v in row] for row in self.mids])
         targets = [[*r, *(p for w in z for p in (w.real, w.imag))]
                    for r in permutations(real)
                    for zs in permutations(upper)

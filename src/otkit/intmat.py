@@ -1,12 +1,13 @@
-"""Exact integer matrix algebra: products, powers, determinants, HNF, SNF, kernels.
+"""Exact integer matrix algebra: products, powers, determinants, HNF, SNF,
+LLL, kernels.
 
 Matrices are plain ``list[list[int]]`` in row-major layout.  Sizes here are
 tiny (at most ~12 rows), so everything uses arbitrary-precision pivoting and
 no modular shortcuts.  All elimination over Z/Q goes through one
 fraction-free (Bareiss) routine, every lattice reduction over Z (the SNF
-too) through ``hnf``, all elimination over F_p through ``kernel_mod_p``, and
-every square-and-multiply (of matrices, order elements or residues) through
-``power``.
+too) through ``hnf``, every LLL reduction through the integral ``lll``, all
+elimination over F_p through ``kernel_mod_p``, and every square-and-multiply
+(of matrices, order elements or residues) through ``power``.
 """
 
 from __future__ import annotations
@@ -249,6 +250,82 @@ def snf(M) -> tuple[list[int], int]:
             g = gcd(d[i], d[j])
             d[i], d[j] = g, d[i] * d[j] // g
     return d, m - len(d)
+
+
+# -- lattice reduction ----------------------------------------------------------
+
+
+def lll(M) -> list[list[int]]:
+    """The unimodular ``T`` for which the rows of ``T M`` are an LLL-reduced
+    basis (delta = 3/4) of the row lattice of ``M``.
+
+    Integral LLL (Cohen, GTM 138, Alg. 2.6.7): the Gram-Schmidt data are the
+    integers ``d[i]``, the Gram determinant of the first i rows, and
+    ``lam[k][j] = d[j + 1] mu[k][j]``, so every division below is exact and
+    each mu rounds exactly, ``floor(mu + 1/2)``.  Linearly dependent rows
+    raise ValueError.
+    """
+    m = len(M)
+    b = [list(row) for row in M]
+    T = identity(m)
+    d = [1] + [0] * m
+    lam = [[0] * m for _ in range(m)]
+
+    def red(k, j):
+        # size-reduce row k against row j < k when |mu[k][j]| > 1/2
+        dj = d[j + 1]
+        if 2 * abs(lam[k][j]) <= dj:
+            return
+        q = (2 * lam[k][j] + dj) // (2 * dj)
+        b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+        T[k] = [x - q * y for x, y in zip(T[k], T[j])]
+        lam[k][j] -= q * dj
+        for i in range(j):
+            lam[k][i] -= q * lam[j][i]
+
+    def swap(k):
+        # exchange rows k - 1 and k, and update the Gram-Schmidt data
+        b[k - 1], b[k] = b[k], b[k - 1]
+        T[k - 1], T[k] = T[k], T[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        B = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (B * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = B
+
+    k, kmax = 0, -1
+    while k < m:
+        if k > kmax:
+            # incremental Gram-Schmidt of the new row k
+            kmax = k
+            for j in range(k + 1):
+                u = sum(x * y for x, y in zip(b[k], b[j]))
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u == 0:
+                    raise ValueError("LLL input has linearly dependent rows")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        red(k, k - 1)
+        lk = lam[k][k - 1]
+        # Lovasz: |b*_k|^2 >= (3/4 - mu^2) |b*_{k-1}|^2, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lk * lk:
+            swap(k)
+            k = max(k - 1, 1)
+        else:
+            for j in range(k - 2, -1, -1):
+                red(k, j)
+            k += 1
+    return T
 
 
 # -- elimination over F_p -------------------------------------------------------

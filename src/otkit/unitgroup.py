@@ -35,8 +35,6 @@ from sympy import discrete_log, isprime, primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd,
                                      gf_pow_mod, gf_sub)
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMRankError
 
 from . import intmat
 from .balls import RealBall, ball_det
@@ -252,8 +250,8 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
     whatever the weights.  The embeddings come from the first table on the
     doubling ladder from ``table.bits`` that has SWEEP_SPARE_BITS beyond the
     bits they lose.  Returns ``(reduced_basis, candidates)``: the reduced
-    rows, then sums and differences of pairs among the first four.  sympy's
-    DMRankError or AssertionError passes through.
+    rows, then sums and differences of pairs among the first four.  The
+    ValueError of ``intmat.lll`` on dependent rows passes through.
     """
     n = order.n
     # a complex place's weight scales both its Re and its Im row
@@ -266,16 +264,13 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
     bits = table.bits
     while bits < need:
         bits *= 2
-    tb = table.at(bits)
-    with precision(bits), mp.workprec(bits):
-        places = [[e * x.mid() for x in place]
-                  for e, place in zip(map(mp.exp, row_weight), tb.rows)]
+    mids = table.at(bits).mids
+    with mp.workprec(bits):
+        places = [[e * x for x in place] for e, place in zip(map(mp.exp, row_weight), mids)]
         ent = [[mp.fdot(place, b) for place in places] for b in basis]
         scl = mp.mpf(2) ** SWEEP_SCALE_BITS / min(mp.norm(row) for row in ent)
-        Z = [[ZZ(int(mp.nint(v * scl))) for v in row] for row in ent]
-    _, T = DomainMatrix(Z, (n, n), ZZ).lll_transform()
-    rows = [[sum(int(a) * b[c] for a, b in zip(trow, basis)) for c in range(n)]
-            for trow in T.to_Matrix().tolist()]
+        Z = [[int(mp.nint(v * scl)) for v in row] for row in ent]
+    rows = intmat.mat_mul(intmat.lll(Z), basis)
     combos = list(rows)
     for i in range(min(4, n)):
         for j in range(i + 1, min(4, n)):
@@ -323,9 +318,7 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
             steps += 1
             try:
                 basis, combos = _sweep_lll(order, table, weights, basis)
-            except (DMRankError, AssertionError):
-                # sympy rounds mu through float without gmpy2, and its
-                # closing size-reduction asserts can then fail
+            except ValueError:
                 failed += 1
                 combos = []
             ring[v] = basis
@@ -384,7 +377,7 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
         # an even power is totally positive: its phases are those of +-v's
         flip = -1 if even and signs and signs[0] < 0 else 1
         with mp.workprec(tb.bits):
-            inv = (mp.matrix([[x.mid() for x in row] for row in tb.rows]) ** -1).tolist()
+            inv = (mp.matrix(tb.mids) ** -1).tolist()
             reals = []
             for sg, b in zip(signs, rvals):
                 m = mp.exp(mp.log(abs(b).mid()) / k)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from otkit import intmat
 from otkit.balls import RealBall, ball_det, ball_solve
+from otkit.geometry import min_volume_scan
 from otkit.intmat import (charpoly, det_bareiss, hnf, kernel_mod_p, lattice_det,
                           minpoly_matrix, snf, solve, solve_int)
 from otkit.polynomials import IntPolynomial
@@ -272,3 +274,85 @@ def test_kernel_mod_p_basis(p, M):
     if ker:
         K = DomainMatrix([[F(x) for x in v] for v in ker], (len(ker), n), F)
         assert K.rank() == len(ker)
+
+
+# -- integral LLL -----------------------------------------------------------------
+
+
+def _gram_schmidt(B):
+    """Exact Gram-Schmidt of the rows of B: (mu, squared norms of b*)."""
+    n = len(B)
+    star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(B):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = sum(a * b for a, b in zip(row, star[j])) / sum(b * b for b in star[j])
+            v = [a - mu[i][j] * b for a, b in zip(v, star[j])]
+        star.append(v)
+    return mu, [sum(x * x for x in v) for v in star]
+
+
+def _assert_lll_reduced(M, T):
+    assert abs(det_bareiss(T)) == 1
+    mu, norms = _gram_schmidt(intmat.mat_mul(T, M))
+    half = Fraction(1, 2)
+    assert all(abs(mu[i][j]) <= half for i in range(len(M)) for j in range(i))
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(M)))
+
+
+def test_lll_matches_sympy_and_is_reduced():
+    rng = random.Random(19)
+    for n in range(2, 8):
+        for _ in range(8):
+            while True:
+                M = [[rng.randrange(-2 ** 100, 2 ** 100) for _ in range(n)] for _ in range(n)]
+                if det_bareiss(M):
+                    break
+            _, ref = DomainMatrix([[ZZ(x) for x in row] for row in M], (n, n), ZZ).lll_transform()
+            T = intmat.lll(M)
+            assert T == [[int(x) for x in row] for row in ref.to_Matrix().tolist()]
+            _assert_lll_reduced(M, T)
+
+
+@pytest.mark.parametrize("M", [[[1, 2], [2, 4]], [[0, 0], [1, 1]],
+                               [[3, 1, 4], [1, 5, 9], [4, 6, 13]]])
+def test_lll_rejects_dependent_rows(M):
+    with pytest.raises(ValueError, match="linearly dependent"):
+        intmat.lll(M)
+
+
+# The radius-0 LLL input of T^4 - T^3 - 2*T^2 - 2*T - 1 in the s = 2 scan.
+# One of its mu lies within 2^-53 below a half-integer, which a rounding
+# through float64 takes up to 3; the size reduction then fails.
+SCAN_QUARTIC_STEP = [
+    [731878415280158920546589930072, 731878415280158920546589930072,
+     731878415280158920546589930072, 0],
+    [-511201294084315943569584141284, 1695405445640023472186086524901,
+     -226162868137774304034956226772, 529053683600705421878458826422],
+    [357063082634353777361278741826, 3927427787312927729034818339096,
+     -312549396773243451831573715281, -326973158338568803252594863157],
+    [-249400865091156996916939111177, 9097935283990330322185810749548,
+     332942489871446320918398726282, -124892633076432184626730899892],
+]
+
+
+def test_lll_reduces_the_scan_quartic_step():
+    _assert_lll_reduced(SCAN_QUARTIC_STEP, intmat.lll(SCAN_QUARTIC_STEP))
+
+
+def test_no_lll_step_of_the_published_scans_fails(monkeypatch):
+    lll, calls, failed = intmat.lll, [], []
+
+    def counted(M):
+        calls.append(M)
+        try:
+            return lll(M)
+        except ValueError:
+            failed.append(M)
+            raise
+
+    monkeypatch.setattr(intmat, "lll", counted)
+    for s, bound, disc in [(1, 6, 200), (2, 2, 500), (3, 2, 4600)]:
+        min_volume_scan(s, bound, disc)
+    assert len(calls) == 28 and failed == []

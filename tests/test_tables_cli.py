@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from otkit import cli
+from otkit import cli, intmat
 from otkit.cli import main
 from otkit.config import PrecisionError
 from otkit.tables import (load_expected, regen_minvol, regen_prop5index,
@@ -132,13 +132,27 @@ def test_cli_precision_error_is_json(capsys, monkeypatch):
     assert rc == 1 and err == {"error": "undecidable even at 8192 bits", "exit_code": 1}
 
 
-def test_cli_units_names_failed_lll_steps(capsys):
-    # sympy's LLL fails on this field's cold step and on many after it;
-    # the JSON error counts the failed steps
+def test_cli_units_names_failed_lll_steps(capsys, monkeypatch):
+    # the exact LLL reduces every step of this field's sweep, its cold
+    # step (mu near 2^90) included; the sweep still falls short of a unit
     rc = main(["units", f"T^3 + T + {10 ** 41 + 7}", "--format", "json"])
     err = json.loads(capsys.readouterr().err)
     assert rc == 3 and err["exit_code"] == 3
-    assert re.search(r"after a sweep to radius 220; [1-9]\d* of 441 LLL steps failed$",
+    assert err["error"].endswith("after a sweep to radius 220")
+    # a step whose LLL fails is counted in the JSON error
+    lll, calls = intmat.lll, []
+
+    def fails_once(M):
+        calls.append(M)
+        if len(calls) == 1:
+            raise ValueError("LLL input has linearly dependent rows")
+        return lll(M)
+
+    monkeypatch.setattr(intmat, "lll", fails_once)
+    rc = main(["units", "T^3 + 2*T + 5000", "--format", "json"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 3 and err["exit_code"] == 3
+    assert re.search(r"after a sweep to radius 220; 1 of 441 LLL steps failed$",
                      err["error"])
 
 

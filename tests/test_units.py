@@ -8,10 +8,8 @@ from pathlib import Path
 import pytest
 from mpmath import mpf
 from sympy import isprime
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.exceptions import DMRankError
-
 import otkit.embeddings
+import otkit.intmat
 import otkit.unitgroup
 from otkit.config import precision, working_precision
 from otkit.embeddings import EmbeddingTable
@@ -244,26 +242,26 @@ def test_sweep_norm_bound_beyond_float64(monkeypatch):
 
 @pytest.mark.parametrize("poly", ["T^3 + 2*T + 5000", "T^3 + T^2 - 5*T + 114"])
 def test_sweep_lll_steps_do_not_fail(monkeypatch, poly):
-    # a warm chain's LLL input is nearly reduced already, so sympy's float
-    # rounding of mu does not break its size-reduction asserts
-    failed = []
-    lll = DomainMatrix.lll_transform
+    # every step of the sweep reaches the exact LLL, and none fails
+    failed, calls = [], []
+    lll = otkit.intmat.lll
 
-    def counted(self, *args, **kwargs):
+    def counted(M):
+        calls.append(M)
         try:
-            return lll(self, *args, **kwargs)
-        except (DMRankError, AssertionError):
-            failed.append(self)
+            return lll(M)
+        except ValueError:
+            failed.append(M)
             raise
 
-    monkeypatch.setattr(DomainMatrix, "lll_transform", counted)
+    monkeypatch.setattr(otkit.intmat, "lll", counted)
     order, _, _ = maximalize(build_order(P.parse(poly)))
     table = EmbeddingTable(order)
     try:
         sweep_units(order, table, _UnitLattice(order, table, 1))
     except InsufficientUnitsError as exc:
         assert "failed" not in str(exc)
-    assert failed == []
+    assert calls and failed == []
 
 
 def test_sweep_refines_few_tables():
