@@ -23,11 +23,22 @@ def _dot(values, coeffs, zero):
     return sum((v * c for v, c in zip(values, coeffs) if c), zero)
 
 
+def _fixed_point(x: mpf, bits: int) -> int:
+    """x * 2^bits, exact when x's exponent allows, else rounded to nearest."""
+    man, exp = x.man_exp     # man is |mantissa|
+    man = -man if x < 0 else man
+    shift = exp + bits
+    return man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
+
+
 class EmbeddingTable:
     """The Minkowski matrix of an order basis, as ball rows: one per real
     place, then a Re and an Im row per complex place (upper root).  Every
     embedding of an element is a dot product of its coordinates with them.
-    ``mids`` holds the rows' midpoints, taken once at the table's bits.
+    ``mids`` holds the rows' midpoints, taken once at the table's bits, and
+    ``fixed`` the same rows as integers: each midpoint times 2^bits, exact
+    where its exponent allows, else rounded to nearest.  Both are built with
+    the table, so each refinement has its own at its own bits.
 
     The table owns its precision: ``at(bits)`` is the same table with its
     roots refined, and ``decide`` escalates through those tables.  No other
@@ -54,6 +65,7 @@ class EmbeddingTable:
                 vals = self._basis_values(z)
                 self.rows += [[v.re for v in vals], [v.im for v in vals]]
             self.mids = [[x.mid() for x in row] for row in self.rows]
+        self.fixed = [[_fixed_point(x, bits) for x in row] for row in self.mids]
 
     def at(self, bits: int) -> "EmbeddingTable":
         """This table at ``bits`` of precision (itself when it has as many)."""

@@ -4,7 +4,11 @@ Units are found one way: a sweep of skewed-Minkowski LLL reductions (finds
 units of any size in logarithmic steps), which stops as soon as it has r
 independent units.  The sweep walks warm chains: each step reduces the basis
 its chain reached one step earlier, reweighted and scaled so that its
-shortest row keeps a fixed number of bits.  Every numeric decision funnels
+shortest row keeps a fixed number of bits.  Each step is integer
+arithmetic: its LLL input comes from the embedding table's fixed-point rows
+(midpoints times 2^bits) and integer weights, and each candidate the sweep
+has not met before, up to sign, costs one HNF of its multiplication matrix,
+which is both its ideal's key and |N(x)|.  Every numeric decision funnels
 through exact integer verification; floats and intervals only steer the
 search.
 
@@ -230,10 +234,6 @@ SWEEP_SCALE_BITS = 100
 SWEEP_SPARE_BITS = 160
 
 
-def _ideal_key(order: SubOrder, x: OrderElement):
-    return tuple(tuple(row) for row in hnf(order.mult_matrix(x)))
-
-
 def _ring_vectors(r: int, radius: int):
     """The integer vectors of sup-norm ``radius`` in Z^r."""
     if r == 1:
@@ -247,15 +247,18 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
 
     ``basis`` holds integer coordinate rows; the LLL input is their weighted
     embeddings, scaled so that the shortest row keeps SWEEP_SCALE_BITS bits
-    whatever the weights.  The embeddings come from the first table on the
-    doubling ladder from ``table.bits`` that has SWEEP_SPARE_BITS beyond the
-    bits they lose.  Returns ``(reduced_basis, candidates)``: the reduced
+    whatever the weights.  The embeddings come from the integer rows
+    (``fixed``) of the first table on the doubling ladder from ``table.bits``
+    that has SWEEP_SPARE_BITS beyond the bits they lose.  The input is
+    integer arithmetic: each weight e^w is taken at that table's bits as
+    mantissa * 2^exponent and shifted to a common exponent, each entry is
+    the exact product of the integer weight and (integer row . basis row),
+    and it is rounded to nearest against the shortest row's norm N, from
+    ``math.isqrt``.  Returns ``(reduced_basis, candidates)``: the reduced
     rows, then sums and differences of pairs among the first four.  The
     ValueError of ``intmat.lll`` on dependent rows passes through.
     """
     n = order.n
-    # a complex place's weight scales both its Re and its Im row
-    row_weight = [*weights_log[:table.s], *(w for w in weights_log[table.s:] for _ in (0, 1))]
     # an embedding cancels about as many bits as the largest coordinate has,
     # and its weight multiplies the error left by up to e^max(weights): at
     # radius 220 that is 317 bits, without which rank-1 chains lose their way
@@ -264,12 +267,17 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
     bits = table.bits
     while bits < need:
         bits *= 2
-    mids = table.at(bits).mids
+    fixed = table.at(bits).fixed
     with mp.workprec(bits):
-        places = [[e * x for x in place] for e, place in zip(map(mp.exp, row_weight), mids)]
-        ent = [[mp.fdot(place, b) for place in places] for b in basis]
-        scl = mp.mpf(2) ** SWEEP_SCALE_BITS / min(mp.norm(row) for row in ent)
-        Z = [[int(mp.nint(v * scl)) for v in row] for row in ent]
+        weights = [mp.exp(w).man_exp for w in weights_log]
+    low = min(e for _, e in weights)
+    weights = [m << (e - low) for m, e in weights]
+    # a complex place's weight scales both its Re and its Im row
+    row_weight = [*weights[:table.s], *(w for w in weights[table.s:] for _ in (0, 1))]
+    ent = [[w * v for w, v in zip(row_weight, intmat.mat_vec(fixed, b))] for b in basis]
+    # entry * 2^SWEEP_SCALE_BITS / N, rounded to nearest
+    N = math.isqrt(min(sum(v * v for v in row) for row in ent))
+    Z = [[((v << SWEEP_SCALE_BITS + 1) + N) // (2 * N) for v in row] for row in ent]
     rows = intmat.mat_mul(intmat.lll(Z), basis)
     combos = list(rows)
     for i in range(min(4, n)):
@@ -291,6 +299,11 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     (for rank 1, one chain per sign).  Only the previous ring's bases are
     kept.  A step whose LLL fails leaves its chain where it was, and the
     error of an unfinished sweep counts those steps.
+
+    A candidate met before, up to sign, is skipped: it has the same ideal
+    and gives the same quotient up to sign, which the lattice, grown since,
+    turns down again.  For each new one, the HNF of its multiplication
+    matrix is the key of its ideal and, as the product of its pivots, |N(x)|.
     """
     n, s, t = order.n, table.s, table.t
     r = s + t - 1
@@ -300,7 +313,8 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     with mp.workprec(53):
         norm_bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** t
                          * mp.sqrt(mp.mpf(abs(order.disc)))) + 8
-    reps: dict = {}
+    reps: dict = {}         # ideal key -> the first element with that ideal
+    seen: set = set()       # the coordinates tried so far, up to sign
     grid_radius_cap = 220 if r == 1 else 8
     steps = failed = 0
     prev: dict = {}
@@ -323,13 +337,15 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
                 combos = []
             ring[v] = basis
             for coords in combos:
-                if not any(coords):
+                seen_key = min(tuple(coords), tuple(-c for c in coords))
+                if seen_key in seen or not any(coords):
                     continue
+                seen.add(seen_key)
                 x = order.element(coords)
-                nx = abs(order.norm(x))
-                if nx == 0 or nx > norm_bound:
+                H = hnf(order.mult_matrix(x))
+                if lattice_det(H) > norm_bound:
                     continue
-                key = _ideal_key(order, x)
+                key = tuple(map(tuple, H))
                 rep = reps.get(key)
                 if rep is None:
                     reps[key] = x

@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 from sympy import isprime
 import otkit.embeddings
 import otkit.intmat
@@ -15,10 +15,11 @@ from otkit.config import precision, working_precision
 from otkit.embeddings import EmbeddingTable
 from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly, hnf
-from otkit.orders import build_order, maximalize
+from otkit.orders import SubOrder, build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.tables import load_expected
-from otkit.unitgroup import (CHARACTER_PRIMES, InsufficientUnitsError, _character_kernel,
+from otkit.unitgroup import (CHARACTER_PRIMES, SWEEP_SCALE_BITS, SWEEP_SPARE_BITS,
+                             InsufficientUnitsError, _character_kernel,
                              _roots_mod, _try_kth_root, _UnitLattice, certify_units,
                              j_ideal, regulator_floor, sweep_units, torsion_group,
                              totally_positive_generators, unit_group, units_from_generators)
@@ -593,3 +594,135 @@ def test_certification_tests_primes_up_to_the_artin_bound(monkeypatch):
     ug = unit_group(order)
     assert ug.certified_index_bound == 1
     assert ks and max(ks) <= 28
+
+
+# -- the sweep's integer steps --------------------------------------------------------
+
+
+def _mpmath_lll_input(table, weights_log, basis):
+    """The sweep's LLL input built in mpmath from the midpoints, as before the
+    integer rows: weighted embeddings at the ladder's bits, scaled so that
+    the shortest row keeps SWEEP_SCALE_BITS bits."""
+    need = (max(abs(c) for row in basis for c in row).bit_length() + SWEEP_SPARE_BITS
+            + int(max(weights_log) / math.log(2)))
+    bits = table.bits
+    while bits < need:
+        bits *= 2
+    row_weight = [*weights_log[:table.s], *(w for w in weights_log[table.s:] for _ in (0, 1))]
+    mids = table.at(bits).mids
+    with mp.workprec(bits):
+        places = [[e * x for x in place] for e, place in zip(map(mp.exp, row_weight), mids)]
+        ent = [[mp.fdot(place, b) for place in places] for b in basis]
+        scl = mp.mpf(2) ** SWEEP_SCALE_BITS / min(mp.norm(row) for row in ent)
+        return [[int(mp.nint(v * scl)) for v in row] for row in ent]
+
+
+class _StopSweep(Exception):
+    pass
+
+
+def _recorded_lll_inputs(monkeypatch, poly, steps=None):
+    """(table, weights, basis, integer LLL input) of the sweep's first
+    ``steps`` steps (all of them when None)."""
+    recorded, inputs = [], []
+    sweep_lll, lll = otkit.unitgroup._sweep_lll, otkit.intmat.lll
+
+    def recording_sweep_lll(order, table, weights, basis):
+        if len(recorded) == steps:
+            raise _StopSweep
+        out = sweep_lll(order, table, weights, basis)
+        recorded.append((table, list(weights), basis, inputs[-1]))
+        return out
+
+    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll", recording_sweep_lll)
+    monkeypatch.setattr(otkit.intmat, "lll", lambda M: inputs.append(M) or lll(M))
+    order, _, _ = maximalize(build_order(P.parse(poly)))
+    table = EmbeddingTable(order)
+    lattice = _UnitLattice(order, table, table.s + table.t - 1)
+    try:
+        sweep_units(order, table, lattice)
+    except (_StopSweep, InsufficientUnitsError):
+        pass
+    monkeypatch.undo()
+    return recorded
+
+
+@pytest.mark.parametrize("poly, steps, count", [
+    ("T^3 - 3*T^2 - 3*T - 166", None, 94),
+    ("T^4 + 3*T^3 + 4*T - 3", None, None),
+    # the first steps of a sweep that runs to radius 220, at both signs
+    ("T^3 + 2*T + 5000", 41, 41),
+])
+def test_integer_lll_input_matches_the_mpmath_construction(monkeypatch, poly, steps, count):
+    # the fixed-point input may differ from the mpmath one by a rounding
+    # step in an entry, and must give the same transform
+    recorded = _recorded_lll_inputs(monkeypatch, poly, steps)
+    assert recorded and (count is None or len(recorded) == count)
+    for table, weights, basis, Z in recorded:
+        ref = _mpmath_lll_input(table, weights, basis)
+        assert all(abs(a - b) <= 1 for row, ref_row in zip(Z, ref)
+                   for a, b in zip(row, ref_row))
+        assert otkit.intmat.lll(Z) == otkit.intmat.lll(ref)
+
+
+@pytest.mark.parametrize("poly", ["T^3 - 3*T^2 - 3*T - 166", "T^5 - T - 3"])
+def test_refined_tables_hold_their_own_integer_rows(poly):
+    # each table from at() has integer rows at its own bits, not a copy of
+    # its parent's at the parent's bits
+    order, _, _ = maximalize(build_order(P.parse(poly)))
+    table = EmbeddingTable(order)
+    for tb in (table, table.at(384), table.at(384).at(768)):
+        assert len(tb.fixed) == len(tb.mids) == order.n
+        for fixed_row, mid_row in zip(tb.fixed, tb.mids):
+            for v, m in zip(fixed_row, mid_row):
+                assert isinstance(v, int)
+                exact = (-1) ** m._mpf_[0] * _exact(m)    # man_exp drops the sign
+                assert abs(v - exact * 2 ** tb.bits) <= Fraction(1, 2)
+    assert table.at(384).fixed != table.fixed
+
+
+@pytest.mark.parametrize("poly, generators, regulator, repeats", [
+    # pinned from the sweep before its integer steps
+    ("T^3 - 3*T^2 - 3*T - 166",
+     [[437926445047533770506, -76345157676127638617, 4831488063621285311]],
+     95.89985681165345, True),
+    # full rank at the second step, before any repeat
+    ("T^5 - T - 3", [[-2, -2, -2, -1, -1], [-7, 3, -1, -1, 2]], 13.599572480391096, False),
+])
+def test_sweep_evaluates_each_candidate_once(monkeypatch, poly, generators, regulator, repeats):
+    # a candidate the sweep has already met, up to sign, is skipped: each
+    # new one costs one multiplication matrix, and no norm or determinant
+    evaluated, candidates, norms = [], [], []
+    mult_matrix, norm = SubOrder.mult_matrix, SubOrder.norm
+    sweep_lll = otkit.unitgroup._sweep_lll
+
+    def from_the_sweep():
+        return sys._getframe(2).f_code is otkit.unitgroup.sweep_units.__code__
+
+    def recorded_mult_matrix(self, x):
+        if from_the_sweep():
+            evaluated.append(min(tuple(x.coords), tuple(-c for c in x.coords)))
+        return mult_matrix(self, x)
+
+    def recorded_norm(self, x):
+        if from_the_sweep():
+            norms.append(x)
+        return norm(self, x)
+
+    def recorded_sweep_lll(*args):
+        rows, combos = sweep_lll(*args)
+        candidates.extend(min(tuple(c), tuple(-v for v in c)) for c in combos if any(c))
+        return rows, combos
+
+    monkeypatch.setattr(SubOrder, "mult_matrix", recorded_mult_matrix)
+    monkeypatch.setattr(SubOrder, "norm", recorded_norm)
+    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll", recorded_sweep_lll)
+    order, _, _ = maximalize(build_order(P.parse(poly)))
+    ug = unit_group(order)
+    # every new candidate, in the order met until full rank, and no repeat
+    assert evaluated and evaluated == list(dict.fromkeys(candidates))[:len(evaluated)]
+    assert (len(candidates) > len(set(candidates))) == repeats
+    assert norms == []
+    assert ug.certified_index_bound == 1
+    assert [list(g.coords) for g in ug.generators] == generators
+    assert abs(float(ug.regulator.mid()) - regulator) < 1e-9
