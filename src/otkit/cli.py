@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 
@@ -386,7 +387,10 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every call
+    of ``main``; parsing leaves it unchanged."""
     ap = _Parser(
         prog="otkit",
         description="Arithmetic invariants of the manifolds X(K): torsion, "
@@ -398,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand with the shared options it reads; every command has
         --precision, ``units`` adds --certified-only."""
         p = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
+        # the command is looked up by name when it runs, so that the parser
+        # built once still runs a command wrapped or replaced later
+        p.set_defaults(func=func.__name__)
         if poly:
             p.add_argument("poly", help="defining polynomial, e.g. 'T^3 - T + 1'")
         p.add_argument("--precision", type=_precision_bits, default=DEFAULT_PRECISION,
@@ -461,7 +467,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         with precision(args.precision):
-            return args.func(args)
+            return globals()[args.func](args)
     except CliError as exc:
         return _fail(exc.code, exc.message)
     except PrecisionError as exc:

@@ -21,9 +21,8 @@ from mpmath import mp
 from .balls import ComplexBall, RealBall, ball_det, ball_pi, ball_solve
 from .config import PrecisionError
 from .embeddings import EmbeddingTable
-from .orders import MonogenicOrder, SubOrder, maximalize, signature
-from .polynomials import (IntPolynomial, NotSquarefreeError, integer_roots, is_irreducible,
-                          poly_discriminant)
+from .orders import MonogenicOrder, SubOrder, maximalize
+from .polynomials import IntPolynomial, integer_roots, is_irreducible, poly_discriminant
 from .unitgroup import (InsufficientUnitsError, UnitGroupData,
                         torsion_group, unit_group)
 
@@ -413,17 +412,18 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
     degree = s + 2
     done: list[tuple[ScanRecord, EmbeddingTable]] = []   # one per proven field
     for f in _scan_polynomials(degree, coeff_bound):
-        # cheap exact filters before the irreducibility test: the signature,
-        # then the square part of disc f
-        try:
-            if signature(f) != (s, 1):
-                continue
-        except NotSquarefreeError:
+        # cheap exact filters before the irreducibility test: the sign of
+        # disc f, then its square part.  disc f = 0 exactly when f has a
+        # repeated root, and otherwise sign(disc f) = (-1)^t for t complex
+        # pairs (Stickelberger).  Degree s + 2 <= 5 allows t <= 2, so disc f
+        # < 0 is signature (s, 1); at degree 6 it would also admit t = 3.
+        disc_f = poly_discriminant(f)
+        if disc_f >= 0:
             continue
         # for irreducible f, index^2 divides disc f, so |disc K| >= |disc f| /
         # (its largest square divisor) once the square part is fully known;
         # the filter drops only reducible f and fields beyond the bound
-        mo = MonogenicOrder(f, poly_discriminant(f))
+        mo = MonogenicOrder(f, disc_f)
         factors, _, complete = mo.disc_factors
         if complete and abs(mo.disc_f) > disc_bound * prod(p ** (e - e % 2)
                                                             for p, e in factors):

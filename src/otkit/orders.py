@@ -1,10 +1,11 @@
 """Number-field orders: the monogenic ring Z[T]/(f) and its enlargements.
 
 A ``SubOrder`` stores its basis as columns over the power basis with a common
-denominator, plus exact structure constants.  Maximalization is the classic
-radical/multiplier-ring loop at each prime whose square divides the
-discriminant; an unfactored discriminant cofactor makes the result
-"uncertified" rather than wrong.
+denominator, plus exact structure constants, built when something first
+multiplies.  Maximalization tests each prime whose square divides the
+discriminant by Dedekind's criterion and runs the classic radical/multiplier-
+ring loop only at the primes that fail it; an unfactored discriminant
+cofactor makes the result "uncertified" rather than wrong.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_quo, gf_sqf_part
 
 from . import intmat
 from .factorint import trial_factor
@@ -149,7 +153,6 @@ class SubOrder:
             raise ValueError("discriminant-index relation failed")
         self.disc = int(disc)
         self._binv, self._binv_den = intmat.solve(self.basis_num, intmat.identity(self.n))
-        self._table = self._structure_constants()
         self._one = self.from_power_coords([1] + [0] * (self.n - 1))
         if self._one is None:
             raise ValueError("order does not contain 1")
@@ -175,7 +178,11 @@ class SubOrder:
                     prod[d - n + k] -= c * f.coeffs[k]
         return prod[:n]
 
-    def _structure_constants(self):
+    @cached_property
+    def _table(self):
+        """Structure constants: the product of basis elements i and j in this
+        basis.  Raises ValueError when the basis is not multiplicatively
+        closed."""
         n = self.n
         cols = [[self.basis_num[r][c] for r in range(n)] for c in range(n)]
         table = [[None] * n for _ in range(n)]
@@ -229,12 +236,13 @@ class SubOrder:
 
     def multiply(self, x: OrderElement, y: OrderElement) -> OrderElement:
         n = self.n
+        table = self._table   # one descriptor lookup, not one per product
         out = [0] * n
         for i, a in enumerate(x.coords):
             if a:
                 for j, b in enumerate(y.coords):
                     if b:
-                        t = self._table[i][j]
+                        t = table[i][j]
                         c = a * b
                         for r in range(n):
                             out[r] += c * t[r]
@@ -265,11 +273,12 @@ class SubOrder:
 
     def mult_matrix(self, x: OrderElement):
         n = self.n
+        table = self._table
         M = [[0] * n for _ in range(n)]
         for j in range(n):
             for i, a in enumerate(x.coords):
                 if a:
-                    t = self._table[i][j]
+                    t = table[i][j]
                     for r in range(n):
                         M[r][j] += a * t[r]
         return M
@@ -300,7 +309,9 @@ class SubOrder:
     def from_dict(cls, d: dict) -> "SubOrder":
         mo = build_order(IntPolynomial.parse(d["f"]))
         basis = [[int(v) for v in row] for row in d["basis_num"]]
-        return cls(mo, basis, int(d["den"]))
+        order = cls(mo, basis, int(d["den"]))
+        order._table  # an outside basis is checked for closure up front
+        return order
 
     def __repr__(self):
         return (f"SubOrder(f={self.ambient.f.format()!r}, index={self.index}, "
@@ -334,12 +345,13 @@ def _p_radical(order: SubOrder, p: int):
 
 def _mul_mod_p(order: SubOrder, a, b, p: int):
     n = order.n
+    table = order._table
     out = [0] * n
     for i, av in enumerate(a):
         if av:
             for j, bv in enumerate(b):
                 if bv:
-                    t = order._table[i][j]
+                    t = table[i][j]
                     c = av * bv
                     for r in range(n):
                         out[r] = (out[r] + c * t[r]) % p
@@ -369,11 +381,33 @@ def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
     H = hnf(cols)
     # new basis over the power basis: B * H / (den * p)
     newb = intmat.mat_mul(order.basis_num, H)
-    return SubOrder(order.ambient, newb, order.den * p)
+    bigger = SubOrder(order.ambient, newb, order.den * p)
+    bigger._table  # every enlarged basis is checked for closure as it is built
+    return bigger
+
+
+def dedekind_maximal(f: IntPolynomial, p: int) -> bool:
+    """Whether Z[T]/(f) is maximal at the prime p, by Dedekind's criterion
+    (Cohen, GTM 138, Thm. 6.1.4).
+
+    With g = rad(f mod p) and h = (f mod p) / g, both lifted to Z, and
+    F = (g h - f) / p, the order is p-maximal exactly when
+    gcd(F, g, h) = 1 in F_p[x].  In characteristic p the radical is not
+    f / gcd(f, f'), so it is taken from the squarefree decomposition.
+    """
+    fbar = gf_from_int_poly(f.coeffs[::-1], p)
+    g = gf_sqf_part(fbar, p, ZZ)
+    h = gf_quo(fbar, g, p, ZZ)
+    gh = (IntPolynomial(g[::-1]) * IntPolynomial(h[::-1]) - f).coeffs
+    F = gf_from_int_poly([c // p for c in reversed(gh)], p)
+    return gf_gcd(gf_gcd(g, h, p, ZZ), F, p, ZZ) == [1]
 
 
 def maximalize(mo: MonogenicOrder):
     """Enlarge Z[T]/(f) to the maximal order at every reachable prime.
+
+    A prime at which Dedekind's criterion finds Z[T] maximal takes no Round 2
+    step, so a Z[T] maximal everywhere keeps its power basis.
 
     Returns ``(order, index, certified)``.  ``certified`` is False when the
     square part of the discriminant could not be fully factored, in which
@@ -383,6 +417,10 @@ def maximalize(mo: MonogenicOrder):
     factors, _, complete = mo.disc_factors
     order = mo.power_suborder()
     for p in (p for p, e in factors if e >= 2):
+        # enlargements at other primes have index prime to p, so every order
+        # of the loop agrees with Z[T] at p
+        if dedekind_maximal(mo.f, p):
+            continue
         while True:
             if order.disc % (p * p):
                 break

@@ -202,14 +202,28 @@ def resultant(f: IntPolynomial, g: IntPolynomial) -> int:
 
 
 def poly_discriminant(f: IntPolynomial) -> int:
-    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f of degree >= 2."""
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') for monic f of degree >= 2.
+
+    For monic f, Res(f, f') is the norm of f'(T) in Z[T]/(f): the determinant
+    of multiplication by f' on the power basis, an n x n matrix where the
+    Sylvester matrix is (2n - 1)-square.
+    """
     if not f.is_monic():
         raise ValueError("discriminant requires a monic polynomial")
     n = f.degree
     if n < 2:
         raise ValueError("discriminant requires degree >= 2")
+    c = f.coeffs
+    col = [i * c[i] for i in range(1, n + 1)]     # f' on 1, T, ..., T^(n-1)
+    cols = []
+    for _ in range(n):                            # T^j f' mod f, j = 0..n-1
+        cols.append(col)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [a - top * b for a, b in zip(col, c)]
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(f, f.derivative())
+    return sign * det_bareiss(cols)
 
 
 def _divide(f: IntPolynomial, g: IntPolynomial, scale: int = 1):

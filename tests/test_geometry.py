@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 from math import prod
 
 import pytest
@@ -14,8 +15,8 @@ from otkit.geometry import (_scan_polynomials, apply_group_element, domain_conta
                             metric_det_check, min_volume_scan, ot_volume,
                             reduce_to_domain, torsion_upper_bound,
                             volume_determinant_path, volume_lower_bound)
-from otkit.orders import build_order
-from otkit.polynomials import IntPolynomial
+from otkit.orders import SubOrder, build_order, signature
+from otkit.polynomials import IntPolynomial, NotSquarefreeError, poly_discriminant
 from otkit.unitgroup import units_from_generators
 
 P = IntPolynomial
@@ -296,8 +297,29 @@ def test_scan_computes_each_unit_group_once(monkeypatch):
     assert calls == [r.poly for r in sorted(records, key=lambda r: r.poly.coeffs)]
 
 
+# the records of min_volume_scan(2, 2, 500) and their volumes
+S2_RECORDS = [
+    ("T^4 + T^3 - 2*T - 1", -275, 1, True, []),
+    ("T^4 - T - 1", -283, 1, True, []),
+    ("T^4 + T^3 - T^2 - T - 1", -331, 1, True, []),
+    ("T^4 - T^2 - 1", -400, 1, True, []),
+    ("T^4 + 2*T^3 - T^2 - 2*T - 1", -448, 1, True, []),
+    ("T^4 - T^3 - 2*T^2 - 2*T - 1", -475, 1, True, []),
+    ("T^4 + T^3 - 2*T^2 - 2*T - 1", -491, 1, True, []),
+]
+S2_VOLUMES = [0.07174488548507201, 0.074558174331991257, 0.092147414677493359,
+              0.11969486939755449, 0.13837779888502558, 0.14735074261974931,
+              0.16451603457045856]
+
+
+def _assert_s2_records(records):
+    assert [(r.poly.format(), r.disc, r.index, r.certified, r.torsion_factors)
+            for r in records] == S2_RECORDS
+    assert all(abs(float(r.volume.mid()) - v) < 1e-15 for r, v in zip(records, S2_VOLUMES))
+
+
 def test_scan_tests_irreducibility_after_the_square_part_filter(monkeypatch):
-    # the signature and square-part filters drop most polynomials before the
+    # the disc-sign and square-part filters drop most polynomials before the
     # irreducibility test (346 calls when it came first)
     calls = []
     is_irreducible = otkit.polynomials.is_irreducible
@@ -311,17 +333,41 @@ def test_scan_tests_irreducibility_after_the_square_part_filter(monkeypatch):
             monkeypatch.setattr(mod, "is_irreducible", counted)
     records = min_volume_scan(2, 2, 500)
     assert len(calls) <= 260
-    assert [(r.poly.format(), r.disc, r.index, r.certified, r.torsion_factors)
-            for r in records] == [
-        ("T^4 + T^3 - 2*T - 1", -275, 1, True, []),
-        ("T^4 - T - 1", -283, 1, True, []),
-        ("T^4 + T^3 - T^2 - T - 1", -331, 1, True, []),
-        ("T^4 - T^2 - 1", -400, 1, True, []),
-        ("T^4 + 2*T^3 - T^2 - 2*T - 1", -448, 1, True, []),
-        ("T^4 - T^3 - 2*T^2 - 2*T - 1", -475, 1, True, []),
-        ("T^4 + T^3 - 2*T^2 - 2*T - 1", -491, 1, True, []),
-    ]
-    volumes = [0.07174488548507201, 0.074558174331991257, 0.092147414677493359,
-               0.11969486939755449, 0.13837779888502558, 0.14735074261974931,
-               0.16451603457045856]
-    assert all(abs(float(r.volume.mid()) - v) < 1e-15 for r, v in zip(records, volumes))
+    _assert_s2_records(records)
+
+
+def test_scan_work_per_candidate(monkeypatch):
+    # the sign of disc f replaces the signature, Dedekind's criterion leaves
+    # Round 2 to the primes where Z[T] is not maximal, and Z[T] builds its
+    # structure constants only when something multiplies (149 Round 2 steps,
+    # 143 tables and 500 signatures before)
+    steps, tables, signatures = [], [], []
+    p_enlarge = otkit.orders._p_enlarge
+    monkeypatch.setattr(otkit.orders, "_p_enlarge",
+                        lambda order, p: steps.append(p) or p_enlarge(order, p))
+    build = SubOrder._table.func
+    table = cached_property(lambda order: tables.append(order) or build(order))
+    table.__set_name__(SubOrder, "_table")
+    monkeypatch.setattr(SubOrder, "_table", table)
+    monkeypatch.setattr(otkit.orders, "signature",
+                        lambda f: signatures.append(f) or signature(f))
+    records = min_volume_scan(2, 2, 500)
+    assert len(steps) <= 10
+    assert len(tables) <= 17
+    assert signatures == []
+    _assert_s2_records(records)
+
+
+def test_disc_sign_is_the_scan_signature():
+    # sign(disc f) = (-1)^t for squarefree f, disc f = 0 for a repeated root;
+    # t <= 2 at the scanned degrees 3, 4 and 5
+    for s, bound in ((1, 6), (2, 2), (3, 2)):
+        for f in _scan_polynomials(s + 2, bound):
+            try:
+                wanted = tuple(signature(f)) == (s, 1)
+            except NotSquarefreeError:
+                wanted = False
+            assert (poly_discriminant(f) < 0) is wanted, f
+    for s in (0, 4):
+        with pytest.raises(ValueError):
+            min_volume_scan(s, 2, 100)

@@ -1,11 +1,14 @@
 import random
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
+import otkit.geometry
+from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly
-from otkit.orders import (ReduciblePolynomialError, build_order, maximalize,
-                          signature)
+from otkit.orders import (ReduciblePolynomialError, SubOrder, _p_enlarge, build_order,
+                          dedekind_maximal, maximalize, signature)
 from otkit.polynomials import IntPolynomial
 
 P = IntPolynomial
@@ -128,8 +131,6 @@ def test_coercion_between_orders():
 
 
 def test_order_serialization_roundtrip():
-    from otkit.orders import SubOrder
-
     order, index, cert = maximalize(build_order(P([-1, 8, 0, 1])))
     d = order.to_dict(cert)
     back = SubOrder.from_dict(d)
@@ -155,3 +156,74 @@ def test_power_product_inverts_under_negated_exponents(quartic275, exps):
     assert len(gens) == 2
     neg = [-e for e in exps]
     assert order.power_product(gens, exps) * order.power_product(gens, neg) == order.one()
+
+
+def test_dedekind_agrees_with_round_2_on_the_published_scans(monkeypatch):
+    # every (f, p) with p^2 | disc f that reaches maximalize in the three
+    # scans; the stand-in order (disc above every bound) ends each candidate
+    # before its unit group, which changes no later candidate
+    orders = []
+
+    def recorded(mo):
+        orders.append(mo)
+        return SimpleNamespace(disc=10 ** 9), 1, True
+
+    monkeypatch.setattr(otkit.geometry, "maximalize", recorded)
+    for s, bound, disc in ((1, 6, 200), (2, 2, 500), (3, 2, 4600)):
+        assert min_volume_scan(s, bound, disc) == []
+    pairs = [(mo, p) for mo in orders for p, e in mo.disc_factors[0] if e >= 2]
+    assert len(orders) == 901 and len(pairs) == 963
+    verdicts = [(dedekind_maximal(mo.f, p), _p_enlarge(mo.power_suborder(), p) is None)
+                for mo, p in pairs]
+    assert all(d == r for d, r in verdicts)
+    assert sum(d for d, _ in verdicts) == 733
+
+
+@pytest.mark.parametrize("text, p, maximal", [
+    # Dedekind's cubic: Z[T] is not 2-maximal, and no order of K is monogenic
+    ("T^3 - T^2 - 2*T - 8", 2, False),
+    # Eisenstein at p, so f = x^n mod p
+    ("T^4 + 2", 2, True),
+    ("T^3 + 3", 3, True),
+    # f = x^2 (x + 1)^2 mod 2, x^3 (x + 1) mod 3 and x^3 (x + 1)^2 mod 2: a
+    # multiplicity >= p, where rad(f) is not f / gcd(f, f') mod p
+    ("T^4 + T^2 - 2*T - 2", 2, True),
+    ("T^4 + 3*T^2 - 2*T + 2", 2, False),
+    ("T^4 + T^3 - 3*T^2 - 3*T - 3", 3, True),
+    ("T^4 + T^3 - 6*T^2 + 9", 3, False),
+    ("T^5 + 2*T^4 + T^3 - 2*T^2 - 2*T - 2", 2, True),
+    ("T^5 + T^3 - 2*T^2 - 2*T - 2", 2, False),
+])
+def test_dedekind_criterion_hard_cases(text, p, maximal):
+    mo = build_order(P.parse(text))
+    assert mo.disc_f % (p * p) == 0
+    assert dedekind_maximal(mo.f, p) is maximal
+    assert (_p_enlarge(mo.power_suborder(), p) is None) is maximal
+
+
+def test_dedekind_cubic_has_index_2():
+    order, index, cert = maximalize(build_order(P.parse("T^3 - T^2 - 2*T - 8")))
+    assert (index, order.disc, cert) == (2, -503, True)
+
+
+def test_structure_constants_are_built_on_first_use():
+    # Z[T] is closed by construction, so its table waits for a product; a
+    # basis from outside is checked up front
+    po = build_order(P.parse("T^3 - T + 1")).power_suborder()
+    assert "_table" not in vars(po)
+    assert (po.tbar() * po.tbar()).coords == (0, 0, 1)
+    assert "_table" in vars(po)
+    # Z + Z T + Z T^2/2 in Q(2^(1/3)): (T^2/2)^2 = -T/2 is not in it
+    mo = build_order(P.parse("T^3 + 2"))
+    basis = [[2, 0, 0], [0, 2, 0], [0, 0, 1]]
+    with pytest.raises(ValueError, match="not multiplicatively closed"):
+        SubOrder.from_dict({"f": "T^3 + 2", "basis_num": basis, "den": 2})
+    lattice = SubOrder(mo, basis, 2)
+    with pytest.raises(ValueError, match="not multiplicatively closed"):
+        lattice.tbar() * lattice.tbar()
+
+
+def test_enlarged_orders_are_checked_for_closure_when_built():
+    mo = build_order(P([-1, 8, 0, 1]))  # index-5 enlargement exists
+    bigger = _p_enlarge(mo.power_suborder(), 5)
+    assert bigger is not None and "_table" in vars(bigger)

@@ -54,6 +54,15 @@ def test_discriminant_product_formula(roots):
     assert poly_discriminant(f) == want
 
 
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=2, max_size=8))
+def test_discriminant_is_the_sylvester_resultant(tail):
+    # the norm of f' on the power basis against the (2n - 1)-square Sylvester
+    # determinant
+    f = P(tail + [1])
+    n = f.degree
+    assert poly_discriminant(f) == (-1) ** (n * (n - 1) // 2) * resultant(f, f.derivative())
+
+
 def test_resultant_examples():
     for m in range(1, 8):
         assert resultant(P([-1, m, 0, 1]), P([1, -1])) == m

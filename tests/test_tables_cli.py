@@ -374,3 +374,34 @@ def test_precision_sets_and_restores_interval_context():
         with precision(63):
             pass
     assert iv.prec == before
+
+
+def test_cli_calls_in_one_process_answer_as_alone(tmp_path, capsys):
+    # main builds its parser once per process: each call of a sequence must
+    # answer as it does with a parser of its own
+    pres = tmp_path / "p.json"
+    assert main(["h1", "--poly", "T^3 - T + 2", "--save-presentation", str(pres)]) == 0
+    capsys.readouterr()
+    sequence = [
+        ["field", "T^3 - T + 1", "--mc", "--samples", "20000", "--format", "json"],
+        ["field", "T^3 - T + 1", "--format", "json"],
+        ["h1", "--presentation", str(pres), "--format", "json"],
+        ["h1", "--poly", "T^3 - T + 2", "--format", "json"],
+        ["field", "T^3 - T + 1", "--precision", "abc"],
+        ["inoue", "3", "--format", "json"],
+    ]
+
+    def run(argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    in_turn = [run(argv) for argv in sequence]
+    alone = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        alone.append(run(argv))
+    assert in_turn == alone
+    assert [rc for rc, _, _ in in_turn] == [0, 0, 0, 0, 1, 0]
+    assert "monte_carlo" in in_turn[0][1] and "monte_carlo" not in in_turn[1][1]
+    assert json.loads(in_turn[2][1]) == json.loads(in_turn[3][1])
