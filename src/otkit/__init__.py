@@ -9,9 +9,9 @@ minimal-volume scans.
 from .config import precision, working_precision
 from .polynomials import IntPolynomial, poly_discriminant, resultant
 from .roots import isolate_roots
-from .orders import (MonogenicOrder, OrderElement, ReduciblePolynomialError,
+from .orders import (IdealHNF, MonogenicOrder, OrderElement, ReduciblePolynomialError,
                      Signature, SubOrder, build_order, maximalize, signature)
-from .unitgroup import (AbelianGroupInvariants, IdealHNF, InsufficientUnitsError,
+from .unitgroup import (AbelianGroupInvariants, InsufficientUnitsError,
                         UnitGroupData, certify_units, j_ideal,
                         torsion_group, totally_positive_generators, unit_group,
                         units_from_generators)

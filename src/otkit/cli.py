@@ -23,7 +23,7 @@ from .geometry import (check_mc_samples, field_volumes, fundamental_domain,
                        inoue_closed_form, mc_volume, min_volume_scan, ot_volume,
                        torsion_upper_bound)
 from .orders import ReduciblePolynomialError, build_order, maximalize, signature
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, is_irreducible
 from .tables import TABLE_NAMES, regenerate
 from .topology import (GroupPresentation, cubic_galois_closure_degree, h1,
                        presentation_from_field, reconstruct_minpoly)
@@ -287,6 +287,10 @@ def cmd_scan(args) -> int:
 def cmd_reconstruct(args) -> int:
     p = _load_presentation(args.presentation)
     poly, primitive = reconstruct_minpoly(p, trials=args.trials, seed=args.seed)
+    # a reducible minimal polynomial means the algebra is not a field
+    ok, factor = is_irreducible(poly)
+    if not ok:
+        raise CliError(EXIT_REDUCIBLE, str(ReduciblePolynomialError(poly, factor)))
     out = {"minpoly": poly.format(), "degree": poly.degree, "primitive": primitive}
     if primitive and poly.degree == 3:
         out["cubic_galois_closure_degree"] = cubic_galois_closure_degree(poly)

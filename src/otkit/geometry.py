@@ -13,7 +13,7 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import numpy as np
 from mpmath import mp
@@ -147,10 +147,8 @@ def volume_lower_bound(s: int) -> RealBall:
     """pi (s+2)^(s+1) / (4^(s+2) 2^(s^2) s!)."""
     if s < 1:
         raise ValueError("s must be >= 1")
-    import math
-
     num = (s + 2) ** (s + 1)
-    den = 4 ** (s + 2) * 2 ** (s * s) * math.factorial(s)
+    den = 4 ** (s + 2) * 2 ** (s * s) * factorial(s)
     return ball_pi() * RealBall(Fraction(num, den))
 
 

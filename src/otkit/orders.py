@@ -2,7 +2,8 @@
 
 A ``SubOrder`` stores its basis as columns over the power basis with a common
 denominator, plus exact structure constants, built when something first
-multiplies.  Maximalization tests each prime whose square divides the
+multiplies; an ``IdealHNF`` is an integral ideal of one, in Hermite normal
+form.  Maximalization tests each prime whose square divides the
 discriminant by Dedekind's criterion and runs the classic radical/multiplier-
 ring loop only at the primes that fail it; an unfactored discriminant
 cofactor makes the result "uncertified" rather than wrong.
@@ -234,19 +235,23 @@ class SubOrder:
         return [Fraction(sum(self.basis_num[r][c] * x.coords[c] for c in range(self.n)),
                          self.den) for r in range(self.n)]
 
-    def multiply(self, x: OrderElement, y: OrderElement) -> OrderElement:
+    def _mul_coords(self, xs, ys) -> list[int]:
+        """The product of two coordinate vectors, as a coordinate list."""
         n = self.n
         table = self._table   # one descriptor lookup, not one per product
         out = [0] * n
-        for i, a in enumerate(x.coords):
+        for i, a in enumerate(xs):
             if a:
-                for j, b in enumerate(y.coords):
+                for j, b in enumerate(ys):
                     if b:
                         t = table[i][j]
                         c = a * b
                         for r in range(n):
                             out[r] += c * t[r]
-        return OrderElement(self, out)
+        return out
+
+    def multiply(self, x: OrderElement, y: OrderElement) -> OrderElement:
+        return OrderElement(self, self._mul_coords(x.coords, y.coords))
 
     def power_product(self, gens, exps) -> OrderElement:
         """The product of ``g ** e`` over paired generators and exponents."""
@@ -318,6 +323,34 @@ class SubOrder:
                 f"disc={self.disc})")
 
 
+class IdealHNF:
+    """An integral ideal of an order: the canonical column HNF of the lattice
+    that ``cols`` (order coordinates) span, which is its key for equality
+    within the order and hashing, and whose pivots multiply to its norm
+    (Cohen, GTM 138, 4.7)."""
+
+    __slots__ = ("order", "basis", "norm", "_key")
+
+    def __init__(self, order: SubOrder, cols):
+        self.order = order
+        self.basis = hnf(cols)
+        self.norm = intmat.lattice_det(self.basis)   # ValueError below full rank
+        self._key = tuple(map(tuple, self.basis))
+
+    def contains(self, x: OrderElement) -> bool:
+        return intmat.solve_int(self.basis, list(x.coords)) is not None
+
+    def __eq__(self, other):
+        return (isinstance(other, IdealHNF) and other.order is self.order
+                and other._key == self._key)
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        return f"IdealHNF(norm={self.norm})"
+
+
 # -- maximalization -----------------------------------------------------------
 
 
@@ -331,7 +364,7 @@ def _p_radical(order: SubOrder, p: int):
         e += 1
     one = [c % p for c in order.one().coords]
     cols = [intmat.power([1 if j == i else 0 for j in range(n)], p ** e,
-                         lambda a, b: _mul_mod_p(order, a, b, p), one)
+                         lambda a, b: [c % p for c in order._mul_coords(a, b)], one)
             for i in range(n)]
     F = [[cols[j][i] % p for j in range(n)] for i in range(n)]
     ker = kernel_mod_p(F, p)
@@ -341,21 +374,6 @@ def _p_radical(order: SubOrder, p: int):
         for i in range(n):
             stacked[i].append(g[i])
     return hnf(stacked)
-
-
-def _mul_mod_p(order: SubOrder, a, b, p: int):
-    n = order.n
-    table = order._table
-    out = [0] * n
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                if bv:
-                    t = table[i][j]
-                    c = av * bv
-                    for r in range(n):
-                        out[r] = (out[r] + c * t[r]) % p
-    return out
 
 
 def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:

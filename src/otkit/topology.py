@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import product
 
 from . import intmat
 from .balls import ComplexBall, RealBall
 from .factorint import is_perfect_square
 from .intmat import hnf, minpoly_matrix, snf
-from .orders import Signature, SubOrder, signature
-from .polynomials import IntPolynomial, NotSquarefreeError, is_irreducible, resultant
-from .unitgroup import AbelianGroupInvariants, IdealHNF
+from .orders import IdealHNF, Signature, SubOrder, signature
+from .polynomials import (IntPolynomial, NotSquarefreeError, is_irreducible,
+                          poly_discriminant, resultant)
+from .unitgroup import AbelianGroupInvariants
 
 
 def _entry(v) -> int:
@@ -140,12 +142,12 @@ def h1(p: GroupPresentation) -> tuple[int, AbelianGroupInvariants]:
 
 
 def commutator_sample_closure(p: GroupPresentation, sample_count: int,
-                              seed: int, order: SubOrder | None = None):
+                              seed: int, order: SubOrder) -> IdealHNF:
     """HNF closure of sampled commutator lattice parts, iterated to stability.
 
-    An independent route to the commutator lattice; returns an IdealHNF when
-    an order is supplied (so results compare directly against the ideal), a
-    raw HNF basis otherwise.
+    An independent route to the commutator lattice, returned as an ideal of
+    ``order`` so that it compares directly with J(U); a closure short of
+    full rank raises ValueError.
     """
     if sample_count < 1:
         raise ValueError("need at least one sample")
@@ -178,15 +180,15 @@ def commutator_sample_closure(p: GroupPresentation, sample_count: int,
                     for c in range(len(new_basis[0]) if new_basis else 0)]
     if basis is None:
         raise ArithmeticError("no nontrivial commutators sampled")
-    if order is not None and intmat.hnf_is_full_rank(basis):
-        return IdealHNF(order, basis, intmat.lattice_det(basis))
-    return basis
+    return IdealHNF(order, basis)
 
 
 def reconstruct_minpoly(p: GroupPresentation, trials: int = 64,
                         seed: int = 0) -> tuple[IntPolynomial, bool]:
     """Minimal polynomial of a generic action word; flag is False if the
-    degree never reached the lattice rank (non-primitive witness)."""
+    degree never reached the lattice rank (non-primitive witness).  A
+    polynomial of full degree can still factor, when the action's algebra is
+    not a field: the caller tests irreducibility."""
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = random.Random(seed)
@@ -217,7 +219,6 @@ def reconstruct_minpoly(p: GroupPresentation, trials: int = 64,
         if got is not None:
             return got, True
     # deterministic fallback sweep
-    from itertools import product
     for exps in product(range(-3, 4), repeat=r):
         got = consider(list(exps))
         if got is not None:
@@ -233,8 +234,6 @@ def cubic_galois_closure_degree(f: IntPolynomial) -> int:
     ok, _ = is_irreducible(f)
     if not ok:
         raise ValueError("polynomial must be irreducible")
-    from .polynomials import poly_discriminant
-
     return 3 if is_perfect_square(poly_discriminant(f)) else 6
 
 
@@ -284,8 +283,7 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
     raise last_error or DegenerateCompositumError("no usable shift found")
 
 
-def example_compositum_action(order_poly_s: IntPolynomial,
-                              basis_size: int = 3) -> list[list[int]]:
+def example_compositum_action(order_poly_s: IntPolynomial) -> list[list[int]]:
     """Multiplication-by-S matrix on the product basis S^a T^b (a, b < 3),
     ordered (1, S, S^2, T, T^2, ST, S^2 T, S T^2, S^2 T^2); depends only on
     the S-side minimal polynomial."""

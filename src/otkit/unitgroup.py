@@ -44,8 +44,8 @@ from . import intmat
 from .balls import RealBall, ball_det
 from .config import MIN_PRECISION, precision
 from .embeddings import EmbeddingTable
-from .intmat import hnf, kernel_mod_p, lattice_det, snf
-from .orders import OrderElement, SubOrder
+from .intmat import hnf, kernel_mod_p, snf
+from .orders import IdealHNF, OrderElement, SubOrder
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -131,24 +131,6 @@ class UnitGroupData:
     @property
     def certified(self) -> bool:
         return self.certified_index_bound == 1
-
-
-class IdealHNF:
-    """An integral ideal as an HNF column lattice inside the order."""
-
-    def __init__(self, order: SubOrder, basis, norm: int):
-        self.order = order
-        self.basis = basis
-        self.norm = norm
-
-    def contains(self, x: OrderElement) -> bool:
-        return intmat.solve_int(self.basis, list(x.coords)) is not None
-
-    def __eq__(self, other):
-        return isinstance(other, IdealHNF) and self.basis == other.basis
-
-    def __repr__(self):
-        return f"IdealHNF(norm={self.norm})"
 
 
 class AbelianGroupInvariants:
@@ -302,8 +284,8 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
 
     A candidate met before, up to sign, is skipped: it has the same ideal
     and gives the same quotient up to sign, which the lattice, grown since,
-    turns down again.  For each new one, the HNF of its multiplication
-    matrix is the key of its ideal and, as the product of its pivots, |N(x)|.
+    turns down again.  Each new one is keyed by its principal ideal, the
+    ``IdealHNF`` of its multiplication matrix, whose norm is |N(x)|.
     """
     n, s, t = order.n, table.s, table.t
     r = s + t - 1
@@ -313,7 +295,7 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     with mp.workprec(53):
         norm_bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** t
                          * mp.sqrt(mp.mpf(abs(order.disc)))) + 8
-    reps: dict = {}         # ideal key -> the first element with that ideal
+    reps: dict = {}         # ideal -> the first element with that ideal
     seen: set = set()       # the coordinates tried so far, up to sign
     grid_radius_cap = 220 if r == 1 else 8
     steps = failed = 0
@@ -342,13 +324,12 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
                     continue
                 seen.add(seen_key)
                 x = order.element(coords)
-                H = hnf(order.mult_matrix(x))
-                if lattice_det(H) > norm_bound:
+                ideal = IdealHNF(order, order.mult_matrix(x))
+                if ideal.norm > norm_bound:
                     continue
-                key = tuple(map(tuple, H))
-                rep = reps.get(key)
+                rep = reps.get(ideal)
                 if rep is None:
-                    reps[key] = x
+                    reps[ideal] = x
                     continue
                 q = order.divide_exact(x, rep)
                 if q is None or q.is_pm_one():
@@ -608,11 +589,8 @@ def _j_relations(order: SubOrder, gens):
 
 
 def j_ideal(order: SubOrder, gens) -> IdealHNF:
-    """HNF of the ideal generated by 1-g over the given units g."""
-    H = hnf(_j_relations(order, gens))
-    if not intmat.hnf_is_full_rank(H):
-        raise ValueError("unit subgroup is trivial: J(U) would be the zero ideal")
-    return IdealHNF(order, H, lattice_det(H))
+    """The ideal generated by 1-g over the given units g."""
+    return IdealHNF(order, _j_relations(order, gens))
 
 
 def torsion_group(order: SubOrder, gens) -> AbelianGroupInvariants:

@@ -278,6 +278,28 @@ def test_cli_reconstruct_non_primitive(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["primitive"] is False
 
 
+@pytest.mark.parametrize("matrices, error", [
+    # [[2, 1], [1, 1]] + [1] spans Q(sqrt 5) x Q, and its minimal polynomial
+    # of degree 3 is not a cubic field's
+    pytest.param([[[2, 1, 0], [1, 1, 0], [0, 0, 1]]],
+                 "T^3 - 4*T^2 + 4*T - 1 is not irreducible (factor: T - 1)", id="n=3"),
+    # Q(sqrt 5) x Q(sqrt 3): degree 4, yet two quadratic factors
+    pytest.param([[[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]]],
+                 "T^4 - 7*T^3 + 14*T^2 - 7*T + 1 is not irreducible "
+                 "(factor: T^2 - 4*T + 1)", id="n=4"),
+])
+@pytest.mark.parametrize("source", [[], ["--source", "T^3 - T + 1"]],
+                         ids=["alone", "--source"])
+def test_cli_reconstruct_refuses_a_reducible_witness(tmp_path, capsys, matrices, error,
+                                                      source):
+    pres = tmp_path / "p.json"
+    pres.write_text(json.dumps({"n": len(matrices[0]), "matrices": matrices}))
+    rc = main(["reconstruct", str(pres), "--format", "json", *source])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": error, "exit_code": 2}
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_cli_reconstruct_rejects_trials_below_one(tmp_path, capsys, trials):
     pres = tmp_path / "p.json"

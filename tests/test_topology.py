@@ -119,6 +119,15 @@ def test_closure_monotone_growth(f2_field):
         assert big.contains(order.element(col))
 
 
+def test_closure_short_of_full_rank_raises():
+    # [[2, 1], [1, 1]] + [1] fixes the third coordinate, so every commutator
+    # lies in the first two
+    order = build_order(P.parse("T^3 - T + 1")).power_suborder()
+    p = GroupPresentation([[[2, 1, 0], [1, 1, 0], [0, 0, 1]]])
+    with pytest.raises(ValueError, match="full rank"):
+        commutator_sample_closure(p, 8, seed=0, order=order)
+
+
 def test_reconstruct_disc23(disc23):
     order, _, _, ug = disc23
     p = presentation_from_field(order, ug.totally_positive_generators)

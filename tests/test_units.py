@@ -15,7 +15,7 @@ from otkit.config import precision, working_precision
 from otkit.embeddings import EmbeddingTable
 from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly, hnf
-from otkit.orders import SubOrder, build_order, maximalize
+from otkit.orders import IdealHNF, SubOrder, build_order, maximalize
 from otkit.polynomials import IntPolynomial, resultant
 from otkit.tables import load_expected
 from otkit.unitgroup import (CHARACTER_PRIMES, SWEEP_SCALE_BITS, SWEEP_SPARE_BITS,
@@ -362,6 +362,31 @@ def test_generator_set_independence(f2_field):
     J2 = j_ideal(order, [order.inverse_unit(eps)])
     J3 = j_ideal(order, [eps, eps * eps])
     assert J1.basis == J2.basis == J3.basis
+    assert len({J1: "eps", J2: "eps^-1", J3: "eps, eps^2"}) == 1
+
+
+def test_principal_ideal_is_the_same_for_associates(f2_field):
+    order, _, _, ug = f2_field
+    rng = random.Random(23)
+    u = ug.totally_positive_generators[0]
+    for _ in range(10):
+        x = order.element([rng.randint(-9, 9) for _ in range(order.n)])
+        if not any(x.coords):
+            continue
+        ix = IdealHNF(order, order.mult_matrix(x))
+        iux = IdealHNF(order, order.mult_matrix(u * x))
+        assert ix == iux and hash(ix) == hash(iux)
+        assert ix.norm == iux.norm == abs(order.norm(x))
+    # the same lattice in another order is another ideal
+    other = build_order(P.parse("T^3 - T + 1")).power_suborder()
+    assert IdealHNF(other, ix.basis) != ix
+
+
+def test_ideal_needs_full_rank(disc23):
+    order, _, _, _ = disc23
+    for cols in ([[1], [0], [0]], [[2, 0], [0, 3], [0, 0]], [[0, 0, 0]] * 3):
+        with pytest.raises(ValueError, match="full rank"):
+            IdealHNF(order, cols)
 
 
 def test_sum_of_ideals_is_j_of_product():

@@ -27,9 +27,9 @@ directory), one fresh process per command, and writes one JSON file:
   2*T - 1`` (unit rank 2), stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
   --presentation`` and ``reconstruct --source`` on the saved file, with the
-  directory's path replaced by ``<tmp>``; and of ``reconstruct`` on
-  ``BLOCKS``, whose words with negative exponents are reached before a
-  primitive one;
+  directory's path replaced by ``<tmp>``; and stdout, stderr and exit code
+  of ``reconstruct`` on ``BLOCKS``, a presentation of a product of two real
+  quadratic fields, whose witness is refused with exit 2;
 * ``reducible``: stderr and exit code of ``otkit field`` on two reducible
   polynomials;
 * ``ledger``: exit code and last stderr line (the JSON error, or the
@@ -80,9 +80,10 @@ COMMANDS = [
     ["units", "T^5 - T - 3", "--precision", "1000", "--format", "json"],
 ]
 PRESENTED = ["T^3 - T + 2", "T^4 - T^3 + 2*T - 1"]
-# two commuting block-diagonal actions on Z^4, neither generator primitive
-# (minimal polynomials of degree 2 and 3): reconstruct tries each generator
-# and its inverse, then random words, and answers with the word (-3, -1)
+# two commuting block-diagonal actions on Z^4: Q[actions] is the product of
+# the real quadratic fields Q(sqrt 5) and Q(sqrt 3), not a field.  Each
+# generator's minimal polynomial has degree 3; the word (-3, -1) reaches
+# degree 4 with (T^2 - 18*T + 1)(T^2 - 4*T + 1), which reconstruct refuses
 BLOCKS = {"n": 4, "matrices": [
     [[2, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [0, 0, 2, 1]],
@@ -118,8 +119,8 @@ def presentation_round_trip() -> dict:
                 out[poly][key] = {"exit": rc, "stdout": stdout.replace(tmp, "<tmp>")}
         path = Path(tmp) / "blocks.json"
         path.write_text(json.dumps(BLOCKS))
-        rc, stdout, _ = otkit(["reconstruct", str(path), "--format", "json"])
-        out["blocks"] = {"exit": rc, "stdout": stdout}
+        rc, stdout, stderr = otkit(["reconstruct", str(path), "--format", "json"])
+        out["blocks"] = {"exit": rc, "stdout": stdout, "stderr": stderr}
     return out
 
 
