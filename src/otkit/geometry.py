@@ -404,12 +404,27 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
     in that record's maximal order, which proves the fields equal; each field
     keeps its first certified polynomial, else its first polynomial, and its
     unit group is computed once.
+
+    Each mirror pair is settled once.  The box is closed under f -> f* =
+    (-1)^n f(-T), and T -> -T maps Z[T]/(f) onto Z[T]/(f*), so f* has the
+    same disc f, irreducibility, maximal order disc and index, and -alpha
+    lies in every order that holds a root alpha of f.  Every filter reads
+    only those, and root_of finds -alpha where it found alpha, so f* ends
+    as f did and is skipped.  The exceptions are a unit_group that raised
+    for f and an uncertified record from f: there f* may still end
+    otherwise, so it is scanned in full.
     """
     if s not in (1, 2, 3):
         raise ValueError("certified scans cover s in {1, 2, 3}")
     degree = s + 2
     done: list[tuple[ScanRecord, EmbeddingTable]] = []   # one per proven field
+    settled: set[tuple[int, ...]] = set()   # mirrors whose outcome f fixed
     for f in _scan_polynomials(degree, coeff_bound):
+        if f.coeffs in settled:
+            continue
+        mirror = tuple(-c if (degree - i) % 2 else c for i, c in enumerate(f.coeffs))
+        if mirror != f.coeffs:
+            settled.add(mirror)
         # cheap exact filters before the irreducibility test: the sign of
         # disc f, then its square part.  disc f = 0 exactly when f has a
         # repeated root, and otherwise sign(disc f) = (-1)^t for t complex
@@ -438,12 +453,15 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
         try:
             ug = unit_group(order)
         except (InsufficientUnitsError, PrecisionError):
+            settled.discard(mirror)
             continue
         tp = ug.totally_positive_generators
         tors = torsion_group(order, tp)
         vol = ot_volume(s, abs(order.disc), ug.regulator)
         rec = ScanRecord(f, order.disc, index, ug.regulator,
                          order_cert and ug.certified, vol.value, tors.factors)
+        if not rec.certified:
+            settled.discard(mirror)
         if same is None:
             done.append((rec, ug.table))
         elif rec.certified:

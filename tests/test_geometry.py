@@ -17,7 +17,7 @@ from otkit.geometry import (_scan_polynomials, apply_group_element, domain_conta
                             volume_determinant_path, volume_lower_bound)
 from otkit.orders import SubOrder, build_order, signature
 from otkit.polynomials import IntPolynomial, NotSquarefreeError, poly_discriminant
-from otkit.unitgroup import units_from_generators
+from otkit.unitgroup import InsufficientUnitsError, units_from_generators
 
 P = IntPolynomial
 
@@ -371,3 +371,72 @@ def test_disc_sign_is_the_scan_signature():
     for s in (0, 4):
         with pytest.raises(ValueError):
             min_volume_scan(s, 2, 100)
+
+
+def _mirror(f):
+    """(-1)^n f(-T): the coefficient of T^i changes sign when n - i is odd."""
+    n = f.degree
+    return P([-c if (n - i) % 2 else c for i, c in enumerate(f.coeffs)])
+
+
+def test_scan_settles_each_mirror_pair_once(monkeypatch):
+    # f and (-1)^n f(-T) share disc f, irreducibility and the maximal order
+    # disc, so the second of a pair is not tested again (137 maximalize
+    # calls and 260 irreducibility tests when both were)
+    maximalized, tested = [], []
+    maximalize = otkit.geometry.maximalize
+    is_irreducible = otkit.geometry.is_irreducible
+    monkeypatch.setattr(otkit.geometry, "maximalize",
+                        lambda mo: maximalized.append(mo.f) or maximalize(mo))
+    monkeypatch.setattr(otkit.geometry, "is_irreducible",
+                        lambda f: tested.append(f) or is_irreducible(f))
+    records = min_volume_scan(2, 2, 500)
+    assert len(maximalized) <= 72
+    assert len(tested) <= 135
+    assert all(_mirror(f) == f or _mirror(f) not in tested for f in tested)
+    _assert_s2_records(records)
+
+
+# the first polynomial of the disc -23 field in min_volume_scan(1, 3, 100),
+# and its mirror, which comes later in the box
+FIRST_23 = P.parse("T^3 - 2*T^2 - 3*T - 1")
+MIRROR_23 = P.parse("T^3 + 2*T^2 - 3*T + 1")
+
+
+@pytest.mark.parametrize("outcome", ["raises", "uncertified"])
+def test_scan_retries_an_unsettled_mirror(monkeypatch, outcome):
+    # the mirror is skipped only once its twin's outcome is final: when the
+    # unit group fails or stays uncertified for every polynomial of the field
+    # but MIRROR_23, the field's record still comes from MIRROR_23
+    assert _mirror(FIRST_23) == MIRROR_23
+    calls = []
+    unit_group = otkit.geometry.unit_group
+
+    def failing(order, *args, **kwargs):
+        if order.disc == -23:
+            calls.append(order.ambient.f)
+        if order.disc != -23 or order.ambient.f == MIRROR_23:
+            return unit_group(order, *args, **kwargs)
+        if outcome == "raises":
+            raise InsufficientUnitsError("stand-in failure")
+        ug = unit_group(order, *args, **kwargs)
+        ug.certified_index_bound = 2
+        return ug
+
+    monkeypatch.setattr(otkit.geometry, "unit_group", failing)
+    records = min_volume_scan(1, 3, 100)
+    field = [r for r in records if r.disc == -23]
+    assert [(r.poly, r.certified) for r in field] == [(MIRROR_23, True)]
+    assert len(records) == 7 and all(r.certified for r in records)
+    assert calls[0] == FIRST_23 and calls[-1] == MIRROR_23
+
+
+def test_scan_box_is_closed_under_the_mirror():
+    # the mirror fixes f exactly when the coefficients of T^(n-1), T^(n-3),
+    # ... vanish
+    for n, bound in ((3, 3), (4, 2), (5, 1)):
+        box = set(_scan_polynomials(n, bound))
+        assert {_mirror(f) for f in box} == box
+        fixed = {f for f in box
+                 if all(f.coeffs[i] == 0 for i in range(n - 1, -1, -2))}
+        assert fixed == {f for f in box if _mirror(f) == f}

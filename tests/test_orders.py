@@ -7,8 +7,8 @@ import pytest
 import otkit.geometry
 from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly
-from otkit.orders import (ReduciblePolynomialError, SubOrder, _p_enlarge, build_order,
-                          dedekind_maximal, maximalize, signature)
+from otkit.orders import (MonogenicOrder, ReduciblePolynomialError, SubOrder, _p_enlarge,
+                          build_order, dedekind_maximal, maximalize, signature)
 from otkit.polynomials import IntPolynomial
 
 P = IntPolynomial
@@ -161,7 +161,9 @@ def test_power_product_inverts_under_negated_exponents(quartic275, exps):
 def test_dedekind_agrees_with_round_2_on_the_published_scans(monkeypatch):
     # every (f, p) with p^2 | disc f that reaches maximalize in the three
     # scans; the stand-in order (disc above every bound) ends each candidate
-    # before its unit group, which changes no later candidate
+    # before its unit group, which changes no later candidate.  The scan
+    # settles the mirror (-1)^n f(-T) with f, and T -> -T keeps Z[T]
+    # p-maximal or not, so the mirrors of the recorded f are added back.
     orders = []
 
     def recorded(mo):
@@ -171,6 +173,14 @@ def test_dedekind_agrees_with_round_2_on_the_published_scans(monkeypatch):
     monkeypatch.setattr(otkit.geometry, "maximalize", recorded)
     for s, bound, disc in ((1, 6, 200), (2, 2, 500), (3, 2, 4600)):
         assert min_volume_scan(s, bound, disc) == []
+    mirrors = []
+    for mo in orders:
+        n = mo.f.degree
+        mirror = P([-c if (n - i) % 2 else c for i, c in enumerate(mo.f.coeffs)])
+        if mirror != mo.f:
+            mirrors.append(MonogenicOrder(mirror, mo.disc_f))
+    orders += mirrors
+    assert len({mo.f for mo in orders}) == len(orders)
     pairs = [(mo, p) for mo in orders for p, e in mo.disc_factors[0] if e >= 2]
     assert len(orders) == 901 and len(pairs) == 963
     verdicts = [(dedekind_maximal(mo.f, p), _p_enlarge(mo.power_suborder(), p) is None)
