@@ -209,15 +209,18 @@ def ball_pi() -> RealBall:
     return RealBall._raw(+iv.pi)
 
 
-def _eliminate(A: list[list[RealBall]]) -> int:
-    """Gauss-Jordan elimination of the square left block of ``A`` in place,
-    pivoting on the largest midpoint; returns the sign of the row swaps.
+def _eliminate(A: list[list[RealBall]]) -> tuple[int, list]:
+    """Gauss-Jordan elimination of the square matrix ``A`` in place, pivoting
+    on the largest midpoint.  Returns the sign of the row swaps and, per
+    step k, the pivot row and the factors f_i = A[i][k] / A[k][k] (None at
+    i = k), the record that ``BallElimination.solve`` replays.
 
     Raises ArithmeticError when a pivot straddles zero; callers escalate the
     working precision in that case.
     """
     n = len(A)
     sign = 1
+    steps = []
     for k in range(n):
         piv = max(range(k, n), key=lambda i: abs(A[i][k].mid()))
         if piv != k:
@@ -225,26 +228,61 @@ def _eliminate(A: list[list[RealBall]]) -> int:
             sign = -sign
         if A[k][k].contains_zero():
             raise ArithmeticError("singular-looking pivot in interval elimination")
+        factors = [None] * n
         for i in range(n):
             if i != k:
-                f = A[i][k] / A[k][k]
-                for j in range(k, len(A[k])):
+                f = factors[i] = A[i][k] / A[k][k]
+                for j in range(k, n):
                     A[i][j] = A[i][j] - f * A[k][j]
-    return sign
+        steps.append((piv, factors))
+    return sign, steps
+
+
+class BallElimination:
+    """One elimination of a square ball matrix, kept to solve many systems.
+
+    ``solve(b)`` replays the recorded swaps and updates b_i - f_i b_k on b,
+    then divides by the kept pivots: the operations, in the order and at the
+    precision that eliminating the matrix augmented by b would make, so each
+    enclosure equals that one endpoint for endpoint.  Asked under another
+    working precision than its own, it eliminates afresh at that precision.
+    """
+
+    __slots__ = ("M", "bits", "sign", "pivots", "steps")
+
+    def __init__(self, M: list[list[RealBall]]):
+        self.M = M
+        self.bits = working_precision()
+        A = [row[:] for row in M]
+        self.sign, self.steps = _eliminate(A)
+        self.pivots = [A[k][k] for k in range(len(A))]
+
+    @property
+    def det(self) -> RealBall:
+        """Enclosure of the determinant: the signed product of the pivots."""
+        det = RealBall(self.sign)
+        for p in self.pivots:
+            det = det * p
+        return det
+
+    def solve(self, b: list[RealBall]) -> list[RealBall]:
+        """Enclosure of the solution of M x = b."""
+        if working_precision() != self.bits:
+            return BallElimination(self.M).solve(b)
+        x = list(b)
+        for k, (piv, factors) in enumerate(self.steps):
+            x[k], x[piv] = x[piv], x[k]
+            for i, f in enumerate(factors):
+                if f is not None:
+                    x[i] = x[i] - f * x[k]
+        return [xi / p for xi, p in zip(x, self.pivots)]
 
 
 def ball_det(M: list[list[RealBall]]) -> RealBall:
-    """Enclosure of the determinant: the signed product of the pivots."""
-    A = [row[:] for row in M]
-    det = RealBall(_eliminate(A))
-    for k in range(len(A)):
-        det = det * A[k][k]
-    return det
+    """Enclosure of the determinant of a square ball matrix."""
+    return BallElimination(M).det
 
 
 def ball_solve(M: list[list[RealBall]], b: list[RealBall]) -> list[RealBall]:
     """Enclosure of the solution of a well-conditioned square system."""
-    A = [row[:] + [b[i]] for i, row in enumerate(M)]
-    _eliminate(A)
-    n = len(A)
-    return [A[i][n] / A[i][i] for i in range(n)]
+    return BallElimination(M).solve(b)

@@ -13,13 +13,13 @@ import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, log, prod
 
 import numpy as np
 from mpmath import mp
 
-from .balls import ComplexBall, RealBall, ball_det, ball_pi, ball_solve
-from .config import PrecisionError
+from .balls import BallElimination, ComplexBall, RealBall, ball_det, ball_pi
+from .config import PrecisionError, working_precision
 from .embeddings import EmbeddingTable
 from .orders import MonogenicOrder, SubOrder, maximalize
 from .polynomials import IntPolynomial, integer_roots, is_irreducible, poly_discriminant
@@ -182,10 +182,22 @@ class FundamentalDomainData:
     L: list              # s x s ball matrix: log columns of the generators
     A: list              # n x n ball Minkowski matrix (basis columns)
     density: Fraction
+    # working precision -> the kept eliminations of L and A at it; a cell
+    # copied by dataclasses.replace starts with none
+    eliminations: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def s(self) -> int:
         return self.table.s
+
+    def solvers(self) -> tuple[BallElimination, BallElimination]:
+        """The eliminations of L and A at the working precision, made once
+        per precision."""
+        bits = working_precision()
+        if bits not in self.eliminations:
+            self.eliminations[bits] = (BallElimination(self.L), BallElimination(self.A))
+        return self.eliminations[bits]
 
 
 def fundamental_domain(order: SubOrder, units: UnitGroupData) -> FundamentalDomainData:
@@ -196,13 +208,12 @@ def fundamental_domain(order: SubOrder, units: UnitGroupData) -> FundamentalDoma
     if table.t != 1:
         raise ValueError("fundamental domain implemented for one complex place")
     gens = units.generators
-    L = _log_matrix(table, gens)
-    A = table.rows
-    if abs(ball_det(L)).contains_zero() or abs(ball_det(A)).contains_zero():
+    dom = FundamentalDomainData(order, units, table, [g * g for g in gens],
+                                _log_matrix(table, gens), table.rows,
+                                density_prefactor(table.s))
+    if any(e.det.contains_zero() for e in dom.solvers()):
         raise PrecisionError("degenerate domain matrices")
-    eps = [g * g for g in gens]
-    return FundamentalDomainData(order, units, table, eps, L, A,
-                                 density_prefactor(table.s))
+    return dom
 
 
 def _floor_vector(balls) -> list[int] | None:
@@ -241,8 +252,9 @@ def _reduce_once(pts, dom, tb):
     """One reduction with the unit and translation values of ``tb``; None
     when a floor or a sign is undecided at its precision."""
     s, order = dom.s, dom.order
+    solve_L, solve_A = dom.solvers()
     r = [pts[j][1].log() / 2 for j in range(s)]
-    beta = ball_solve(dom.L, r)
+    beta = solve_L.solve(r)
     ns = _floor_vector(beta)
     if ns is None:
         return None
@@ -259,7 +271,7 @@ def _reduce_once(pts, dom, tb):
     zc = ComplexBall(pts[s][0], pts[s][1]) * scale_c
     # fiber coordinates: x_j (real places) and the complex coordinate
     target = [zs[j][0] for j in range(s)] + [zc.re, zc.im]
-    alpha = ball_solve(dom.A, target)
+    alpha = solve_A.solve(target)
     ms = _floor_vector(alpha)
     if ms is None:
         return None
@@ -323,6 +335,10 @@ def domain_contains(point, dom: FundamentalDomainData) -> bool:
 # -- Monte Carlo -----------------------------------------------------------------
 
 
+# a binomial tail of mass 0.00135, the normal tail beyond 3 standard errors
+MC_EMPTY_TAIL = -log(0.00135)
+
+
 def check_mc_samples(samples: int) -> None:
     """The one sample-count check of every Monte Carlo volume."""
     if samples < 1000:
@@ -348,23 +364,41 @@ def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResu
     Ainv = np.linalg.inv(Af)
     lo = np.concatenate([np.minimum(Af, 0).sum(axis=1), np.minimum(Bf, 0).sum(axis=1)])
     hi = np.concatenate([np.maximum(Af, 0).sum(axis=1), np.maximum(Bf, 0).sum(axis=1)])
-    scale = float(np.prod(hi - lo)) * float(dom.density)
+    width = hi - lo
+    scale = float(np.prod(width)) * float(dom.density)
     gen = np.random.Generator(np.random.Philox(key=seed))
     hits = 0
-    block = 1 << 16
+    block = min(1 << 16, samples)
+    buf = np.empty((block, n + s))
+    alpha_buf = np.empty((block, n))
+    beta_buf = np.empty((block, s))
+    inside_buf = np.empty(block, dtype=bool)
     done = 0
     while done < samples:
         k = min(block, samples - done)
-        xr = lo + gen.random((k, n + s)) * (hi - lo)
-        alpha = xr[:, :n] @ Ainv.T
-        beta = xr[:, n:] @ Binv.T
-        hits += int(np.count_nonzero(np.all((alpha >= 0) & (alpha < 1), axis=1)
-                                     & np.all((beta >= 0) & (beta < 1), axis=1)))
+        xr, alpha, beta, inside = buf[:k], alpha_buf[:k], beta_buf[:k], inside_buf[:k]
+        gen.random(out=xr)
+        xr *= width         # lo + u * width, bit for bit: addition commutes
+        xr += lo
+        np.matmul(xr[:, :n], Ainv.T, out=alpha)
+        np.matmul(xr[:, n:], Binv.T, out=beta)
+        inside.fill(True)
+        for col in (*alpha.T, *beta.T):
+            inside &= col >= 0
+            inside &= col < 1
+        hits += int(np.count_nonzero(inside))
         done += k
     frac = hits / samples
     est = scale * frac
     stderr = scale * (frac * (1 - frac) / samples) ** 0.5
-    value = RealBall.from_endpoints(mp.mpf(est - 3 * stderr), mp.mpf(est + 3 * stderr))
+    if 0 < hits < samples:
+        lo_v, hi_v = est - 3 * stderr, est + 3 * stderr
+    else:
+        # the binomial ball is a point here: take the one-sided bound with the
+        # tail mass of 3 standard errors, as P(no hit) = (1 - p)^N <= e^(-N p)
+        q = MC_EMPTY_TAIL / samples
+        lo_v, hi_v = (0.0, scale * q) if hits == 0 else (scale * (1 - q), scale)
+    value = RealBall.from_endpoints(mp.mpf(lo_v), mp.mpf(hi_v))
     return VolumeResult(value, s, abs(dom.order.disc), dom.units.regulator,
                         Fraction(1, 2 ** s), "monte_carlo", stderr=stderr,
                         meta={"seed": seed, "samples": samples, "estimate": est})

@@ -52,17 +52,26 @@ class GroupPresentation:
         for M in matrices:
             X, d = intmat.solve(M, intmat.identity(n))  # M^-1 = X / d, d = +-1
             self._inverses.append([[v // d for v in row] for row in X])
+        self._rho: dict[tuple[int, ...], list[list[int]]] = {}
 
     @property
     def free_rank(self) -> int:
         return len(self.action_matrices)
 
     def rho(self, exponents) -> list[list[int]]:
-        """The action of the exponent vector (negative powers via inverses)."""
-        out = intmat.identity(self.lattice_rank)
-        for M, Minv, e in zip(self.action_matrices, self._inverses,
-                              list(exponents)):
-            out = intmat.power(M if e > 0 else Minv, abs(e), intmat.mat_mul, out)
+        """The action of the exponent vector (negative powers via inverses).
+
+        Memoised per presentation: the matrix of each exponent vector is made
+        once and then returned itself, so callers only read it (as mat_vec,
+        mat_mul and minpoly_matrix do) and never change it.
+        """
+        key = tuple(exponents)
+        out = self._rho.get(key)
+        if out is None:
+            out = intmat.identity(self.lattice_rank)
+            for M, Minv, e in zip(self.action_matrices, self._inverses, key):
+                out = intmat.power(M if e > 0 else Minv, abs(e), intmat.mat_mul, out)
+            self._rho[key] = out
         return out
 
     def to_dict(self) -> dict:

@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from functools import cached_property
+from hashlib import sha256
 from math import prod
 
 import pytest
@@ -8,9 +10,10 @@ from mpmath import mp
 import otkit.geometry
 import otkit.orders
 import otkit.polynomials
+from otkit.balls import RealBall
 from otkit.embeddings import EmbeddingTable
 from otkit.factorint import trial_factor
-from otkit.geometry import (_scan_polynomials, apply_group_element, domain_contains,
+from otkit.geometry import (MC_EMPTY_TAIL, _scan_polynomials, apply_group_element, domain_contains,
                             fundamental_domain, inoue_closed_form, mc_volume,
                             metric_det_check, min_volume_scan, ot_volume,
                             reduce_to_domain, torsion_upper_bound,
@@ -232,6 +235,78 @@ def test_mc_volume_within_three_sigma(disc23):
     assert v2.meta["estimate"] == v.meta["estimate"]
     with pytest.raises(ValueError):
         mc_volume(dom, 10, seed=1)
+
+
+@pytest.mark.parametrize("poly, samples, seed, estimate", [
+    # the block edges 2^16 - 1, 2^16 and 2^16 + 1 are deliberate
+    ("T^3 - T + 1", 65535, 7, 0.3382069888939758),
+    ("T^3 - T + 1", 65536, 7, 0.3382222486143635),
+    ("T^3 - T + 1", 65537, 7, 0.338217087831163),
+    ("T^3 - T + 1", 200003, 2 ** 64 + 9, 0.33547868747180937),
+    ("T^4 - T^3 + 2*T - 1", 65537, 7, 0.069880079680082),
+    ("T^4 - T^3 + 2*T - 1", 1000, 3, 0.07445164672686445),
+])
+def test_mc_volume_stream_is_pinned(fields, poly, samples, seed, estimate):
+    # the Philox stream, its blocks and the hit test fix every estimate bit
+    # for bit; a kernel change that moves one fails here
+    order, _, _, ug = fields(poly)
+    assert mc_volume(fundamental_domain(order, ug), samples, seed).meta["estimate"] \
+        == estimate
+
+
+def test_mc_volume_ball_when_every_sample_hits(disc23):
+    # unit matrices make the cell its own box: every sample hits, and the
+    # binomial ball, a point there, becomes [scale (1 - q/N), scale]
+    order, _, _, ug = disc23
+    dom = fundamental_domain(order, ug)
+    def unit(k):
+        return [[RealBall(int(i == j)) for j in range(k)] for i in range(k)]
+
+    box = replace(dom, L=unit(dom.s), A=unit(order.n))
+    v = mc_volume(box, 1000, seed=4)
+    scale = float(dom.density)
+    assert v.meta["estimate"] == scale and v.stderr == 0.0
+    assert float(v.value.upper) == scale
+    assert float(v.value.lower) == scale * (1 - MC_EMPTY_TAIL / 1000)
+
+
+def _reductions(fields, poly, count):
+    """Reduced points, translations and unit exponents of ``count`` seeded
+    points of ``poly``'s cell, or the error each one raised, as text."""
+    order, _, _, ug = fields(poly)
+    dom = fundamental_domain(order, ug)
+    rng = random.Random(f"reduce/{poly}")
+    out = []
+    for i in range(count):
+        # every tenth point lies below the real axis (ValueError), and points
+        # 4 and 14 have a coordinate of 10^300, whose floors stay undecided
+        # up to the precision cap (PrecisionError)
+        ys = [rng.uniform(0.05, 6) * (-1 if i % 10 == 9 else 1) for _ in range(dom.s)]
+        pt = [complex(rng.uniform(-5, 5), y) for y in ys] \
+            + [complex(rng.uniform(-5, 5), rng.uniform(-5, 5))]
+        if i in (4, 14):
+            pt[0 if i == 4 else -1] += 1e300
+        try:
+            red, (a, exps, _) = reduce_to_domain(pt, dom)
+            out.append(f"{[repr(z) for z in red]} {a.coords} {exps}")
+        except (ValueError, ArithmeticError) as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(out)
+
+
+@pytest.mark.parametrize("poly, digest", [
+    ("T^3 - T + 1", "dacec7dfd665f6192da540c541ff2ee8"),
+    ("T^4 - T^3 + 2*T - 1", "7afebb20c6a9ffb73d48a9c184274cb7"),
+    ("T^3 - 2*T - 7", "aadd59825709418992cfa21de1f571a6"),
+    # the reduction escalates to 384 bits on this cell
+    ("T^3 + 2*T + 2000", "6a9ec52c08a3ede397a311cab3ef2fa8"),
+])
+def test_reduction_is_pinned(fields, poly, digest):
+    # sha256 of 40 reductions, each solve made by eliminating the matrix
+    # augmented by its right-hand side; the kept eliminations replay the same
+    # operations, so every endpoint, floor and error is the same
+    text = _reductions(fields, poly, 40)
+    assert sha256(text.encode()).hexdigest()[:32] == digest
 
 
 def test_mc_volume_large_cell_is_sharp(fields):

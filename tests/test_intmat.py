@@ -8,7 +8,8 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from otkit import intmat
-from otkit.balls import RealBall, ball_det, ball_solve
+from otkit.balls import BallElimination, RealBall, ball_det, ball_solve
+from otkit.config import precision
 from otkit.geometry import min_volume_scan
 from otkit.intmat import (charpoly, det_bareiss, hnf, kernel_mod_p, lattice_det,
                           minpoly_matrix, snf, solve, solve_int)
@@ -211,6 +212,54 @@ def test_ball_elimination_encloses_exact(system):
     assert d != 0 and det.contains(d)
     X, den = solve(M, [[v] for v in b])
     assert all(xi.contains(Fraction(row[0], den)) for xi, row in zip(x, X))
+
+
+def _ends(xs):
+    return [x.v._mpi_ for x in xs]
+
+
+def _augmented_solve(M, b):
+    """Gauss-Jordan elimination of [M | b]: the operations a kept elimination
+    replays on b."""
+    A = [row[:] + [bi] for row, bi in zip(M, b)]
+    n = len(A)
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(A[i][k].mid()))
+        A[k], A[piv] = A[piv], A[k]
+        for i in range(n):
+            if i != k:
+                f = A[i][k] / A[k][k]
+                for j in range(k, n + 1):
+                    A[i][j] = A[i][j] - f * A[k][j]
+    return [A[i][n] / A[i][i] for i in range(n)]
+
+
+@given(systems)
+def test_kept_elimination_replays_the_fresh_one(system):
+    # thirds make every entry a proper interval; one holder solves both
+    # right-hand sides exactly as a fresh elimination of each system does
+    M, b, c = system
+    if det_bareiss(M) == 0:
+        return
+    for bits in (64, 192):
+        with precision(bits):
+            balls = [[RealBall(Fraction(v, 3)) for v in row] for row in M]
+            rhs = [[RealBall(Fraction(v, 3)) for v in w] for w in (b, c)]
+            kept = BallElimination(balls)
+            for r in rhs:
+                want = _ends(_augmented_solve(balls, r))
+                assert _ends(kept.solve(r)) == want == _ends(ball_solve(balls, r))
+            assert kept.det.v._mpi_ == ball_det(balls).v._mpi_
+    # a holder asked under another precision eliminates afresh at it
+    with precision(192):
+        balls = [[RealBall(Fraction(v, 3)) for v in row] for row in M]
+        r = [RealBall(Fraction(v, 3)) for v in b]
+        kept = BallElimination(balls)
+        at_192 = _ends(kept.solve(r))
+    with precision(384):
+        assert _ends(kept.solve(r)) == _ends(ball_solve(balls, r))
+    with precision(192):
+        assert _ends(kept.solve(r)) == at_192
 
 
 @given(systems)

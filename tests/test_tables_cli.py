@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from mpmath import mpf
 
 from otkit import cli, intmat
 from otkit.cli import main
@@ -351,6 +352,19 @@ def test_cli_mcvol(capsys):
     assert rc == 0
     assert data["agreement_3se"]
     assert data["monte_carlo"]["samples"] == 20000
+
+
+def test_cli_mcvol_ball_without_hits(capsys):
+    # the cell fills about 0.5 % of its box, so 1000 samples at seed 1 all
+    # miss; the ball is then [0, scale q / N], not the point 0
+    rc = main(["mcvol", "T^5 + 2*T^3 + T^2 - 2*T - 1", "--samples", "1000",
+               "--seed", "1", "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0 and data["monte_carlo"]["estimate"] == 0.0
+    ball = data["monte_carlo"]["value"]
+    mid, rad = mpf(ball["mid"]), mpf(ball["rad"])
+    closed = mpf(data["closed_form"]["value"]["mid"])
+    assert rad > 0 and mid - rad <= closed <= mid + rad
 
 
 def test_cli_field_with_mc(capsys):

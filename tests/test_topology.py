@@ -1,7 +1,10 @@
+import copy
+import itertools
 import json
 import random
 
 import pytest
+from sympy import Matrix
 
 from otkit import intmat
 from otkit.orders import build_order
@@ -43,6 +46,37 @@ def test_rho_of_negated_exponents_is_the_inverse(quartic275, v):
     assert p.free_rank == 2
     back = [-e for e in v]
     assert intmat.mat_mul(p.rho(v), p.rho(back)) == intmat.identity(p.lattice_rank)
+
+
+def _matrix_power(M, e):
+    out = intmat.identity(len(M))
+    for _ in range(e):
+        out = intmat.mat_mul(out, M)
+    return out
+
+
+def test_rho_memo_is_the_product_of_powers(quartic275, disc23):
+    order, ug, p = _presentation(quartic275)
+    M1, M2 = p.action_matrices
+    N1, N2 = ([[int(v) for v in row] for row in Matrix(M).inv().tolist()] for M in (M1, M2))
+    box = list(itertools.product(range(-3, 4), repeat=2))
+    for e in box:
+        want = intmat.mat_mul(_matrix_power(M1 if e[0] > 0 else N1, abs(e[0])),
+                              _matrix_power(M2 if e[1] > 0 else N2, abs(e[1])))
+        assert p.rho(e) == want
+        assert p.rho(list(e)) is p.rho(e)
+    for a, b in [((1, -2), (2, 1)), ((-3, 0), (1, 3)), ((2, 2), (-2, -2))]:
+        assert intmat.mat_mul(p.rho(a), p.rho(b)) == p.rho(tuple(x + y for x, y in zip(a, b)))
+    # the closure and the reconstruction only read the kept matrices
+    kept = {e: copy.deepcopy(p.rho(e)) for e in box}
+    commutator_sample_closure(p, 48, seed=3, order=order)
+    reconstruct_minpoly(p, trials=16, seed=3)
+    assert all(p.rho(e) == M for e, M in kept.items())
+    # each presentation keeps its own matrices
+    q = presentation_from_field(order, ug.totally_positive_generators)
+    assert q.rho((1, -1)) == p.rho((1, -1)) and q.rho((1, -1)) is not p.rho((1, -1))
+    r = _presentation(disc23)[2]
+    assert r.rho((1,)) != p.rho((1, 0)) and r.rho((1,)) is not p.rho((1,))
 
 
 def test_group_law_and_commutator(f2_field):
