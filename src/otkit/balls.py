@@ -242,17 +242,16 @@ class BallElimination:
     """One elimination of a square ball matrix, kept to solve many systems.
 
     ``solve(b)`` replays the recorded swaps and updates b_i - f_i b_k on b,
-    then divides by the kept pivots: the operations, in the order and at the
-    precision that eliminating the matrix augmented by b would make, so each
-    enclosure equals that one endpoint for endpoint.  Asked under another
-    working precision than its own, it eliminates afresh at that precision.
+    then divides by the kept pivots.  At the precision the elimination was
+    made at, these are the operations, in the order, that eliminating the
+    matrix augmented by b would make, so each enclosure equals that one
+    endpoint for endpoint; at any other precision every step still rounds
+    outward, so the result still encloses the solution.
     """
 
-    __slots__ = ("M", "bits", "sign", "pivots", "steps")
+    __slots__ = ("sign", "pivots", "steps")
 
     def __init__(self, M: list[list[RealBall]]):
-        self.M = M
-        self.bits = working_precision()
         A = [row[:] for row in M]
         self.sign, self.steps = _eliminate(A)
         self.pivots = [A[k][k] for k in range(len(A))]
@@ -267,8 +266,6 @@ class BallElimination:
 
     def solve(self, b: list[RealBall]) -> list[RealBall]:
         """Enclosure of the solution of M x = b."""
-        if working_precision() != self.bits:
-            return BallElimination(self.M).solve(b)
         x = list(b)
         for k, (piv, factors) in enumerate(self.steps):
             x[k], x[piv] = x[piv], x[k]

@@ -234,8 +234,7 @@ def cmd_mcvol(args) -> int:
     closed = ot_volume(dom.s, abs(order.disc), ug.regulator)
     out = {"poly": f.format(), "monte_carlo": _volume_dict(v),
            "closed_form": _volume_dict(closed),
-           "agreement_3se": abs(v.meta["estimate"]
-                                - float(closed.value.mid())) <= 3 * v.stderr}
+           "agreement_3se": v.value.overlaps(closed.value)}
     _emit(out, args.format)
     return EXIT_OK
 

@@ -68,9 +68,12 @@ class EmbeddingTable:
         self.fixed = [[_fixed_point(x, bits) for x in row] for row in self.mids]
 
     def at(self, bits: int) -> "EmbeddingTable":
-        """This table at ``bits`` of precision (itself when it has as many)."""
+        """This table with at least ``bits`` of precision: itself when it has
+        as many, else refined to the first self.bits * 2^k >= bits, but to no
+        more than MAX_BITS unless ``bits`` is more."""
         if bits <= self.bits:
             return self
+        bits = min(self.bits << ((bits - 1) // self.bits).bit_length(), max(MAX_BITS, bits))
         if bits not in self._finer:
             tb = copy(self)     # the same order and the same shared cache
             tb._build(bits, _polish(self.order.ambient.f, self._roots, bits))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import factorial, log, prod
 
@@ -19,7 +20,7 @@ import numpy as np
 from mpmath import mp
 
 from .balls import BallElimination, ComplexBall, RealBall, ball_det, ball_pi
-from .config import PrecisionError, working_precision
+from .config import PrecisionError
 from .embeddings import EmbeddingTable
 from .orders import MonogenicOrder, SubOrder, maximalize
 from .polynomials import IntPolynomial, integer_roots, is_irreducible, poly_discriminant
@@ -182,22 +183,16 @@ class FundamentalDomainData:
     L: list              # s x s ball matrix: log columns of the generators
     A: list              # n x n ball Minkowski matrix (basis columns)
     density: Fraction
-    # working precision -> the kept eliminations of L and A at it; a cell
-    # copied by dataclasses.replace starts with none
-    eliminations: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
 
     @property
     def s(self) -> int:
         return self.table.s
 
-    def solvers(self) -> tuple[BallElimination, BallElimination]:
-        """The eliminations of L and A at the working precision, made once
-        per precision."""
-        bits = working_precision()
-        if bits not in self.eliminations:
-            self.eliminations[bits] = (BallElimination(self.L), BallElimination(self.A))
-        return self.eliminations[bits]
+    @cached_property
+    def eliminations(self) -> tuple[BallElimination, BallElimination]:
+        """The eliminations of L and A, made once and replayed at every
+        precision; a cell copied by dataclasses.replace makes its own."""
+        return BallElimination(self.L), BallElimination(self.A)
 
 
 def fundamental_domain(order: SubOrder, units: UnitGroupData) -> FundamentalDomainData:
@@ -211,7 +206,7 @@ def fundamental_domain(order: SubOrder, units: UnitGroupData) -> FundamentalDoma
     dom = FundamentalDomainData(order, units, table, [g * g for g in gens],
                                 _log_matrix(table, gens), table.rows,
                                 density_prefactor(table.s))
-    if any(e.det.contains_zero() for e in dom.solvers()):
+    if any(e.det.contains_zero() for e in dom.eliminations):
         raise PrecisionError("degenerate domain matrices")
     return dom
 
@@ -252,7 +247,7 @@ def _reduce_once(pts, dom, tb):
     """One reduction with the unit and translation values of ``tb``; None
     when a floor or a sign is undecided at its precision."""
     s, order = dom.s, dom.order
-    solve_L, solve_A = dom.solvers()
+    solve_L, solve_A = dom.eliminations
     r = [pts[j][1].log() / 2 for j in range(s)]
     beta = solve_L.solve(r)
     ns = _floor_vector(beta)

@@ -298,26 +298,6 @@ class SubOrder:
     def is_unit(self, x: OrderElement) -> bool:
         return abs(self.norm(x)) == 1
 
-    # -- serialization ---------------------------------------------------------
-
-    def to_dict(self, certified: bool = True) -> dict:
-        return {
-            "f": self.ambient.f.format(),
-            "basis_num": [[str(v) for v in row] for row in self.basis_num],
-            "den": self.den,
-            "disc": str(self.disc),
-            "index": str(self.index),
-            "certified": certified,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SubOrder":
-        mo = build_order(IntPolynomial.parse(d["f"]))
-        basis = [[int(v) for v in row] for row in d["basis_num"]]
-        order = cls(mo, basis, int(d["den"]))
-        order._table  # an outside basis is checked for closure up front
-        return order
-
     def __repr__(self):
         return (f"SubOrder(f={self.ambient.f.format()!r}, index={self.index}, "
                 f"disc={self.disc})")

@@ -230,13 +230,12 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
     ``basis`` holds integer coordinate rows; the LLL input is their weighted
     embeddings, scaled so that the shortest row keeps SWEEP_SCALE_BITS bits
     whatever the weights.  The embeddings come from the integer rows
-    (``fixed``) of the first table on the doubling ladder from ``table.bits``
-    that has SWEEP_SPARE_BITS beyond the bits they lose.  The input is
-    integer arithmetic: each weight e^w is taken at that table's bits as
-    mantissa * 2^exponent and shifted to a common exponent, each entry is
-    the exact product of the integer weight and (integer row . basis row),
-    and it is rounded to nearest against the shortest row's norm N, from
-    ``math.isqrt``.  Returns ``(reduced_basis, candidates)``: the reduced
+    (``fixed``) of ``table.at`` the bits they lose plus SWEEP_SPARE_BITS.
+    The input is integer arithmetic: each weight e^w is taken at that
+    table's bits as mantissa * 2^exponent and shifted to a common exponent,
+    each entry is the exact product of the integer weight and (integer
+    row . basis row), and it is rounded to nearest against the shortest
+    row's norm N, from ``math.isqrt``.  Returns ``(reduced_basis, candidates)``: the reduced
     rows, then sums and differences of pairs among the first four.  The
     ValueError of ``intmat.lll`` on dependent rows passes through.
     """
@@ -246,17 +245,14 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
     # radius 220 that is 317 bits, without which rank-1 chains lose their way
     need = (max(abs(c) for row in basis for c in row).bit_length() + SWEEP_SPARE_BITS
             + int(max(weights_log) / math.log(2)))
-    bits = table.bits
-    while bits < need:
-        bits *= 2
-    fixed = table.at(bits).fixed
-    with mp.workprec(bits):
+    tb = table.at(need)
+    with mp.workprec(tb.bits):
         weights = [mp.exp(w).man_exp for w in weights_log]
     low = min(e for _, e in weights)
     weights = [m << (e - low) for m, e in weights]
     # a complex place's weight scales both its Re and its Im row
     row_weight = [*weights[:table.s], *(w for w in weights[table.s:] for _ in (0, 1))]
-    ent = [[w * v for w, v in zip(row_weight, intmat.mat_vec(fixed, b))] for b in basis]
+    ent = [[w * v for w, v in zip(row_weight, intmat.mat_vec(tb.fixed, b))] for b in basis]
     # entry * 2^SWEEP_SCALE_BITS / N, rounded to nearest
     N = math.isqrt(min(sum(v * v for v in row) for row in ent))
     Z = [[((v << SWEEP_SCALE_BITS + 1) + N) // (2 * N) for v in row] for row in ent]

@@ -303,10 +303,27 @@ def _reductions(fields, poly, count):
 ])
 def test_reduction_is_pinned(fields, poly, digest):
     # sha256 of 40 reductions, each solve made by eliminating the matrix
-    # augmented by its right-hand side; the kept eliminations replay the same
-    # operations, so every endpoint, floor and error is the same
+    # augmented by its right-hand side; at the precision the cell was made at
+    # the kept eliminations replay the same operations, and every floor and
+    # error is the same at the precisions escalation reaches
     text = _reductions(fields, poly, 40)
     assert sha256(text.encode()).hexdigest()[:32] == digest
+
+
+def test_cell_eliminates_each_matrix_once(fields, monkeypatch):
+    # the 40 points escalate up to the cap, and every rung replays the
+    # eliminations of L and A that fundamental_domain made
+    made = []
+
+    class Counted(otkit.geometry.BallElimination):
+        def __init__(self, M):
+            made.append(len(M))
+            super().__init__(M)
+
+    monkeypatch.setattr(otkit.geometry, "BallElimination", Counted)
+    text = _reductions(fields, "T^3 + 2*T + 2000", 40)
+    assert "PrecisionError" in text
+    assert made == [1, 3]
 
 
 def test_mc_volume_large_cell_is_sharp(fields):

@@ -130,16 +130,6 @@ def test_coercion_between_orders():
     assert _move(frac_elt, po) is None
 
 
-def test_order_serialization_roundtrip():
-    order, index, cert = maximalize(build_order(P([-1, 8, 0, 1])))
-    d = order.to_dict(cert)
-    back = SubOrder.from_dict(d)
-    assert back.basis_num == order.basis_num
-    assert back.den == order.den
-    assert back.disc == order.disc
-    assert d["certified"] is True
-
-
 def test_unit_inverse_and_division(disc23):
     order, _, _, ug = disc23
     u = ug.generators[0]
@@ -218,7 +208,7 @@ def test_dedekind_cubic_has_index_2():
 
 def test_structure_constants_are_built_on_first_use():
     # Z[T] is closed by construction, so its table waits for a product; a
-    # basis from outside is checked up front
+    # basis given directly is checked for closure at its first product
     po = build_order(P.parse("T^3 - T + 1")).power_suborder()
     assert "_table" not in vars(po)
     assert (po.tbar() * po.tbar()).coords == (0, 0, 1)
@@ -226,8 +216,6 @@ def test_structure_constants_are_built_on_first_use():
     # Z + Z T + Z T^2/2 in Q(2^(1/3)): (T^2/2)^2 = -T/2 is not in it
     mo = build_order(P.parse("T^3 + 2"))
     basis = [[2, 0, 0], [0, 2, 0], [0, 0, 1]]
-    with pytest.raises(ValueError, match="not multiplicatively closed"):
-        SubOrder.from_dict({"f": "T^3 + 2", "basis_num": basis, "den": 2})
     lattice = SubOrder(mo, basis, 2)
     with pytest.raises(ValueError, match="not multiplicatively closed"):
         lattice.tbar() * lattice.tbar()

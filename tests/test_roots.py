@@ -244,6 +244,15 @@ def test_table_escalates_through_its_refinements():
     assert all(r.contains(f) for r, f in zip(table.rows[0], table.at(768).rows[0]))
 
 
+def test_refinements_stay_on_the_doubling_ladder():
+    _, table = _table("T^3 - T + 1")
+    assert table.at(1000) is table.at(1536) and table.at(1000).bits == 1536
+    assert table.at(1536).at(2000) is table.at(3072)
+    # past the last rung below the cap, the cap itself
+    assert table.at(13000) is table.at(16384) and table.at(13000).bits == 16384
+    assert sorted(table._finer) == [1536, 3072, 16384]
+
+
 def test_a_table_above_the_cap_asks_once(monkeypatch):
     # a table refined past MAX_BITS still asks its question at its own bits
     monkeypatch.setattr(otkit.embeddings, "MAX_BITS", 256)

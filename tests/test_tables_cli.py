@@ -356,7 +356,8 @@ def test_cli_mcvol(capsys):
 
 def test_cli_mcvol_ball_without_hits(capsys):
     # the cell fills about 0.5 % of its box, so 1000 samples at seed 1 all
-    # miss; the ball is then [0, scale q / N], not the point 0
+    # miss; the ball is then [0, scale q / N], not the point 0, and it agrees
+    # with the closed form although the standard error is 0
     rc = main(["mcvol", "T^5 + 2*T^3 + T^2 - 2*T - 1", "--samples", "1000",
                "--seed", "1", "--format", "json"])
     data = json.loads(capsys.readouterr().out)
@@ -365,6 +366,7 @@ def test_cli_mcvol_ball_without_hits(capsys):
     mid, rad = mpf(ball["mid"]), mpf(ball["rad"])
     closed = mpf(data["closed_form"]["value"]["mid"])
     assert rad > 0 and mid - rad <= closed <= mid + rad
+    assert data["monte_carlo"]["stderr"] == 0.0 and data["agreement_3se"] is True
 
 
 def test_cli_field_with_mc(capsys):

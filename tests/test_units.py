@@ -455,6 +455,20 @@ def test_root_with_coordinates_beyond_the_working_precision():
     assert cert.generators[0] in (u, -u)
 
 
+def test_root_extraction_refines_only_on_the_ladder():
+    # the bits the coordinates ask for are rounded up the doubling ladder,
+    # so no refinement polishes the roots at bits of its own; a fresh table,
+    # as the field's is refined past the cap by the k = 97 root
+    order, _, _, ug = _field("T^3 + 2*T + 2000")
+    table = EmbeddingTable(order)
+    u = ug.generators[0]
+    w = u ** 8
+    assert _try_kth_root(order, table, w ** 2, 2) in (w, -w)
+    certify_units(order, [u ** 16], table=table)
+    assert table._finer
+    assert set(table._finer) <= {192 << k for k in range(1, 7)} | {16384}
+
+
 def test_one_sweep_and_one_root_isolation(monkeypatch):
     # the last unit of the sweep needs 384 bits for its logs: the table
     # refines itself instead of the sweep restarting at 384 bits
