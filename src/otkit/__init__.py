@@ -9,8 +9,8 @@ minimal-volume scans.
 from .config import precision, working_precision
 from .polynomials import IntPolynomial, poly_discriminant, resultant
 from .roots import isolate_roots
-from .orders import (IdealHNF, MonogenicOrder, OrderElement, ReduciblePolynomialError,
-                     Signature, SubOrder, build_order, maximalize, signature)
+from .orders import (IdealHNF, OrderElement, ReduciblePolynomialError, Signature,
+                     SubOrder, build_order, maximalize, signature)
 from .unitgroup import (AbelianGroupInvariants, InsufficientUnitsError,
                         UnitGroupData, certify_units, j_ideal,
                         torsion_group, totally_positive_generators, unit_group,

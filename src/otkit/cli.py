@@ -127,7 +127,7 @@ def cmd_field(args) -> int:
         "poly": f.format(),
         "degree": f.degree,
         "signature": {"s": s, "t": t},
-        "disc_power_basis": str(order.ambient.disc_f),
+        "disc_power_basis": str(order.disc_f),
         "disc": str(order.disc),
         "index": str(index),
         "order_certified": order_cert,

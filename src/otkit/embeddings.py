@@ -49,7 +49,7 @@ class EmbeddingTable:
         self.order = order
         self._finer: dict[int, EmbeddingTable] = {}   # shared by all refinements
         bits = working_precision()
-        self._build(bits, isolate_roots(order.ambient.f, bits))
+        self._build(bits, isolate_roots(order.f, bits))
 
     def _build(self, bits: int, roots) -> None:
         """Keep the contracted ``roots`` for refinement; round them outward
@@ -76,7 +76,7 @@ class EmbeddingTable:
         bits = min(self.bits << ((bits - 1) // self.bits).bit_length(), max(MAX_BITS, bits))
         if bits not in self._finer:
             tb = copy(self)     # the same order and the same shared cache
-            tb._build(bits, _polish(self.order.ambient.f, self._roots, bits))
+            tb._build(bits, _polish(self.order.f, self._roots, bits))
             self._finer[bits] = tb
         return self._finer[bits]
 

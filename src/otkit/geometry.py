@@ -19,11 +19,13 @@ from math import factorial, log, prod
 import numpy as np
 from mpmath import mp
 
+from . import intmat
 from .balls import BallElimination, ComplexBall, RealBall, ball_det, ball_pi
 from .config import PrecisionError
 from .embeddings import EmbeddingTable
-from .orders import MonogenicOrder, SubOrder, maximalize
-from .polynomials import IntPolynomial, integer_roots, is_irreducible, poly_discriminant
+from .factorint import trial_factor
+from .orders import SubOrder, maximalize
+from .polynomials import IntPolynomial, is_irreducible, poly_discriminant
 from .unitgroup import (InsufficientUnitsError, UnitGroupData,
                         torsion_group, unit_group)
 
@@ -158,9 +160,6 @@ def inoue_closed_form(m: int) -> VolumeResult:
     T^3 + mT - 1 with the group generated by the polynomial root."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    f = IntPolynomial([-1, m, 0, 1])
-    if integer_roots(f):
-        raise ValueError("polynomial is reducible")
     D = 4 * m ** 3 + 27
     sqD = RealBall(D).sqrt()
     z = (RealBall(Fraction(1, 2)) + RealBall(3).sqrt() / 18 * sqD).cbrt()
@@ -345,7 +344,7 @@ def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResu
 
     With r = log(y)/2 the invariant density dens/prod(y) dy becomes the
     constant 2^s dens dr, and the 2^s cancels the exact 1/2^s that the
-    quotient by the ambient unit group contributes; the estimate is the hit
+    quotient by the full unit group contributes; the estimate is the hit
     fraction times the box volume times dens.  Samples are drawn from a
     counter-based generator keyed by the seed, in fixed-size blocks, so reruns
     with the same (seed, samples) are bit-exact.
@@ -465,14 +464,14 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
         # for irreducible f, index^2 divides disc f, so |disc K| >= |disc f| /
         # (its largest square divisor) once the square part is fully known;
         # the filter drops only reducible f and fields beyond the bound
-        mo = MonogenicOrder(f, disc_f)
-        factors, _, complete = mo.disc_factors
-        if complete and abs(mo.disc_f) > disc_bound * prod(p ** (e - e % 2)
-                                                            for p, e in factors):
+        factors, _, complete = trial_factor(disc_f)
+        if complete and abs(disc_f) > disc_bound * prod(p ** (e - e % 2)
+                                                         for p, e in factors):
             continue
         if not is_irreducible(f)[0]:
             continue
-        order, index, order_cert = maximalize(mo)
+        order, index, order_cert = maximalize(
+            SubOrder(f, disc_f, intmat.identity(degree), 1))
         if abs(order.disc) > disc_bound:
             continue
         same = next((i for i, (rec, table) in enumerate(done)

@@ -1,12 +1,13 @@
 """Number-field orders: the monogenic ring Z[T]/(f) and its enlargements.
 
-A ``SubOrder`` stores its basis as columns over the power basis with a common
-denominator, plus exact structure constants, built when something first
-multiplies; an ``IdealHNF`` is an integral ideal of one, in Hermite normal
-form.  Maximalization tests each prime whose square divides the
-discriminant by Dedekind's criterion and runs the classic radical/multiplier-
-ring loop only at the primes that fail it; an unfactored discriminant
-cofactor makes the result "uncertified" rather than wrong.
+Every order, Z[T]/(f) included, is a ``SubOrder``: f, disc f, a basis as
+columns over the power basis with a common denominator, and exact structure
+constants, built when something first multiplies; an ``IdealHNF`` is an
+integral ideal of one, in Hermite normal form.  Maximalization tests each
+prime whose square divides the discriminant by Dedekind's criterion and runs
+the classic radical/multiplier-ring loop only at the primes that fail it; an
+unfactored discriminant cofactor makes the result "uncertified" rather than
+wrong.
 """
 
 from __future__ import annotations
@@ -49,31 +50,8 @@ def signature(f: IntPolynomial) -> Signature:
     return Signature(s, (n - s) // 2)
 
 
-class MonogenicOrder:
-    """The power-basis order Z[T]/(f) for monic irreducible f."""
-
-    def __init__(self, f: IntPolynomial, disc_f: int):
-        self.f = f
-        self.n = f.degree
-        self.disc_f = disc_f
-        self._power = None
-
-    @cached_property
-    def disc_factors(self):
-        """``trial_factor(disc_f)``, computed once per order."""
-        return trial_factor(self.disc_f)
-
-    def power_suborder(self) -> "SubOrder":
-        if self._power is None:
-            self._power = SubOrder(self, intmat.identity(self.n), 1)
-        return self._power
-
-    def __repr__(self):
-        return f"MonogenicOrder({self.f.format()!r}, disc={self.disc_f})"
-
-
-def build_order(f: IntPolynomial) -> MonogenicOrder:
-    """Validate (monic, irreducible) and build the power-basis order."""
+def build_order(f: IntPolynomial) -> SubOrder:
+    """Validate (monic, irreducible) and build the power-basis order Z[T]/(f)."""
     if not f.is_monic():
         raise ValueError("defining polynomial must be monic")
     if f.degree < 2:
@@ -81,7 +59,7 @@ def build_order(f: IntPolynomial) -> MonogenicOrder:
     ok, witness = is_irreducible(f)
     if not ok:
         raise ReduciblePolynomialError(f, witness)
-    return MonogenicOrder(f, poly_discriminant(f))
+    return SubOrder(f, poly_discriminant(f), intmat.identity(f.degree), 1)
 
 
 class OrderElement:
@@ -131,25 +109,25 @@ class OrderElement:
 
 
 class SubOrder:
-    """An order given by a basis over the power basis (columns / denominator)."""
+    """An order of Q[T]/(f) given by a basis over the power basis (columns /
+    denominator); Z[T]/(f) itself has basis I and denominator 1."""
 
-    def __init__(self, ambient: MonogenicOrder, basis_num, den: int):
-        self.ambient = ambient
-        self.n = ambient.n
+    def __init__(self, f: IntPolynomial, disc_f: int, basis_num, den: int):
+        self.f = f
+        self.n = f.degree
+        self.disc_f = disc_f
         g = gcd(den, *(v for row in basis_num for v in row))
         if g > 1:
             basis_num = [[v // g for v in row] for row in basis_num]
             den //= g
         self.basis_num = hnf(basis_num)
-        if not intmat.hnf_is_full_rank(self.basis_num):
-            raise ValueError("order basis is not of full rank")
         self.den = den
-        det = intmat.lattice_det(self.basis_num)
+        det = intmat.lattice_det(self.basis_num)   # ValueError below full rank
         index_sq = Fraction(den ** self.n, det)
         if index_sq.denominator != 1:
             raise ValueError("basis does not contain the power-basis order")
         self.index = int(index_sq)
-        disc = Fraction(ambient.disc_f, self.index ** 2)
+        disc = Fraction(disc_f, self.index ** 2)
         if disc.denominator != 1:
             raise ValueError("discriminant-index relation failed")
         self.disc = int(disc)
@@ -158,11 +136,16 @@ class SubOrder:
         if self._one is None:
             raise ValueError("order does not contain 1")
 
+    @cached_property
+    def disc_factors(self):
+        """``trial_factor(disc_f)``, computed once per order."""
+        return trial_factor(self.disc_f)
+
     # -- construction ------------------------------------------------------
 
     def _power_product(self, ci, cj):
         """Product of two power-coordinate integer vectors, reduced mod f."""
-        f = self.ambient.f
+        f = self.f
         n = self.n
         prod = [0] * (2 * n - 1)
         for i, a in enumerate(ci):
@@ -299,7 +282,7 @@ class SubOrder:
         return abs(self.norm(x)) == 1
 
     def __repr__(self):
-        return (f"SubOrder(f={self.ambient.f.format()!r}, index={self.index}, "
+        return (f"SubOrder(f={self.f.format()!r}, index={self.index}, "
                 f"disc={self.disc})")
 
 
@@ -379,7 +362,7 @@ def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
     H = hnf(cols)
     # new basis over the power basis: B * H / (den * p)
     newb = intmat.mat_mul(order.basis_num, H)
-    bigger = SubOrder(order.ambient, newb, order.den * p)
+    bigger = SubOrder(order.f, order.disc_f, newb, order.den * p)
     bigger._table  # every enlarged basis is checked for closure as it is built
     return bigger
 
@@ -401,23 +384,23 @@ def dedekind_maximal(f: IntPolynomial, p: int) -> bool:
     return gf_gcd(gf_gcd(g, h, p, ZZ), F, p, ZZ) == [1]
 
 
-def maximalize(mo: MonogenicOrder):
-    """Enlarge Z[T]/(f) to the maximal order at every reachable prime.
+def maximalize(order: SubOrder):
+    """Enlarge Z[T]/(f), given as ``build_order`` makes it, to the maximal
+    order at every reachable prime.
 
     A prime at which Dedekind's criterion finds Z[T] maximal takes no Round 2
-    step, so a Z[T] maximal everywhere keeps its power basis.
+    step, so a Z[T] maximal everywhere comes back as the same object.
 
     Returns ``(order, index, certified)``.  ``certified`` is False when the
     square part of the discriminant could not be fully factored, in which
     case the returned order is maximal at all primes found but maximality
     overall is unverified.
     """
-    factors, _, complete = mo.disc_factors
-    order = mo.power_suborder()
+    factors, _, complete = order.disc_factors
     for p in (p for p, e in factors if e >= 2):
         # enlargements at other primes have index prime to p, so every order
         # of the loop agrees with Z[T] at p
-        if dedekind_maximal(mo.f, p):
+        if dedekind_maximal(order.f, p):
             continue
         while True:
             if order.disc % (p * p):

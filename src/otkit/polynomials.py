@@ -102,13 +102,6 @@ class IntPolynomial:
             g = gcd(g, c)
         return g
 
-    def primitive(self) -> IntPolynomial:
-        g = self.content()
-        if g <= 1:
-            return self if self.leading() > 0 else -self
-        p = IntPolynomial([c // g for c in self.coeffs])
-        return p if p.leading() > 0 else -p
-
     def divmod_monic(self, g: IntPolynomial):
         """Quotient and remainder by a monic divisor, exact over Z."""
         if not g.is_monic():

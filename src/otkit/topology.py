@@ -254,8 +254,8 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
     """Minimal polynomial of a primitive element of the compositum, plus signature.
 
     Tries shifts c = 1, 2, ... for the element (root of g) + c (root of f); a
-    shift is accepted when the resultant is squarefree irreducible of full
-    degree.  Degenerate composita raise instead of silently shrinking.
+    shift is accepted when the resultant is squarefree and irreducible.
+    Degenerate composita raise instead of silently shrinking.
     """
     okf, _ = is_irreducible(f)
     okg, _ = is_irreducible(g)
@@ -267,16 +267,9 @@ def compositum(f: IntPolynomial, g: IntPolynomial) -> tuple[IntPolynomial, Signa
     for c in range(1, 9):
         xs = range(-(deg // 2) - 1, deg - deg // 2)
         vals = [resultant(f, g(IntPolynomial([z0, -c]))) for z0 in xs]
+        # f, g monic: h = prod (z - b - c a) over the roots a of f, b of g,
+        # monic of degree m n
         h = IntPolynomial(intmat.interpolate(xs, vals))
-        if h.degree != deg or not h.is_monic():
-            h = h.primitive()
-        if h.degree != deg:
-            last_error = DegenerateCompositumError(
-                f"resultant degree {h.degree} < {deg}")
-            continue
-        if not h.is_monic():
-            last_error = DegenerateCompositumError("resultant is not monic")
-            continue
         try:
             sig = signature(h)
         except NotSquarefreeError:

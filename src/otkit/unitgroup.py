@@ -37,8 +37,7 @@ import numpy as np
 from mpmath import mp
 from sympy import discrete_log, isprime, primerange
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd,
-                                     gf_pow_mod, gf_sub)
+from sympy.polys.galoistools import gf_edf_zassenhaus, gf_from_int_poly, gf_gcd
 
 from . import intmat
 from .balls import RealBall, ball_det
@@ -46,6 +45,7 @@ from .config import MIN_PRECISION, precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, snf
 from .orders import IdealHNF, OrderElement, SubOrder
+from .polynomials import IntPolynomial
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -412,8 +412,15 @@ CHARACTER_PRIMES = 24
 
 def _roots_mod(f, q: int) -> list[int]:
     """The roots of f in F_q, ascending: the linear factors of gcd(f, T^q - T)."""
-    F = gf_from_int_poly(list(reversed(f.coeffs)), q)
-    g = gf_gcd(F, gf_sub(gf_pow_mod([1, 0], q, F, q, ZZ), [1, 0], q, ZZ), q, ZZ)
+    fq = IntPolynomial([c % q for c in f.coeffs])
+
+    def mul(a, b):
+        return IntPolynomial([c % q for c in (a * b).divmod_monic(fq)[1].coeffs])
+
+    T = IntPolynomial([0, 1])
+    tq_minus_t = intmat.power(T, q, mul, IntPolynomial([1])) - T
+    g = gf_gcd(gf_from_int_poly(fq.coeffs[::-1], q),
+               gf_from_int_poly(tq_minus_t.coeffs[::-1], q), q, ZZ)
     if len(g) < 2:
         return []
     return sorted(-h[1] % q for h in gf_edf_zassenhaus(g, 1, q, ZZ))
@@ -430,7 +437,7 @@ def _character_kernel(order: SubOrder, gens, k: int) -> list[tuple]:
     sum d(g) cls = 0 (mod k): each (q, a) gives one linear row over F_k, and
     only the classes in the common kernel can be +-k-th powers.
     """
-    f, den = order.ambient.f, order.den
+    f, den = order.f, order.den
     r = len(gens)
     kernel = [[int(i == j) for j in range(r)] for i in range(r)]
     rows = []

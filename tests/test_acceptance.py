@@ -140,7 +140,7 @@ def test_criterion_5_prescribed_torsion_family():
     details = []
     for m in range(1, 51):
         f = P([-1, m, 0, 1])
-        po = build_order(f).power_suborder()
+        po = build_order(f)
         pres = presentation_from_field(po, [po.tbar()])
         free, tors = h1(pres)
         if not (free == 1 and tors.factors == ([m] if m > 1 else [])):

@@ -150,7 +150,7 @@ def test_lower_bound_variant_identity():
 def test_inoue_matches_determinant_path():
     for m in (1, 2, 9, 20):
         f = P([-1, m, 0, 1])
-        po = build_order(f).power_suborder()
+        po = build_order(f)
         table = EmbeddingTable(po)
         supplied = units_from_generators(po, [po.tbar()], table=table)
         vi = inoue_closed_form(m)
@@ -380,7 +380,7 @@ def test_scan_computes_each_unit_group_once(monkeypatch):
     unit_group = otkit.geometry.unit_group
 
     def counted(order, *args, **kwargs):
-        calls.append(order.ambient.f)
+        calls.append(order.f)
         return unit_group(order, *args, **kwargs)
 
     monkeypatch.setattr(otkit.geometry, "unit_group", counted)
@@ -506,8 +506,8 @@ def test_scan_retries_an_unsettled_mirror(monkeypatch, outcome):
 
     def failing(order, *args, **kwargs):
         if order.disc == -23:
-            calls.append(order.ambient.f)
-        if order.disc != -23 or order.ambient.f == MIRROR_23:
+            calls.append(order.f)
+        if order.disc != -23 or order.f == MIRROR_23:
             return unit_group(order, *args, **kwargs)
         if outcome == "raises":
             raise InsufficientUnitsError("stand-in failure")

@@ -6,10 +6,10 @@ import pytest
 
 import otkit.geometry
 from otkit.geometry import min_volume_scan
-from otkit.intmat import charpoly
-from otkit.orders import (MonogenicOrder, ReduciblePolynomialError, SubOrder, _p_enlarge,
-                          build_order, dedekind_maximal, maximalize, signature)
-from otkit.polynomials import IntPolynomial
+from otkit.intmat import charpoly, identity
+from otkit.orders import (ReduciblePolynomialError, SubOrder, _p_enlarge, build_order,
+                          dedekind_maximal, maximalize, signature)
+from otkit.polynomials import IntPolynomial, poly_discriminant
 
 P = IntPolynomial
 
@@ -20,7 +20,19 @@ def test_build_order_validates():
     assert exc.value.factor == P.parse("T + 2")
     mo = build_order(P.parse("T^3 - T + 1"))
     assert mo.disc_f == -23
-    assert build_order(P.parse("T^4 - T - 1")).disc_f == -283
+    # Z[T]/(f) is the SubOrder with basis I
+    f = P.parse("T^4 - T - 1")
+    po = build_order(f)
+    assert isinstance(po, SubOrder)
+    assert po.index == 1 and po.den == 1 and po.basis_num == identity(4)
+    assert po.disc == po.disc_f == poly_discriminant(f) == -283
+
+
+def test_maximal_power_basis_comes_back_unchanged():
+    # disc(T^3 - T + 1) = -23 is squarefree, so Z[T] is maximal as it stands
+    po = build_order(P.parse("T^3 - T + 1"))
+    order, index, cert = maximalize(po)
+    assert order is po and (index, cert) == (1, True)
 
 
 def test_signature_examples():
@@ -44,18 +56,17 @@ def test_mult_matrix_is_ring_hom(disc23):
 
 
 def test_charpoly_of_generator_is_f():
-    mo = build_order(P.parse("T^3 + T^2 - 1"))
-    po = mo.power_suborder()
-    assert P(charpoly(po.mult_matrix(po.tbar()))) == mo.f
+    po = build_order(P.parse("T^3 + T^2 - 1"))
+    assert P(charpoly(po.mult_matrix(po.tbar()))) == po.f
     assert po.mult_matrix(po.one()) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_norm_trace_examples():
     for m in (1, 3, 7):
-        po = build_order(P([-1, m, 0, 1])).power_suborder()
+        po = build_order(P([-1, m, 0, 1]))
         one, tb = po.one(), po.tbar()
         assert abs(po.norm(one - tb)) == m
-    po = build_order(P.parse("T^3 + 4*T^2 + 2*T + 2")).power_suborder()
+    po = build_order(P.parse("T^3 + 4*T^2 + 2*T + 2"))
     assert po.trace(po.tbar()) == -4
 
 
@@ -89,7 +100,7 @@ def test_ishida_integral_element():
     assert order.from_power_coords([1, 1, 1], 3) is not None
     assert index % 3 == 0
     # power order does not contain it
-    po = build_order(P([-1, 27, 0, 1])).power_suborder()
+    po = build_order(P([-1, 27, 0, 1]))
     assert po.from_power_coords([1, 1, 1], 3) is None
 
 
@@ -113,9 +124,8 @@ def _move(x, order):
 
 
 def test_coercion_between_orders():
-    mo = build_order(P([-1, 8, 0, 1]))  # index-5 enlargement exists
-    po = mo.power_suborder()
-    omax, index, _ = maximalize(mo)
+    po = build_order(P([-1, 8, 0, 1]))  # index-5 enlargement exists
+    omax, index, _ = maximalize(po)
     assert index == 5
     x = po.element([2, 3, -1])
     y = _move(x, omax)
@@ -168,12 +178,12 @@ def test_dedekind_agrees_with_round_2_on_the_published_scans(monkeypatch):
         n = mo.f.degree
         mirror = P([-c if (n - i) % 2 else c for i, c in enumerate(mo.f.coeffs)])
         if mirror != mo.f:
-            mirrors.append(MonogenicOrder(mirror, mo.disc_f))
+            mirrors.append(SubOrder(mirror, mo.disc_f, identity(n), 1))
     orders += mirrors
     assert len({mo.f for mo in orders}) == len(orders)
     pairs = [(mo, p) for mo in orders for p, e in mo.disc_factors[0] if e >= 2]
     assert len(orders) == 901 and len(pairs) == 963
-    verdicts = [(dedekind_maximal(mo.f, p), _p_enlarge(mo.power_suborder(), p) is None)
+    verdicts = [(dedekind_maximal(mo.f, p), _p_enlarge(mo, p) is None)
                 for mo, p in pairs]
     assert all(d == r for d, r in verdicts)
     assert sum(d for d, _ in verdicts) == 733
@@ -198,7 +208,7 @@ def test_dedekind_criterion_hard_cases(text, p, maximal):
     mo = build_order(P.parse(text))
     assert mo.disc_f % (p * p) == 0
     assert dedekind_maximal(mo.f, p) is maximal
-    assert (_p_enlarge(mo.power_suborder(), p) is None) is maximal
+    assert (_p_enlarge(mo, p) is None) is maximal
 
 
 def test_dedekind_cubic_has_index_2():
@@ -209,19 +219,19 @@ def test_dedekind_cubic_has_index_2():
 def test_structure_constants_are_built_on_first_use():
     # Z[T] is closed by construction, so its table waits for a product; a
     # basis given directly is checked for closure at its first product
-    po = build_order(P.parse("T^3 - T + 1")).power_suborder()
+    po = build_order(P.parse("T^3 - T + 1"))
     assert "_table" not in vars(po)
     assert (po.tbar() * po.tbar()).coords == (0, 0, 1)
     assert "_table" in vars(po)
     # Z + Z T + Z T^2/2 in Q(2^(1/3)): (T^2/2)^2 = -T/2 is not in it
     mo = build_order(P.parse("T^3 + 2"))
     basis = [[2, 0, 0], [0, 2, 0], [0, 0, 1]]
-    lattice = SubOrder(mo, basis, 2)
+    lattice = SubOrder(mo.f, mo.disc_f, basis, 2)
     with pytest.raises(ValueError, match="not multiplicatively closed"):
         lattice.tbar() * lattice.tbar()
 
 
 def test_enlarged_orders_are_checked_for_closure_when_built():
     mo = build_order(P([-1, 8, 0, 1]))  # index-5 enlargement exists
-    bigger = _p_enlarge(mo.power_suborder(), 5)
+    bigger = _p_enlarge(mo, 5)
     assert bigger is not None and "_table" in vars(bigger)

@@ -102,7 +102,7 @@ def test_table_values_match_numpy(text):
     """Ball values of random elements agree with a float evaluation of their
     power-basis polynomials at numpy's roots, and are tight."""
     order, table = _table(text)
-    f = order.ambient.f
+    f = order.f
     roots = np.roots([float(c) for c in reversed(f.coeffs)])
     places = table._roots
     rng = random.Random(text)
@@ -162,9 +162,9 @@ def test_root_of_rejects_other_field():
     assert oa.disc == ob.disc == -972
     assert [r for r in range(7) if (r ** 3 + 6) % 7 == 0] == [1, 2, 4]
     assert [r for r in range(7) if (r ** 3 + 12) % 7 == 0] == []
-    assert a.root_of(ob.ambient.f) is None
-    assert b.root_of(oa.ambient.f) is None
-    assert a.root_of(oa.ambient.f) is not None
+    assert a.root_of(ob.f) is None
+    assert b.root_of(oa.f) is None
+    assert a.root_of(oa.f) is not None
 
 
 def _roots_sum_product(e, bits):
@@ -291,7 +291,7 @@ def _count_sturm_sequences(monkeypatch, module):
 def test_one_sturm_chain_per_isolation(monkeypatch):
     chains = _count_sturm_sequences(monkeypatch, otkit.roots)
     order, table = _table("T^7 - 3*T^5 - T^4 + T^3 + 3*T^2 + T - 1")    # s = 5
-    f = order.ambient.f
+    f = order.f
     assert table.s == 5 and chains == [f]
     table.at(1000)
     assert chains == [f]

@@ -19,7 +19,9 @@ directory), one fresh process per command, and writes one JSON file:
 * ``commands``: stdout and exit code of one run each of ``jideal``,
   ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``,
   ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
-  totally positive generator comes back), ``paper-tables minvol``,
+  totally positive generator comes back), ``paper-tables computeJ
+  --with-g`` (the degree-7 G column, where the k-th root characters find
+  roots mod primes q), ``paper-tables minvol``,
   ``paper-tables volumebounds``, ``paper-tables quartics`` (so every
   reference table is recorded), ``field`` of ``T^3 + 2*T + 2000`` at 64 bits and ``units`` of ``T^5 - T - 3`` at 1000
   bits, keyed by the command line;
@@ -71,6 +73,7 @@ COMMANDS = [
     ["mcvol", "T^3 - T + 1", "--samples", "20000", "--seed", "1", "--format", "json"],
     ["paper-tables", "prop5index"],
     ["paper-tables", "computeJ"],
+    ["paper-tables", "computeJ", "--with-g"],
     ["paper-tables", "minvol"],
     ["paper-tables", "volumebounds"],
     ["paper-tables", "quartics"],
