@@ -115,7 +115,7 @@ def cmd_field(args) -> int:
     s, t = ug.table.s, ug.table.t
     gens = ug.totally_positive_generators
     J = j_ideal(order, gens)
-    tors = torsion_group(order, gens)
+    tors = torsion_group(J)
     factors, cofactor, _ = trial_factor(J.norm)
     vols = field_volumes(order, ug, mc_samples=args.samples if args.mc else 0,
                          seed=args.seed)
@@ -171,10 +171,10 @@ def _render_field_text(report) -> str:
 
 def cmd_units(args) -> int:
     order, _, _, ug = _field(_parse_poly(args.poly), args)
-    gens = ug.totally_positive_generators
+    J = j_ideal(order, ug.totally_positive_generators)
     out = _units_dict(ug)
-    out["J_norm"] = str(j_ideal(order, gens).norm)
-    out["torsion_factors"] = [str(x) for x in torsion_group(order, gens).factors]
+    out["J_norm"] = str(J.norm)
+    out["torsion_factors"] = [str(x) for x in torsion_group(J).factors]
     _emit(out, args.format)
     return EXIT_OK
 
@@ -254,7 +254,7 @@ def cmd_bound(args) -> int:
     order, _, _, ug = _field(f, args, need="bound")
     vol = ot_volume(1, abs(order.disc), ug.regulator)
     bound = torsion_upper_bound(vol.value, abs(order.disc))
-    tors = torsion_group(order, ug.totally_positive_generators)
+    tors = torsion_group(j_ideal(order, ug.totally_positive_generators))
     out = {"poly": f.format(), "volume": _volume_dict(vol),
            "torsion_order": str(tors.order_of_torsion),
            "bound": _ball_dict(bound),

@@ -9,6 +9,7 @@ flagged, so downstream maximality claims become "unverified" instead of wrong.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from sympy import isprime
@@ -17,6 +18,7 @@ from sympy.ntheory import factorint
 FACTOR_LIMIT = 2 ** 15
 
 
+@lru_cache(maxsize=1)
 def trial_factor(n: int):
     """Factor ``n`` within the ``FACTOR_LIMIT`` budget.
 
@@ -24,7 +26,9 @@ def trial_factor(n: int):
     prime-exponent list, ``cofactor`` is the unfactored positive remainder
     (1 when complete), and ``certified`` is True exactly when the cofactor
     is 1; a False flag means "maximality unverified" for callers relying on
-    square divisors.
+    square divisors.  The last answer is kept, so the scan's square-part
+    filter and the order it then builds read one factorization of disc f;
+    callers only read the returned list and never change it.
     """
     if n == 0:
         raise ValueError("cannot factor zero")

@@ -26,7 +26,7 @@ from .embeddings import EmbeddingTable
 from .factorint import trial_factor
 from .orders import SubOrder, maximalize
 from .polynomials import IntPolynomial, is_irreducible, poly_discriminant
-from .unitgroup import (InsufficientUnitsError, UnitGroupData,
+from .unitgroup import (InsufficientUnitsError, UnitGroupData, j_ideal,
                         torsion_group, unit_group)
 
 
@@ -41,9 +41,6 @@ def density_prefactor(s: int) -> Fraction:
 @dataclass
 class VolumeResult:
     value: RealBall
-    s: int
-    disc_abs: int
-    regulator: RealBall | None
     prefactor: Fraction
     method: str
     stderr: float | None = None
@@ -62,7 +59,7 @@ def ot_volume(s: int, disc_abs: int, regulator: RealBall) -> VolumeResult:
         raise ValueError("regulator must be positive")
     pref = volume_prefactor(s)
     value = RealBall(Fraction(pref)) * RealBall(disc_abs).sqrt() * regulator
-    return VolumeResult(value, s, disc_abs, regulator, pref, "closed_form")
+    return VolumeResult(value, pref, "closed_form")
 
 
 def _log_matrix(table: EmbeddingTable, gens) -> list[list[RealBall]]:
@@ -79,7 +76,7 @@ def _log_matrix(table: EmbeddingTable, gens) -> list[list[RealBall]]:
     return [list(row) for row in zip(*cols)]
 
 
-def volume_determinant_path(order: SubOrder, units: UnitGroupData) -> VolumeResult:
+def volume_determinant_path(units: UnitGroupData) -> VolumeResult:
     """Volume from raw numeric matrices: no discriminant or regulator symbols.
 
     (1/2^s) * (s+1)/2^(2s+s^2-1) * |det Minkowski| * |det logs of squares|,
@@ -93,8 +90,7 @@ def volume_determinant_path(order: SubOrder, units: UnitGroupData) -> VolumeResu
     detA = abs(ball_det(table.rows))
     pref = Fraction(1, 2 ** s) * density_prefactor(s)
     value = RealBall(pref) * detA * detB
-    return VolumeResult(value, s, abs(order.disc), units.regulator,
-                        pref, "determinant_path",
+    return VolumeResult(value, pref, "determinant_path",
                         meta={"det_minkowski": float(detA.mid()),
                               "det_log_squares": float(detB.mid())})
 
@@ -166,7 +162,7 @@ def inoue_closed_form(m: int) -> VolumeResult:
     t = z - RealBall(m) / (z * 3)
     reg = abs(t.log())
     value = sqD / 4 * reg
-    return VolumeResult(value, 1, D, reg, Fraction(1, 4), "inoue_closed_form",
+    return VolumeResult(value, Fraction(1, 4), "inoue_closed_form",
                         meta={"m": m, "real_root": float(t.mid())})
 
 
@@ -176,7 +172,6 @@ def inoue_closed_form(m: int) -> VolumeResult:
 @dataclass
 class FundamentalDomainData:
     order: SubOrder
-    units: UnitGroupData
     table: EmbeddingTable
     eps: list            # generators of the squared totally positive group
     L: list              # s x s ball matrix: log columns of the generators
@@ -202,7 +197,7 @@ def fundamental_domain(order: SubOrder, units: UnitGroupData) -> FundamentalDoma
     if table.t != 1:
         raise ValueError("fundamental domain implemented for one complex place")
     gens = units.generators
-    dom = FundamentalDomainData(order, units, table, [g * g for g in gens],
+    dom = FundamentalDomainData(order, table, [g * g for g in gens],
                                 _log_matrix(table, gens), table.rows,
                                 density_prefactor(table.s))
     if any(e.det.contains_zero() for e in dom.eliminations):
@@ -393,8 +388,7 @@ def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResu
         q = MC_EMPTY_TAIL / samples
         lo_v, hi_v = (0.0, scale * q) if hits == 0 else (scale * (1 - q), scale)
     value = RealBall.from_endpoints(mp.mpf(lo_v), mp.mpf(hi_v))
-    return VolumeResult(value, s, abs(dom.order.disc), dom.units.regulator,
-                        Fraction(1, 2 ** s), "monte_carlo", stderr=stderr,
+    return VolumeResult(value, Fraction(1, 2 ** s), "monte_carlo", stderr=stderr,
                         meta={"seed": seed, "samples": samples, "estimate": est})
 
 
@@ -483,8 +477,7 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
         except (InsufficientUnitsError, PrecisionError):
             settled.discard(mirror)
             continue
-        tp = ug.totally_positive_generators
-        tors = torsion_group(order, tp)
+        tors = torsion_group(j_ideal(order, ug.totally_positive_generators))
         vol = ot_volume(s, abs(order.disc), ug.regulator)
         rec = ScanRecord(f, order.disc, index, ug.regulator,
                          order_cert and ug.certified, vol.value, tors.factors)
@@ -505,7 +498,7 @@ def field_volumes(order: SubOrder, ug: UnitGroupData, mc_samples: int = 0,
     """Closed-form and determinant-path volumes (plus MC when requested)."""
     s = ug.table.s
     closed = ot_volume(s, abs(order.disc), ug.regulator)
-    det = volume_determinant_path(order, ug)
+    det = volume_determinant_path(ug)
     out = {"closed_form": closed, "determinant_path": det}
     if mc_samples:
         dom = fundamental_domain(order, ug)

@@ -36,11 +36,15 @@ class GroupPresentation:
         if not matrices:
             raise ValueError("a presentation needs at least one action matrix")
         n = len(matrices[0])
+        self._inverses = []
         for M in matrices:
             if len(M) != n or any(len(row) != n for row in M):
                 raise ValueError("action matrices must be square of equal size")
-            if abs(intmat.det_bareiss(M)) != 1:
+            sol = intmat.solve(M, intmat.identity(n))   # M^-1 = X / d, d = det M
+            if sol is None or abs(sol[1]) != 1:
                 raise ValueError("action matrices must be unimodular")
+            X, d = sol
+            self._inverses.append([[v // d for v in row] for row in X])
         for i in range(len(matrices)):
             for j in range(i + 1, len(matrices)):
                 if intmat.mat_mul(matrices[i], matrices[j]) != \
@@ -48,10 +52,6 @@ class GroupPresentation:
                     raise ValueError("action matrices must commute")
         self.lattice_rank = n
         self.action_matrices = [intmat.copy(M) for M in matrices]
-        self._inverses = []
-        for M in matrices:
-            X, d = intmat.solve(M, intmat.identity(n))  # M^-1 = X / d, d = +-1
-            self._inverses.append([[v // d for v in row] for row in X])
         self._rho: dict[tuple[int, ...], list[list[int]]] = {}
 
     @property
@@ -116,12 +116,7 @@ def presentation_from_field(order: SubOrder, gens) -> GroupPresentation:
     """Action matrices of multiplication by each unit generator."""
     if not gens:
         raise ValueError("a nontrivial unit subgroup is required")
-    mats = []
-    for g in gens:
-        if not order.is_unit(g):
-            raise ValueError("generators must be units of the order")
-        mats.append(order.mult_matrix(g))
-    return GroupPresentation(mats)
+    return GroupPresentation([order.mult_matrix(g) for g in gens])
 
 
 def group_multiply(a: SemidirectElement, b: SemidirectElement,

@@ -119,9 +119,8 @@ def regulator_floor(s: int, t: int, disc_abs: int, degree: int) -> Fraction | No
 class UnitGroupData:
     """A certified (or flagged) fundamental system with its regulator."""
 
-    def __init__(self, order, generators, regulator, certified_index_bound,
+    def __init__(self, generators, regulator, certified_index_bound,
                  totally_positive, table):
-        self.order = order
         self.generators = generators
         self.regulator = regulator
         self.certified_index_bound = certified_index_bound
@@ -479,7 +478,7 @@ def units_from_generators(order: SubOrder, gens,
         raise InsufficientUnitsError("supplied system does not have full rank")
     reg = regulator_of(table, list(gens))
     tp = totally_positive_generators(order, table, list(gens))
-    return UnitGroupData(order, list(gens), reg, 0, tp, table)
+    return UnitGroupData(list(gens), reg, 0, tp, table)
 
 
 def certify_units(order: SubOrder, candidates,
@@ -541,7 +540,7 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
             break
         lattice.adjoin_root(*root)
     tp = totally_positive_generators(order, table, lattice.gens)
-    return UnitGroupData(order, list(lattice.gens), reg, min(bound, 1), tp, table)
+    return UnitGroupData(list(lattice.gens), reg, min(bound, 1), tp, table)
 
 
 # -- totally positive subgroup -----------------------------------------------------
@@ -582,26 +581,21 @@ def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
 # -- the ideal J(U) ------------------------------------------------------------------
 
 
-def _j_relations(order: SubOrder, gens):
-    """The block row [I - M_g | ...] of multiplication matrices over the units g."""
+def j_ideal(order: SubOrder, gens) -> IdealHNF:
+    """The ideal generated by 1-g over the given units g: the HNF of the
+    block row [I - M_g | ...] of their multiplication matrices."""
     if not gens:
         raise ValueError("J(U) needs a nontrivial unit subgroup")
     if not all(order.is_unit(g) for g in gens):
         raise ValueError("J(U) generators must be units")
-    return intmat.stack_one_minus([order.mult_matrix(g) for g in gens])
+    return IdealHNF(order, intmat.stack_one_minus([order.mult_matrix(g) for g in gens]))
 
 
-def j_ideal(order: SubOrder, gens) -> IdealHNF:
-    """The ideal generated by 1-g over the given units g."""
-    return IdealHNF(order, _j_relations(order, gens))
-
-
-def torsion_group(order: SubOrder, gens) -> AbelianGroupInvariants:
-    """Invariant factors of O/J(U) (the torsion part of first homology)."""
-    factors, defect = snf(_j_relations(order, gens))
-    if defect:
-        raise ValueError("unit subgroup is trivial: quotient has free rank")
-    return AbelianGroupInvariants(factors)
+def torsion_group(J: IdealHNF) -> AbelianGroupInvariants:
+    """Invariant factors of O/J(U) (the torsion part of first homology),
+    read off J's HNF basis, which has the invariants of the relations it
+    reduces (Cohen, GTM 138, 2.4)."""
+    return AbelianGroupInvariants(snf(J.basis)[0])
 
 
 # -- orchestration --------------------------------------------------------------------

@@ -121,7 +121,7 @@ def test_criterion_4_two_path_h1():
     for i, f in enumerate(fields):
         order, index, cert, ug = field_data(f)
         gens = ug.totally_positive_generators
-        t_units = torsion_group(order, gens)
+        t_units = torsion_group(j_ideal(order, gens))
         p = presentation_from_field(order, gens)
         _, t_snf = h1(p)
         J = j_ideal(order, gens)
@@ -149,7 +149,7 @@ def test_criterion_5_prescribed_torsion_family():
         table = EmbeddingTable(po)
         supplied = units_from_generators(po, [po.tbar()], table=table)
         vi = inoue_closed_form(m)
-        vd = volume_determinant_path(po, supplied)
+        vd = volume_determinant_path(supplied)
         rel = abs(float(vi.value.mid()) - float(vd.value.mid())) / float(vi.value.mid())
         if rel > 1e-9:
             ok = False

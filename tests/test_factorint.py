@@ -4,8 +4,12 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+import otkit.factorint
 from otkit.factorint import (FACTOR_LIMIT, factor_string, is_perfect_square,
                              trial_factor)
+from otkit.intmat import identity
+from otkit.orders import SubOrder
+from otkit.polynomials import IntPolynomial, poly_discriminant
 
 
 def test_trial_factor_examples():
@@ -75,6 +79,24 @@ primes_above_limit = st.integers(FACTOR_LIMIT, 999_000).map(sympy.nextprime)
 def test_trial_factor_finds_primes_below_a_million(k, p, q, p2):
     n = k * p * q * p2
     assert trial_factor(n) == (sorted(sympy.factorint(n).items()), 1, True)
+
+
+def test_an_order_reads_the_last_factorization(monkeypatch):
+    # the scan factors disc f for its square-part filter, then builds Z[T]
+    trial_factor(2)                     # replaces whatever answer was kept
+    calls = []
+    original = otkit.factorint.factorint
+
+    def counted(n, **kwargs):
+        calls.append(n)
+        return original(n, **kwargs)
+
+    monkeypatch.setattr(otkit.factorint, "factorint", counted)
+    f = IntPolynomial.parse("T^5 - 3*T^2 + 11")
+    d = poly_discriminant(f)
+    first = trial_factor(d)
+    assert SubOrder(f, d, identity(5), 1).disc_factors == first
+    assert calls == [abs(d)]
 
 
 def test_trial_factor_rejects_zero():

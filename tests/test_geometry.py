@@ -35,15 +35,15 @@ def test_closed_form_disc23(disc23):
 def test_determinant_path_agrees(disc23, quartic275):
     for order, _, _, ug in (disc23, quartic275):
         closed = ot_volume(ug.table.s, abs(order.disc), ug.regulator)
-        det = volume_determinant_path(order, ug)
+        det = volume_determinant_path(ug)
         assert closed.value.overlaps(det.value)
     # |det Minkowski|^2 ~ disc/4^t
-    det = volume_determinant_path(disc23[0], disc23[3])
+    det = volume_determinant_path(disc23[3])
     ratio = det.meta["det_minkowski"] ** 2 / (23 / 4)
     assert abs(ratio - 1) < 2 ** -40
     # |det of squared-generator logs| = 2^s R
     for order, _, _, ug in (disc23, quartic275):
-        d = volume_determinant_path(order, ug)
+        d = volume_determinant_path(ug)
         s = ug.table.s
         want = 2 ** s * float(ug.regulator.mid())
         assert abs(d.meta["det_log_squares"] - want) < 1e-12 * want
@@ -62,7 +62,7 @@ def test_large_unit_cell_and_determinant_path_are_finite(fields, poly):
     dom = fundamental_domain(order, ug)
     assert all(mp.isfinite(v.lower) and mp.isfinite(v.upper)
                for row in dom.L for v in row)
-    det = volume_determinant_path(order, ug).value
+    det = volume_determinant_path(ug).value
     assert mp.isfinite(det.lower) and mp.isfinite(det.upper)
     assert det.overlaps(ot_volume(1, abs(order.disc), ug.regulator).value)
     # the reduction decides sigma(w) and its floors on refined rows
@@ -154,7 +154,7 @@ def test_inoue_matches_determinant_path():
         table = EmbeddingTable(po)
         supplied = units_from_generators(po, [po.tbar()], table=table)
         vi = inoue_closed_form(m)
-        vd = volume_determinant_path(po, supplied)
+        vd = volume_determinant_path(supplied)
         rel = abs(float(vi.value.mid()) - float(vd.value.mid())) \
             / float(vi.value.mid())
         assert rel < 1e-9

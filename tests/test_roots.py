@@ -308,3 +308,23 @@ def test_scan_builds_sturm_chains_only_to_isolate_roots(monkeypatch):
     # one isolation per table: one per field that reaches its unit group
     assert 0 < len(isolations) <= len(list(_scan_polynomials(3, 1)))
     assert len(set(isolations)) == len(isolations)
+
+
+def test_huge_constant_is_seeded_by_polyroots(monkeypatch):
+    # 10^320 has no float image, so only mpmath's polyroots can seed the
+    # complex pair
+    c = 10 ** 320 + 7
+    f = IntPolynomial([c, 1, 0, 1])
+    assert not np.isfinite(float(mpf(c)))
+    calls = []
+    polyroots = otkit.roots.mp.polyroots
+    monkeypatch.setattr(otkit.roots.mp, "polyroots",
+                        lambda *a, **kw: calls.append(a) or polyroots(*a, **kw))
+    e = isolate_roots(f)
+    assert len(calls) == 1 and _signature(e) == (1, 1)
+    for z in e:
+        v = f(z)
+        assert v.contains_zero() if isinstance(z, RealBall) else \
+            v.re.contains_zero() and v.im.contains_zero()
+    total, prod = _roots_sum_product(e, working_precision())
+    assert total.contains(0) and prod.contains(-c)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -7,8 +9,9 @@ from mpmath import mpf
 from otkit import cli, intmat
 from otkit.cli import main
 from otkit.config import PrecisionError
-from otkit.tables import (load_expected, regen_minvol, regen_prop5index,
-                          regen_volumebounds)
+import otkit.tables
+from otkit.tables import (load_expected, regen_computeJ, regen_minvol,
+                          regen_prop5index, regen_quartics, regen_volumebounds)
 from otkit.topology import GroupPresentation
 
 
@@ -31,6 +34,12 @@ def test_regen_volumebounds():
     assert checks and all(c.ok for c in checks)
     by_cell = {c.cell: c for c in checks}
     assert by_cell["torsion_3"].got == "2856582"
+
+
+@pytest.mark.parametrize("regen", [regen_computeJ, regen_quartics])
+def test_regen_computeJ_and_quartics(regen):
+    checks = regen()
+    assert checks and all(c.ok for c in checks)
 
 
 def test_regen_minvol():
@@ -172,6 +181,21 @@ def test_cli_certified_only_rejects_unproven_floor(capsys):
     # the s = 4 minimum (unit rank 4) has one and certifies
     assert main(["field", "T^6 - T^5 - 2*T^4 + 3*T^3 - T^2 - 2*T + 1",
                  "--certified-only"]) == 0
+
+
+def test_cli_units_csv(capsys):
+    rc = main(["units", "T^3 - T + 1", "--format", "csv"])
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert rc == 0
+    assert header == ["generators", "regulator.mid", "regulator.rad",
+                      "certified_index_bound", "totally_positive_generators",
+                      "J_norm", "torsion_factors"]
+    cells = dict(zip(header, row))
+    # list values are JSON text, nested dicts dotted keys
+    assert json.loads(cells["generators"]) == [["0", "1", "0"]]
+    assert json.loads(cells["torsion_factors"]) == []
+    assert cells["regulator.mid"].startswith("0.2811995743")
+    assert cells["certified_index_bound"] == "1" and cells["J_norm"] == "1"
 
 
 def test_cli_units_and_jideal(capsys):
@@ -330,6 +354,14 @@ def test_cli_scan_csv(capsys):
     assert any("-23" in line for line in out[1:])
 
 
+def test_cli_scan_json(capsys):
+    rc = main(["scan", "--s", "1", "--coeff-bound", "2", "--disc-max", "50",
+               "--format", "json"])
+    records = json.loads(capsys.readouterr().out)
+    assert rc == 0 and len(records) == 3
+    assert records[0]["disc"] == "-23" and records[0]["certified"] is True
+
+
 def test_cli_scan_empty(capsys):
     rc = main(["scan", "--s", "1", "--coeff-bound", "1", "--disc-max", "5"])
     out = capsys.readouterr().out.strip().splitlines()
@@ -343,6 +375,21 @@ def test_cli_paper_tables(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("table,cell,expected,got,status")
     assert all(",ok," in line or line.startswith("table,") for line in lines)
+
+
+def test_cli_paper_tables_reports_a_mismatch(capsys, monkeypatch):
+    expected = load_expected()
+    expected["prop5index"]["rows"][0]["order_index"] += 1
+    monkeypatch.setattr(otkit.tables, "load_expected", lambda: expected)
+    rc = main(["paper-tables", "prop5index"])
+    captured = capsys.readouterr()
+    rows = list(csv.reader(io.StringIO(captured.out)))
+    assert rc == 1
+    assert rows[0] == ["table", "cell", "expected", "got", "status", "note"]
+    assert [r[:5] for r in rows if r[4] == "MISMATCH"] == \
+        [["prop5index", "order_index_8", "6", "5", "MISMATCH"]]
+    assert captured.err.splitlines() == \
+        ["MISMATCH prop5index.order_index_8: expected 6, got 5"]
 
 
 def test_cli_mcvol(capsys):

@@ -348,10 +348,10 @@ def test_j_ideal_rejects_trivial(disc23):
 
 def test_torsion_examples():
     order, _, _, ug = _field("T^3 - 2*T - 7")
-    tg = torsion_group(order, ug.totally_positive_generators)
+    tg = torsion_group(j_ideal(order, ug.totally_positive_generators))
     assert tg.order_of_torsion == 1526  # 2 * 7 * 109
     order1, _, _, ug1 = _field("T^3 - T + 1")
-    tg1 = torsion_group(order1, ug1.totally_positive_generators)
+    tg1 = torsion_group(j_ideal(order1, ug1.totally_positive_generators))
     assert tg1.order_of_torsion == 1 and tg1.factors == []
 
 
@@ -365,7 +365,7 @@ def test_j_is_module_and_matches_torsion(f2_field):
         col = order.element([J.basis[r][c] for r in range(n)])
         assert all(J.contains(col * order.element([int(i == j) for j in range(n)]))
                    for i in range(n))
-    assert J.norm == torsion_group(order, gens).order_of_torsion == 4
+    assert J.norm == torsion_group(j_ideal(order, gens)).order_of_torsion == 4
 
 
 def test_curiosity_norm_identity():

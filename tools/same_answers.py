@@ -23,8 +23,10 @@ directory), one fresh process per command, and writes one JSON file:
   --with-g`` (the degree-7 G column, where the k-th root characters find
   roots mod primes q), ``paper-tables minvol``,
   ``paper-tables volumebounds``, ``paper-tables quartics`` (so every
-  reference table is recorded), ``field`` of ``T^3 + 2*T + 2000`` at 64 bits and ``units`` of ``T^5 - T - 3`` at 1000
-  bits, keyed by the command line;
+  reference table is recorded), ``field`` of ``T^3 + 2*T + 2000`` at 64
+  bits, ``units`` of ``T^5 - T - 3`` at 1000 bits, ``units`` of ``T^3 - T +
+  1`` as CSV (the flattening of nested and list values) and ``scan --s 1
+  --coeff-bound 2 --disc-max 50`` as JSON, keyed by the command line;
 * ``presentation``: for ``T^3 - T + 2`` (unit rank 1) and ``T^4 - T^3 +
   2*T - 1`` (unit rank 2), stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
@@ -81,6 +83,9 @@ COMMANDS = [
     # field's table escalates from 64 bits, and 1000 bits from the start
     ["field", "T^3 + 2*T + 2000", "--precision", "64", "--format", "json"],
     ["units", "T^5 - T - 3", "--precision", "1000", "--format", "json"],
+    # the CSV flattening of a report, and the JSON scan writer
+    ["units", "T^3 - T + 1", "--format", "csv"],
+    ["scan", "--s", "1", "--coeff-bound", "2", "--disc-max", "50", "--format", "json"],
 ]
 PRESENTED = ["T^3 - T + 2", "T^4 - T^3 + 2*T - 1"]
 # two commuting block-diagonal actions on Z^4: Q[actions] is the product of
