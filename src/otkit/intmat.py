@@ -181,16 +181,20 @@ def _xgcd(a: int, b: int):
     return old_r, old_s, old_t
 
 
-def hnf(M) -> list[list[int]]:
-    """Canonical column-HNF basis of the column lattice of ``M``.
+def hnf(M, D: int = 0) -> list[list[int]]:
+    """Canonical column-HNF basis of the lattice spanned by the columns of
+    ``M`` together with ``D * Z^n`` (``D = 0`` adds nothing; Cohen, GTM 138,
+    2.4.8).
 
     Only the pivot columns are kept, in upper-echelon shape: pivot rows
     strictly increasing, pivots positive, entries right of a pivot reduced
     into ``[0, pivot)``.
     """
     n = len(M)
-    k = len(M[0]) if n else 0
     cols = [list(c) for c in zip(*M)] if n else []
+    if D:
+        cols = [[D if i == j else 0 for i in range(n)] for j in range(n)] + cols
+    k = len(cols)
     j = k - 1
     for i in range(n - 1, -1, -1):
         if j < 0:
@@ -217,13 +221,9 @@ def hnf(M) -> list[list[int]]:
     return [[cols[c][i] for c in range(j + 1, k)] for i in range(n)]
 
 
-def hnf_is_full_rank(H) -> bool:
-    return len(H) > 0 and len(H[0]) == len(H)
-
-
 def lattice_det(H) -> int:
     """Index of a full-rank column-HNF lattice inside Z^n (product of pivots)."""
-    if not hnf_is_full_rank(H):
+    if not H or len(H[0]) != len(H):
         raise ValueError("lattice is not of full rank")
     return prod(H[i][i] for i in range(len(H)))
 

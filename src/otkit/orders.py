@@ -143,37 +143,20 @@ class SubOrder:
 
     # -- construction ------------------------------------------------------
 
-    def _power_product(self, ci, cj):
-        """Product of two power-coordinate integer vectors, reduced mod f."""
-        f = self.f
-        n = self.n
-        prod = [0] * (2 * n - 1)
-        for i, a in enumerate(ci):
-            if a:
-                for j, b in enumerate(cj):
-                    if b:
-                        prod[i + j] += a * b
-        # reduce degrees >= n using T^n = -(f - T^n)
-        for d in range(2 * n - 2, n - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for k in range(n):
-                    prod[d - n + k] -= c * f.coeffs[k]
-        return prod[:n]
-
     @cached_property
     def _table(self):
         """Structure constants: the product of basis elements i and j in this
-        basis.  Raises ValueError when the basis is not multiplicatively
+        basis, from the ``IntPolynomial`` product of their columns reduced
+        by f.  Raises ValueError when the basis is not multiplicatively
         closed."""
         n = self.n
-        cols = [[self.basis_num[r][c] for r in range(n)] for c in range(n)]
+        cols = [IntPolynomial([self.basis_num[r][c] for r in range(n)]) for c in range(n)]
         table = [[None] * n for _ in range(n)]
         d2 = self.den * self.den
         for i in range(n):
             for j in range(i, n):
-                z = self._basis_coords(self._power_product(cols[i], cols[j]), d2)
+                rem = (cols[i] * cols[j]).divmod_monic(self.f)[1].coeffs
+                z = self._basis_coords(rem + (0,) * (n - len(rem)), d2)
                 if z is None:
                     raise ValueError("basis is not multiplicatively closed")
                 table[i][j] = tuple(z)
@@ -331,12 +314,7 @@ def _p_radical(order: SubOrder, p: int):
             for i in range(n)]
     F = [[cols[j][i] % p for j in range(n)] for i in range(n)]
     ker = kernel_mod_p(F, p)
-    gens = [[v[i] for i in range(n)] for v in ker]
-    stacked = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    for g in gens:
-        for i in range(n):
-            stacked[i].append(g[i])
-    return hnf(stacked)
+    return hnf([[v[i] for v in ker] for i in range(n)], p)
 
 
 def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
@@ -355,11 +333,7 @@ def _p_enlarge(order: SubOrder, p: int) -> SubOrder | None:
     ker = kernel_mod_p(big, p)
     if not ker:
         return None
-    cols = [[p if i == j else 0 for j in range(n)] for i in range(n)]
-    for v in ker:
-        for i in range(n):
-            cols[i].append(v[i] % p)
-    H = hnf(cols)
+    H = hnf([[v[i] for v in ker] for i in range(n)], p)
     # new basis over the power basis: B * H / (den * p)
     newb = intmat.mat_mul(order.basis_num, H)
     bigger = SubOrder(order.f, order.disc_f, newb, order.den * p)

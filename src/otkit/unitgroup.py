@@ -560,11 +560,8 @@ def totally_positive_generators(order: SubOrder, table: EmbeddingTable,
     if s == 0:
         return list(gens)
     A = [[sign_cols[j][i] for j in range(r)] + [1] for i in range(s)]
-    cols = [[2 if i == j else 0 for j in range(r)] for i in range(r)]
-    for v in kernel_mod_p(A, 2):
-        for i in range(r):
-            cols[i].append(v[i])
-    H = hnf(cols)
+    ker = kernel_mod_p(A, 2)
+    H = hnf([[v[i] for v in ker] for i in range(r)], 2)
     out = []
     for c in range(r):
         u = order.power_product(gens, [H[i][c] for i in range(r)])

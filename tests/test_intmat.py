@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from sympy import GF, ZZ, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
@@ -176,6 +176,34 @@ square = st.integers(1, 5).flatmap(
 
 def _vector(n):
     return st.lists(entries, min_size=n, max_size=n)
+
+
+@given(square)
+def test_hnf_with_a_multiple_of_the_determinant_is_plain_hnf(M):
+    # a full-rank lattice L contains det(L) Z^n, so adding it changes nothing
+    d = det_bareiss(M)
+    assume(d != 0)
+    assert hnf(M, abs(d)) == hnf(M)
+
+
+# an n x k product through n - 1 dimensions: rank below n
+deficient = st.tuples(st.integers(2, 4), st.integers(1, 4)).flatmap(
+    lambda nk: st.tuples(
+        st.lists(st.lists(entries, min_size=nk[0] - 1, max_size=nk[0] - 1),
+                 min_size=nk[0], max_size=nk[0]),
+        st.lists(st.lists(entries, min_size=nk[1], max_size=nk[1]),
+                 min_size=nk[0] - 1, max_size=nk[0] - 1)))
+
+
+@given(deficient, st.sampled_from([2, 3, 5, 7]))
+def test_hnf_adds_p_times_the_full_lattice(AB, p):
+    A, B = AB
+    M = intmat.mat_mul(A, B)
+    n = len(M)
+    stacked = [[p if i == j else 0 for j in range(n)] + row for i, row in enumerate(M)]
+    assert hnf(M, p) == hnf(stacked)
+    assert hnf([[] for _ in range(n)], p) == [[p if i == j else 0 for j in range(n)]
+                                              for i in range(n)]
 
 
 # a square matrix and two vectors of its size

@@ -1,15 +1,17 @@
 import random
+from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 import otkit.geometry
 from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly, identity
 from otkit.orders import (ReduciblePolynomialError, SubOrder, _p_enlarge, build_order,
                           dedekind_maximal, maximalize, signature)
-from otkit.polynomials import IntPolynomial, poly_discriminant
+from otkit.polynomials import IntPolynomial, is_irreducible, poly_discriminant
 
 P = IntPolynomial
 
@@ -235,3 +237,25 @@ def test_enlarged_orders_are_checked_for_closure_when_built():
     mo = build_order(P([-1, 8, 0, 1]))  # index-5 enlargement exists
     bigger = _p_enlarge(mo, 5)
     assert bigger is not None and "_table" in vars(bigger)
+
+
+small = st.integers(-6, 6)
+
+
+@given(st.integers(3, 4).flatmap(lambda n: st.lists(small, min_size=n, max_size=n)),
+       st.lists(small, min_size=8, max_size=8))
+@example([-72, 0, 0, 0], [1, -2, 3, 5, 0, 4, -1, 2])   # index 72
+@example([-54, 0, 0], [2, 1, -3, 4, 1, 1, 0, 0])       # index 27
+def test_products_agree_with_polynomial_arithmetic(low, xy):
+    # x * y read back as power-basis fractions is the product of the power
+    # forms of x and y, reduced by f, in Z[T] and in the maximal order
+    f = P(low + [1])
+    assume(poly_discriminant(f) != 0 and is_irreducible(f)[0])
+    n = f.degree
+    po = build_order(f)
+    for order in (po, maximalize(po)[0]):
+        x, y = order.element(xy[:n]), order.element(xy[4:4 + n])
+        px, py = (P([v * order.den for v in order.to_power_fractions(z)]) for z in (x, y))
+        rem = (px * py).divmod_monic(f)[1].coeffs
+        want = [Fraction(c, order.den ** 2) for c in rem]
+        assert order.to_power_fractions(x * y) == want + [0] * (n - len(want))

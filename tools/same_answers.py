@@ -25,8 +25,11 @@ directory), one fresh process per command, and writes one JSON file:
   ``paper-tables volumebounds``, ``paper-tables quartics`` (so every
   reference table is recorded), ``field`` of ``T^3 + 2*T + 2000`` at 64
   bits, ``units`` of ``T^5 - T - 3`` at 1000 bits, ``units`` of ``T^3 - T +
-  1`` as CSV (the flattening of nested and list values) and ``scan --s 1
-  --coeff-bound 2 --disc-max 50`` as JSON, keyed by the command line;
+  1`` as CSV (the flattening of nested and list values), ``scan --s 1
+  --coeff-bound 2 --disc-max 50`` as JSON, and ``field`` of ``T^4 - 72``
+  and ``units`` of ``T^3 - 54`` as JSON (maximal orders of index 72 and 27,
+  two Round 2 enlargements at each prime of the index), keyed by the
+  command line;
 * ``presentation``: for ``T^3 - T + 2`` (unit rank 1) and ``T^4 - T^3 +
   2*T - 1`` (unit rank 2), stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
@@ -86,6 +89,10 @@ COMMANDS = [
     # the CSV flattening of a report, and the JSON scan writer
     ["units", "T^3 - T + 1", "--format", "csv"],
     ["scan", "--s", "1", "--coeff-bound", "2", "--disc-max", "50", "--format", "json"],
+    # orders more than one Round 2 step from Z[T] at a prime: index 72 (two
+    # enlargements at 2, two at 3) and index 27 (two at 3)
+    ["field", "T^4 - 72", "--format", "json"],
+    ["units", "T^3 - 54", "--format", "json"],
 ]
 PRESENTED = ["T^3 - T + 2", "T^4 - T^3 + 2*T - 1"]
 # two commuting block-diagonal actions on Z^4: Q[actions] is the product of
