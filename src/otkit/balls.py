@@ -278,8 +278,3 @@ class BallElimination:
 def ball_det(M: list[list[RealBall]]) -> RealBall:
     """Enclosure of the determinant of a square ball matrix."""
     return BallElimination(M).det
-
-
-def ball_solve(M: list[list[RealBall]], b: list[RealBall]) -> list[RealBall]:
-    """Enclosure of the solution of a well-conditioned square system."""
-    return BallElimination(M).solve(b)

@@ -308,6 +308,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_paper_tables(args) -> int:
+    if args.with_g and args.table != "computeJ":
+        raise CliError(EXIT_ERROR, "paper-tables: --with-g applies only to computeJ")
     kw = {"with_g": args.with_g} if args.table == "computeJ" else {}
     checks = regenerate(args.table, **kw)
     rows = [TABLE_CSV_COLUMNS] + [[c.table, c.cell, c.expected, c.got,
@@ -457,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", choices=TABLE_NAMES)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.add_argument("--with-g", action="store_true",
-                   help="include the slow degree-7 column")
+                   help="computeJ only: include the slow degree-7 column")
     return ap
 
 

@@ -6,8 +6,9 @@ from copy import copy
 from itertools import permutations, product
 
 import numpy as np
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from . import intmat
 from .balls import ComplexBall, RealBall
 from .config import PrecisionError, precision, working_precision
 from .orders import OrderElement, SubOrder
@@ -35,10 +36,10 @@ class EmbeddingTable:
     """The Minkowski matrix of an order basis, as ball rows: one per real
     place, then a Re and an Im row per complex place (upper root).  Every
     embedding of an element is a dot product of its coordinates with them.
-    ``mids`` holds the rows' midpoints, taken once at the table's bits, and
-    ``fixed`` the same rows as integers: each midpoint times 2^bits, exact
-    where its exponent allows, else rounded to nearest.  Both are built with
-    the table, so each refinement has its own at its own bits.
+    ``fixed`` holds the same rows as integers: each midpoint times 2^bits,
+    exact where its exponent allows, else rounded to nearest.  It is built
+    with the table, so each refinement has its own at its own bits, and
+    ``nearest`` solves against it with an inverse made on its first call.
 
     The table owns its precision: ``at(bits)`` is the same table with its
     roots refined, and ``decide`` escalates through those tables.  No other
@@ -64,8 +65,8 @@ class EmbeddingTable:
             for z in rounded[self.s:]:
                 vals = self._basis_values(z)
                 self.rows += [[v.re for v in vals], [v.im for v in vals]]
-            self.mids = [[x.mid() for x in row] for row in self.rows]
-        self.fixed = [[_fixed_point(x, bits) for x in row] for row in self.mids]
+            self.fixed = [[_fixed_point(x.mid(), bits) for x in row] for row in self.rows]
+        self._inverse = None    # (X, d) with fixed^-1 = X / d, made by nearest
 
     def at(self, bits: int) -> "EmbeddingTable":
         """This table with at least ``bits`` of precision: itself when it has
@@ -133,14 +134,27 @@ class EmbeddingTable:
 
         return self.decide(signs)
 
+    def nearest(self, values) -> OrderElement:
+        """The exact solution of fixed x = values * 2^bits, rounded to nearest;
+        ``values`` (mpf or float) are ordered as the rows.  Raises
+        ArithmeticError when ``fixed`` is singular."""
+        if self._inverse is None:
+            self._inverse = intmat.solve(self.fixed, intmat.identity(self.order.n))
+            if self._inverse is None:
+                raise ArithmeticError("singular Minkowski matrix")
+        X, d = self._inverse
+        with mp.workprec(self.bits):
+            b = [_fixed_point(mpf(x), self.bits) for x in values]
+        # floor(c/d + 1/2) = floor((2c + d) / 2d), for d of either sign
+        return OrderElement(self.order, [(2 * c + d) // (2 * d) for c in intmat.mat_vec(X, b)])
+
     def root_of(self, f: IntPolynomial) -> OrderElement | None:
         """A root of f in the order, or None when none is found.
 
-        The float Minkowski system is solved once per assignment of f's
-        roots to the places (real roots in any order, one of each conjugate
-        pair per complex place); each rounded solution is checked exactly.
-        A root of an irreducible f of degree n proves that Q[T]/(f) is this
-        field.
+        f's float roots are assigned to the places in every way (real roots
+        in any order, one of each conjugate pair per complex place); each
+        assignment gives one ``nearest`` element, checked exactly.  A root
+        of an irreducible f of degree n proves that Q[T]/(f) is this field.
         """
         if f.degree != self.order.n:
             return None
@@ -150,15 +164,8 @@ class EmbeddingTable:
         upper = [z for z in roots[self.s:] if z.imag > 0]
         if len(upper) != self.t:
             return None
-        minkowski = np.array([[float(v) for v in row] for row in self.mids])
-        targets = [[*r, *(p for w in z for p in (w.real, w.imag))]
+        targets = ([*r, *(p for w in z for p in (w.real, w.imag))]
                    for r in permutations(real)
                    for zs in permutations(upper)
-                   for z in product(*((w, w.conjugate()) for w in zs))]
-        sols = np.linalg.solve(minkowski, np.array(targets).T).T
-        for x in np.round(sols):
-            if np.all(np.abs(x) < 2.0 ** 52):     # else the rounding means nothing
-                alpha = OrderElement(self.order, [int(c) for c in x])
-                if f(alpha) == self.order.zero():
-                    return alpha
-        return None
+                   for z in product(*((w, w.conjugate()) for w in zs)))
+        return next((x for x in map(self.nearest, targets) if f(x) == self.order.zero()), None)

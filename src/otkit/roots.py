@@ -177,8 +177,8 @@ def _complex_seeds(f: IntPolynomial, t: int) -> list[complex]:
             ups = upper(rr)
             if len(ups) == t:
                 return ups
-    except Exception:
-        pass
+    except (OverflowError, np.linalg.LinAlgError):
+        pass    # a coefficient beyond the float range, or no eigenvalues
     # high-precision fallback, scaled to the coefficient size
     coeff_bits = max(abs(c).bit_length() for c in f.coeffs) + 128
     with mp.workprec(max(192, coeff_bits)):

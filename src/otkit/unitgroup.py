@@ -35,6 +35,7 @@ from itertools import count, product
 
 import numpy as np
 from mpmath import mp
+from mpmath.libmp import to_rational
 from sympy import discrete_log, isprime, primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_edf_zassenhaus, gf_from_int_poly, gf_gcd
@@ -346,10 +347,9 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
     """A unit w with w^k = +-v, reconstructed from embeddings, or None.
 
     ``logs`` is v's float log vector at the first s+t-1 places (the unit
-    lattice's coordinates); without it, it is read off the table.  The
-    Minkowski matrix is inverted once; every choice of one k-th root per
-    place (a sign at a real place for even k, a phase at a complex place)
-    then costs one matrix-vector product, rounded and checked exactly.
+    lattice's coordinates); without it, it is read off the table.  Every
+    choice of one k-th root per place (a sign at a real place for even k, a
+    phase at a complex place) costs one ``nearest`` solve, checked exactly.
     """
     s, t = table.s, table.t
     if logs is None:
@@ -369,39 +369,33 @@ def _try_kth_root(order: SubOrder, table: EmbeddingTable, v: OrderElement,
         # an even power is totally positive: its phases are those of +-v's
         flip = -1 if even and signs and signs[0] < 0 else 1
         with mp.workprec(tb.bits):
-            inv = (mp.matrix(tb.mids) ** -1).tolist()
             reals = []
             for sg, b in zip(signs, rvals):
-                m = mp.exp(mp.log(abs(b).mid()) / k)
+                m = mp.root(abs(b).mid(), k)
                 reals.append((m, -m) if even else (sg * m,))
             cplx = []
             for j in range(t):
-                z = tb.complex_value(v, j)
-                rho = mp.exp(mp.log(z.abs2().mid()) / (2 * k))
-                phi = mp.atan2(flip * z.im.mid(), flip * z.re.mid())
-                # the k roots: one, then successive turns by e^(2 pi i / k)
-                roots, turn = [mp.rect(rho, phi / k)], mp.expjpi(mp.mpf(2) / k)
+                z = flip * tb.complex_value(v, j).mid()
+                # the principal root, then successive turns by e^(2 pi i / k),
+                # as products: mp.root(z, k, i) and turn ** i each take a log
+                # and an exp at the table's bits
+                roots, turn = [mp.root(z, k)], mp.root(1, k, 1)
                 while len(roots) < k:
                     roots.append(roots[-1] * turn)
                 cplx.append([(w.real, w.imag) for w in roots])
-        return tb.bits, signs, inv, reals, cplx
+        return tb, signs, reals, cplx
 
-    bits, signs, inv, reals, cplx = \
+    tb, signs, reals, cplx = \
         table.at(int(2 * max_log / 0.693) + 160).decide(roots_at_places)
     if even and len(set(signs)) > 1:
         return None  # an even power is totally positive, and +-v is not
-    with mp.workprec(bits):
-        # the order fixes which of +-w comes back, so the printed generators:
-        # sign choices with place 0 varying fastest, then phases
-        for combo in product(*reversed(reals), *cplx):
-            rhs = [*combo[:s][::-1], *(x for z in combo[s:] for x in z)]
-            coords = [int(mp.nint(mp.fdot(row, rhs))) for row in inv]
-            if not any(coords):
-                continue
-            w = order.element(coords)
-            wk = w ** k
-            if wk == v or wk == -v:
-                return w
+    # the order fixes which of +-w comes back, so the printed generators:
+    # sign choices with place 0 varying fastest, then phases
+    for combo in product(*reversed(reals), *cplx):
+        w = tb.nearest([*combo[:s][::-1], *(x for z in combo[s:] for x in z)])
+        wk = w ** k
+        if wk == v or wk == -v:
+            return w
     return None
 
 
@@ -527,8 +521,7 @@ def _certify_lattice(order, table, lattice) -> UnitGroupData:
     floor = regulator_floor(s, t, abs(order.disc), order.n)
     while True:
         reg = regulator_of(table, lattice.gens)
-        bound = 0 if floor is None else \
-            int(mp.floor(reg.upper / mp.mpf(floor.numerator) * floor.denominator))
+        bound = 0 if floor is None else Fraction(*to_rational(reg.upper._mpf_)) // floor
         roots = ((w, k, cls)
                  for k in primerange(2, bound + 1)
                  for cls in _character_kernel(order, lattice.gens, k)

@@ -11,7 +11,8 @@ import otkit.geometry
 import otkit.orders
 import otkit.polynomials
 from otkit.balls import RealBall
-from otkit.embeddings import EmbeddingTable
+from otkit.config import PrecisionError
+from otkit.embeddings import MAX_BITS, EmbeddingTable
 from otkit.factorint import trial_factor
 from otkit.geometry import (MC_EMPTY_TAIL, _scan_polynomials, apply_group_element, domain_contains,
                             fundamental_domain, inoue_closed_form, mc_volume,
@@ -268,6 +269,19 @@ def test_mc_volume_ball_when_every_sample_hits(disc23):
     assert v.meta["estimate"] == scale and v.stderr == 0.0
     assert float(v.value.upper) == scale
     assert float(v.value.lower) == scale * (1 - MC_EMPTY_TAIL / 1000)
+
+
+def test_a_table_only_refined_makes_no_inverse(disc23_alt):
+    # a point at 10^300 climbs the reduction ladder to the cap without a
+    # decision; no table on the way solves for coordinates, so none pays
+    # for the exact inverse of its integer rows
+    order, _, _, ug = disc23_alt
+    table = EmbeddingTable(order)
+    dom = fundamental_domain(order, units_from_generators(order, ug.generators, table))
+    with pytest.raises(PrecisionError):
+        reduce_to_domain([1e300 + 1j, 0j], dom)
+    assert max(table._finer) == MAX_BITS
+    assert all(tb._inverse is None for tb in (table, *table._finer.values()))
 
 
 def _reductions(fields, poly, count):

@@ -8,7 +8,7 @@ from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
 from otkit import intmat
-from otkit.balls import BallElimination, RealBall, ball_det, ball_solve
+from otkit.balls import BallElimination, RealBall, ball_det
 from otkit.config import precision
 from otkit.geometry import min_volume_scan
 from otkit.intmat import (charpoly, det_bareiss, hnf, kernel_mod_p, lattice_det,
@@ -233,7 +233,7 @@ def test_ball_elimination_encloses_exact(system):
     balls = [[RealBall(v) for v in row] for row in M]
     try:
         det = ball_det(balls)
-        x = ball_solve(balls, [RealBall(v) for v in b])
+        x = BallElimination(balls).solve([RealBall(v) for v in b])
     except ArithmeticError:
         assert d == 0
         return
@@ -276,7 +276,7 @@ def test_kept_elimination_replays_the_fresh_one(system):
             kept = BallElimination(balls)
             for r in rhs:
                 want = _ends(_augmented_solve(balls, r))
-                assert _ends(kept.solve(r)) == want == _ends(ball_solve(balls, r))
+                assert _ends(kept.solve(r)) == want == _ends(BallElimination(balls).solve(r))
             assert kept.det.v._mpi_ == ball_det(balls).v._mpi_
     # a holder made at 192 bits still encloses the exact solution when it
     # replays under 384 bits

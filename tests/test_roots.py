@@ -1,4 +1,5 @@
 import random
+from copy import copy
 from fractions import Fraction
 
 import numpy as np
@@ -122,8 +123,8 @@ def test_table_values_match_numpy(text):
 @pytest.mark.parametrize("text", TABLE_FIELDS)
 def test_minkowski_columns_and_float_rows(text):
     """Column c of the rows (the Minkowski matrix) is the embedding of basis
-    element c, and a float solve against the rows' midpoints, as in
-    ``root_of``, gives back that basis element."""
+    element c, and a float solve against the rows' midpoints gives back that
+    basis element."""
     order, table = _table(text)
     s, t, n = table.s, table.t, order.n
     M = table.rows
@@ -153,6 +154,31 @@ def test_root_of_proves_equal_fields(first, second):
         x = table.root_of(g)
         assert x is not None and x.order is order
         assert g(x) == order.zero()
+
+
+@pytest.mark.parametrize("text", ["T^3 - T + 1", "T^4 - T^3 + 2*T - 1", "T^5 - T - 3"])
+def test_nearest_gives_back_the_element_of_its_embeddings(text):
+    # the midpoints of x's embeddings round back to x: at the base table, at
+    # a refinement, and there also for coordinates near 2^300; float values
+    # of small elements at the base table too
+    order, table = _table(text)
+    rng = random.Random(f"nearest/{text}")
+    for tb, size in ((table, 2 ** 20), (table.at(768), 2 ** 20), (table.at(768), 2 ** 300)):
+        with precision(tb.bits):
+            for _ in range(10):
+                x = order.element([rng.randint(-size, size) for _ in range(order.n)])
+                values = [tb.real_value(x, j).mid() for j in range(tb.s)]
+                for j in range(tb.t):
+                    z = tb.complex_value(x, j)
+                    values += [z.re.mid(), z.im.mid()]
+                assert tb.nearest(values) == x
+                if tb is table:
+                    assert tb.nearest([float(v) for v in values]) == x
+    assert table.at(768).bits == 768
+    singular = copy(table)
+    singular.fixed, singular._inverse = [[1] * order.n] * order.n, None
+    with pytest.raises(ArithmeticError):
+        singular.nearest([0] * order.n)
 
 
 def test_root_of_rejects_other_field():
@@ -328,3 +354,20 @@ def test_huge_constant_is_seeded_by_polyroots(monkeypatch):
             v.re.contains_zero() and v.im.contains_zero()
     total, prod = _roots_sum_product(e, working_precision())
     assert total.contains(0) and prod.contains(-c)
+
+
+@pytest.mark.parametrize("error, falls_back", [
+    (np.linalg.LinAlgError("eigenvalues did not converge"), True),
+    (RuntimeError("not a float failure"), False),
+])
+def test_only_float_failures_fall_back_to_polyroots(monkeypatch, error, falls_back):
+    def failing(coeffs):
+        raise error
+
+    monkeypatch.setattr(otkit.roots.np, "roots", failing)
+    f = IntPolynomial([1, -1, 0, 1])
+    if falls_back:
+        assert _signature(isolate_roots(f)) == (1, 1)
+    else:
+        with pytest.raises(RuntimeError, match="not a float failure"):
+            isolate_roots(f)

@@ -102,6 +102,8 @@ def test_cli_field_malformed(capsys):
     pytest.param(["volume", "T^3 - T + 2", "--seed", "3"], id="volume --seed"),
     pytest.param(["paper-tables", "prop5index", "--format", "json"],
                  id="paper-tables --format"),
+    pytest.param(["paper-tables", "prop5index", "--with-g"],
+                 id="paper-tables prop5index --with-g"),
     pytest.param(["field", "T^3 - T + 1", "--samples", "10"],
                  id="field --samples 10"),
     # not integers: the message gives the reason, not a private type name

@@ -14,6 +14,7 @@ from sympy.polys.galoistools import (gf_edf_zassenhaus, gf_from_int_poly, gf_gcd
 import otkit.embeddings
 import otkit.intmat
 import otkit.unitgroup
+from otkit.balls import RealBall
 from otkit.config import precision, working_precision
 from otkit.embeddings import EmbeddingTable
 from otkit.geometry import min_volume_scan
@@ -660,6 +661,28 @@ def test_certification_tests_primes_up_to_the_artin_bound(monkeypatch):
     assert ks and max(ks) <= 28
 
 
+def test_index_bound_is_the_exact_floor_of_regulator_over_floor(monkeypatch):
+    # R / floor is a hair above 29 with Friedman's floor 7/25; rounded at
+    # 53 bits the quotient fell to 28.99..., and k = 29 was never tried
+    with mp.workprec(128):
+        upper = mpf(29 * 7) / 25 * (1 + mpf(2) ** -60)
+        assert 29 < upper * 25 / 7 < 30
+    reg = RealBall.from_endpoints(upper / 2, upper)
+    ks = []
+    character_kernel = otkit.unitgroup._character_kernel
+
+    def recorded(order, gens, k):
+        ks.append(k)
+        return character_kernel(order, gens, k)
+
+    monkeypatch.setattr(otkit.unitgroup, "regulator_of", lambda table, gens: reg)
+    monkeypatch.setattr(otkit.unitgroup, "_character_kernel", recorded)
+    order, _, _ = maximalize(build_order(P.parse("T^3 - T + 1")))
+    assert regulator_floor(1, 1, abs(order.disc), 3) == Fraction(7, 25)
+    unit_group(order)
+    assert 29 in ks
+
+
 # -- the sweep's integer steps --------------------------------------------------------
 
 
@@ -673,7 +696,9 @@ def _mpmath_lll_input(table, weights_log, basis):
     while bits < need:
         bits *= 2
     row_weight = [*weights_log[:table.s], *(w for w in weights_log[table.s:] for _ in (0, 1))]
-    mids = table.at(bits).mids
+    tb = table.at(bits)
+    with precision(tb.bits):
+        mids = [[x.mid() for x in row] for row in tb.rows]
     with mp.workprec(bits):
         places = [[e * x for x in place] for e, place in zip(map(mp.exp, row_weight), mids)]
         ent = [[mp.fdot(place, b) for place in places] for b in basis]
@@ -736,8 +761,10 @@ def test_refined_tables_hold_their_own_integer_rows(poly):
     order, _, _ = maximalize(build_order(P.parse(poly)))
     table = EmbeddingTable(order)
     for tb in (table, table.at(384), table.at(384).at(768)):
-        assert len(tb.fixed) == len(tb.mids) == order.n
-        for fixed_row, mid_row in zip(tb.fixed, tb.mids):
+        with precision(tb.bits):
+            mids = [[x.mid() for x in row] for row in tb.rows]
+        assert len(tb.fixed) == len(mids) == order.n
+        for fixed_row, mid_row in zip(tb.fixed, mids):
             for v, m in zip(fixed_row, mid_row):
                 assert isinstance(v, int)
                 exact = (-1) ** m._mpf_[0] * _exact(m)    # man_exp drops the sign

@@ -28,8 +28,10 @@ directory), one fresh process per command, and writes one JSON file:
   1`` as CSV (the flattening of nested and list values), ``scan --s 1
   --coeff-bound 2 --disc-max 50`` as JSON, and ``field`` of ``T^4 - 72``
   and ``units`` of ``T^3 - 54`` as JSON (maximal orders of index 72 and 27,
-  two Round 2 enlargements at each prime of the index), keyed by the
-  command line;
+  two Round 2 enlargements at each prime of the index), and ``units`` of
+  ``T^3 - 2*T^2 - 5*T - 3`` and ``T^4 - T^3 - T^2 - T + 1`` as JSON (the
+  certifications that adjoin a square root, at one and at two real places),
+  keyed by the command line;
 * ``presentation``: for ``T^3 - T + 2`` (unit rank 1) and ``T^4 - T^3 +
   2*T - 1`` (unit rank 2), stdout and exit code of ``h1 --poly ...
   --save-presentation`` into a temporary directory, then of ``h1
@@ -93,6 +95,11 @@ COMMANDS = [
     # enlargements at 2, two at 3) and index 27 (two at 3)
     ["field", "T^4 - 72", "--format", "json"],
     ["units", "T^3 - 54", "--format", "json"],
+    # certifications that adjoin a square root: the unit of the s = 1 scan
+    # field of disc -31, and the class (1, 1) of T^4 - T^3 - T^2 - T + 1
+    # (disc -507, just outside the published s = 2 box)
+    ["units", "T^3 - 2*T^2 - 5*T - 3", "--format", "json"],
+    ["units", "T^4 - T^3 - T^2 - T + 1", "--format", "json"],
 ]
 PRESENTED = ["T^3 - T + 2", "T^4 - T^3 + 2*T - 1"]
 # two commuting block-diagonal actions on Z^4: Q[actions] is the product of
