@@ -1,109 +1,131 @@
 """Arbitrary-precision real and complex enclosures.
 
-Thin wrappers over ``mpmath.iv`` intervals.  Every operation produces an
-enclosure of the exact result at the current working precision; nothing here
-ever rounds a decision the wrong way. Undecidable predicates return None so
-callers can escalate precision.
+A ``RealBall`` is a pair of mpf endpoints, and each operation is one call of
+``mpmath.libmp.libmpi`` at the working precision: the calls, and so the
+endpoints, that ``mpmath.iv`` arithmetic makes, without its conversion layer.
+Every operation produces an enclosure of the exact result at the current
+working precision; nothing here ever rounds a decision the wrong way.
+Undecidable predicates return None so callers can escalate precision.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from mpmath import iv, mp, mpf
-from mpmath.libmp import to_int
+from mpmath import mp, mpf
+from mpmath.libmp import (finf, fnan, fninf, from_float, from_int, libmpi, mpf_lt, mpf_pi,
+                          round_ceiling, round_floor, to_int)
 
 from .config import working_precision
 
 
+def _pair(a, b) -> tuple:
+    """The endpoint pair (a, b), all of R when either is NaN, as in ``iv.mpf``."""
+    if a == fnan or b == fnan:
+        return fninf, finf
+    if mpf_lt(b, a):
+        raise ValueError("interval endpoints out of order")
+    return a, b
+
+
+def _endpoints(x) -> tuple:
+    """The pair that ``iv.mpf`` makes of an int, Fraction, float, decimal
+    string or mpf x."""
+    if isinstance(x, RealBall):
+        return x.v
+    prec = working_precision()
+    if isinstance(x, int):
+        return from_int(x, prec, round_floor), from_int(x, prec, round_ceiling)
+    if isinstance(x, Fraction):
+        return libmpi.mpi_div(_endpoints(x.numerator), _endpoints(x.denominator), prec)
+    if isinstance(x, float):
+        return _pair(from_float(x, prec, round_floor), from_float(x, prec, round_ceiling))
+    if isinstance(x, str):
+        return libmpi.mpi_from_str(x, prec)
+    return _pair(x._mpf_, x._mpf_)
+
+
 class RealBall:
-    """A closed real interval guaranteed to contain one exact value."""
+    """A closed real interval guaranteed to contain one exact value: ``v`` is
+    its pair of raw mpf endpoints."""
 
     __slots__ = ("v",)
 
     def __init__(self, v):
-        if isinstance(v, RealBall):
-            self.v = v.v
-        elif isinstance(v, Fraction):
-            self.v = iv.mpf(v.numerator) / iv.mpf(v.denominator)
-        else:
-            self.v = iv.mpf(v)
+        self.v = _endpoints(v)
 
     @classmethod
-    def _raw(cls, ivmpf) -> "RealBall":
+    def _raw(cls, v) -> "RealBall":
         out = object.__new__(cls)
-        out.v = ivmpf
+        out.v = v
         return out
 
     @classmethod
     def from_endpoints(cls, lo, hi) -> "RealBall":
-        return cls._raw(iv.mpf([lo, hi]))
+        """[lo, hi] with lo rounded down and hi up, each converted as by
+        ``RealBall``."""
+        return cls._raw(_pair(_endpoints(lo)[0], _endpoints(hi)[1]))
 
     # -- arithmetic ------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, RealBall):
-            return other.v
-        if isinstance(other, Fraction):
-            return iv.mpf(other.numerator) / iv.mpf(other.denominator)
-        return iv.mpf(other)
-
     def __add__(self, other):
-        return RealBall._raw(self.v + self._coerce(other))
+        return RealBall._raw(libmpi.mpi_add(self.v, _endpoints(other), working_precision()))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return RealBall._raw(self.v - self._coerce(other))
+        return RealBall._raw(libmpi.mpi_sub(self.v, _endpoints(other), working_precision()))
 
     def __rsub__(self, other):
-        return RealBall._raw(self._coerce(other) - self.v)
+        return RealBall._raw(libmpi.mpi_sub(_endpoints(other), self.v, working_precision()))
 
     def __mul__(self, other):
-        return RealBall._raw(self.v * self._coerce(other))
+        return RealBall._raw(libmpi.mpi_mul(self.v, _endpoints(other), working_precision()))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return RealBall._raw(self.v / self._coerce(other))
+        return RealBall._raw(libmpi.mpi_div(self.v, _endpoints(other), working_precision()))
 
     def __rtruediv__(self, other):
-        return RealBall._raw(self._coerce(other) / self.v)
+        return RealBall._raw(libmpi.mpi_div(_endpoints(other), self.v, working_precision()))
 
     def __neg__(self):
-        return RealBall._raw(-self.v)
+        return RealBall._raw(libmpi.mpi_neg(self.v, working_precision()))
+
+    def __pos__(self):
+        """This ball rounded outward to the working precision."""
+        return RealBall._raw(libmpi.mpi_pos(self.v, working_precision()))
 
     def __abs__(self):
-        return RealBall._raw(abs(self.v))
+        return RealBall._raw(libmpi.mpi_abs(self.v, working_precision()))
 
     def __pow__(self, e: int):
-        return RealBall._raw(self.v ** e)
+        return RealBall._raw(libmpi.mpi_pow_int(self.v, e, working_precision()))
 
     def sqrt(self) -> "RealBall":
-        return RealBall._raw(iv.sqrt(self.v))
+        return RealBall._raw(libmpi.mpi_sqrt(self.v, working_precision()))
 
     def cbrt(self) -> "RealBall":
         if not self.is_positive():
             raise ValueError("cbrt implemented for positive enclosures only")
-        return RealBall._raw(iv.exp(iv.log(self.v) / 3))
+        return (self.log() / 3).exp()
 
     def exp(self) -> "RealBall":
-        return RealBall._raw(iv.exp(self.v))
+        return RealBall._raw(libmpi.mpi_exp(self.v, working_precision()))
 
     def log(self) -> "RealBall":
-        return RealBall._raw(iv.log(self.v))
+        return RealBall._raw(libmpi.mpi_log(self.v, working_precision()))
 
     # -- geometry --------------------------------------------------------
-    # mpmath's iv accessors (.a, .b, .mid, .delta) round through the global
-    # mp context (53 bits by default); go through the raw endpoint data.
 
     @property
     def lower(self) -> mpf:
-        return mp.make_mpf(self.v._mpi_[0])
+        return mp.make_mpf(self.v[0])
 
     @property
     def upper(self) -> mpf:
-        return mp.make_mpf(self.v._mpi_[1])
+        return mp.make_mpf(self.v[1])
 
     def mid(self) -> mpf:
         with mp.workprec(working_precision() + 16):
@@ -152,7 +174,7 @@ class RealBall:
         if not (mp.isfinite(self.lower) and mp.isfinite(self.upper)):
             return None
         # exact: math.floor would round an mpf through float64
-        lo, hi = (to_int(x, "f") for x in self.v._mpi_)
+        lo, hi = (to_int(x, "f") for x in self.v)
         return lo if lo == hi else None
 
 
@@ -206,7 +228,8 @@ class ComplexBall:
 
 
 def ball_pi() -> RealBall:
-    return RealBall._raw(+iv.pi)
+    prec = working_precision()
+    return RealBall._raw((mpf_pi(prec, round_floor), mpf_pi(prec, round_ceiling)))
 
 
 def _eliminate(A: list[list[RealBall]]) -> tuple[int, list]:

@@ -63,7 +63,8 @@ def _field(f: IntPolynomial, args, need: str | None = None):
     """Maximal order and unit group of the field of ``f``: ``(order, index,
     order_cert, ug)``.  The signature is checked before any order or unit
     work: every field needs a real place (s >= 1), ``need="volume"`` also
-    t = 1 and ``need="bound"`` s = t = 1."""
+    t = 1 (volumes, and H1 of a field, whose U of rank s + t - 1 is
+    admissible only then) and ``need="bound"`` s = t = 1."""
     try:
         mo = build_order(f)
     except ReduciblePolynomialError as exc:
@@ -75,7 +76,7 @@ def _field(f: IntPolynomial, args, need: str | None = None):
         raise CliError(EXIT_ERROR, "the manifolds need s >= 1 real places, "
                                    f"got (s, t) = ({sig.s}, {sig.t})")
     if need == "volume" and sig.t != 1:
-        raise CliError(EXIT_ERROR, "volumes need one complex place, "
+        raise CliError(EXIT_ERROR, "volumes and H1 need one complex place, "
                                    f"got (s, t) = ({sig.s}, {sig.t})")
     if need == "bound" and (sig.s, sig.t) != (1, 1):
         raise CliError(EXIT_ERROR, "torsion bound applies to s = t = 1 fields")
@@ -203,7 +204,7 @@ def cmd_h1(args) -> int:
     if args.presentation:
         p = _load_presentation(args.presentation)
     else:
-        order, _, _, ug = _field(_parse_poly(args.poly), args)
+        order, _, _, ug = _field(_parse_poly(args.poly), args, need="volume")
         p = presentation_from_field(order, ug.totally_positive_generators)
     if args.save_presentation:
         p.save(args.save_presentation)

@@ -53,7 +53,7 @@ class EmbeddingTable:
         self._build(bits, isolate_roots(order.f, bits))
 
     def _build(self, bits: int, roots) -> None:
-        """Keep the contracted ``roots`` for refinement; round them outward
+        """Keep the certified ``roots`` for refinement; round them outward
         to ``bits`` and make the rows from them."""
         self.bits = bits
         self._roots = roots

@@ -280,7 +280,7 @@ def sturm_count(chain: list[IntPolynomial], a: Fraction | None,
     ``chain``; None means +-infinity."""
     def variations(x, sign):
         if x is not None:
-            return _sign_variations([p(Fraction(x)) for p in chain])
+            return _sign_variations([_sign_at(p, x) for p in chain])
         # the sign of each p at +-infinity: that of its leading term
         return _sign_variations([p.leading() * (sign if p.degree % 2 else 1)
                                  for p in chain])
@@ -323,8 +323,14 @@ def _linear_roots(factors) -> list[int]:
 
 
 def _sign_at(f: IntPolynomial, q: "Fraction|int") -> int:
-    v = f(q)
-    return (v > 0) - (v < 0)
+    """The sign of f(a/b) for q = a/b, b > 0: that of sum c_i a^i b^(n-i),
+    in integers."""
+    a, b = q.numerator, q.denominator
+    acc, bp = f.leading(), 1
+    for c in reversed(f.coeffs[:-1]):
+        bp *= b
+        acc = acc * a + c * bp
+    return (acc > 0) - (acc < 0)
 
 
 def is_irreducible(f: IntPolynomial) -> tuple[bool, IntPolynomial | None]:

@@ -1,10 +1,15 @@
-"""Certified root isolation: Sturm bisection over Q, then Krawczyk contraction.
+"""Certified root isolation: Sturm bisection over Q, then Newton's method
+and one Krawczyk certificate.
 
 Real roots are isolated exactly by one Sturm chain (rational sign-change
 intervals, with integer roots made exact).  Complex conjugate pairs start
-from floating-point seeds and are certified by a Krawczyk test on a
-rectangle in the upper half plane; the global count ``s + 2t = deg f`` makes
-the certification exhaustive.  One Krawczyk contraction tightens both kinds.
+from floating-point seeds in the upper half plane; the global count
+``s + 2t = deg f`` makes the certification exhaustive.  Both kinds are
+brought to full width the same way: Newton's method on a point, at a
+precision that doubles each step, then one Krawczyk test proves a small
+ball around the result.  Should that test fail, a Krawczyk contraction of
+the enclosure (or, for a seed, of the smallest square it certifies) does
+the work instead.
 """
 
 from __future__ import annotations
@@ -35,12 +40,7 @@ def _of_kind(z, parts):
 
 def _rounded(z):
     """``z`` rounded outward to the working precision (by interval unary plus)."""
-    return _of_kind(z, [RealBall._raw(+b.v) for b in _parts(z)])
-
-
-def _ball(lo, hi) -> RealBall:
-    """Outward enclosure of the rational interval [lo, hi] at the working precision."""
-    return RealBall.from_endpoints(RealBall(lo).lower, RealBall(hi).upper)
+    return _of_kind(z, [+b for b in _parts(z)])
 
 
 def _cauchy_bound(f: IntPolynomial) -> int:
@@ -91,7 +91,7 @@ def _quarter(f: IntPolynomial, z: RealBall) -> RealBall:
     bisection steps."""
     lo, hi = (Fraction(*to_rational(x._mpf_)) for x in (z.lower, z.upper))
     w = (hi - lo) / 4
-    return _ball(*_bisect(f, lo, hi, lambda a, b: b - a <= w))
+    return RealBall.from_endpoints(*_bisect(f, lo, hi, lambda a, b: b - a <= w))
 
 
 def _target(bits: int, z) -> mpf:
@@ -126,11 +126,13 @@ def _krawczyk(f, fp, z):
     return m - y * f(m) + (1 - y * D) * (z - m)
 
 
-def _proves(f, fp, z) -> bool:
-    """Whether the Krawczyk image of z lies inside its interior."""
+def _proof(f, fp, z):
+    """The Krawczyk image of z when it lies inside z's interior, else None."""
     K = _krawczyk(f, fp, z)
-    return K is not None and all(b.lower < k.lower and k.upper < b.upper
-                                 for b, k in zip(_parts(z), _parts(K)))
+    if K is not None and all(b.lower < k.lower and k.upper < b.upper
+                             for b, k in zip(_parts(z), _parts(K))):
+        return K
+    return None
 
 
 def _meet(z, K):
@@ -158,12 +160,71 @@ def _contract(f, fp, z, target):
     raise PrecisionError(f"Krawczyk contraction did not reach {mp.nstr(target, 5)}")
 
 
+def _newton(f, fp, x):
+    """The point x (mpf or mpc) after Newton's steps at the rungs of a ladder
+    that halves down from the working precision, lowest first, and one more
+    at the top: each step about doubles the correct bits."""
+    rungs = [working_precision()]
+    while rungs[-1] >= 64:
+        rungs.append(rungs[-1] // 2)
+    for bits in [*reversed(rungs), rungs[0]]:
+        with mp.workprec(bits):
+            x = x - f(x) / fp(x)
+    return x
+
+
+def _certified(f, fp, x, target, fits):
+    """The ball of width target/2 about the point that Newton's method
+    reaches from x, met with its Krawczyk image, which then lies inside the
+    ball's interior and so proves exactly one root of f in it.  None when a
+    Newton step meets f' = 0, when the ball fails ``fits`` or when the
+    image does not lie inside."""
+    try:
+        x = _newton(f, fp, x)
+    except ZeroDivisionError:
+        return None
+    with mp.workprec(working_precision()):
+        parts = [RealBall.from_endpoints(c - target / 4, c + target / 4)
+                 for c in ((x,) if isinstance(x, mpf) else (x.real, x.imag))]
+    ball = parts[0] if len(parts) == 1 else ComplexBall(*parts)
+    if not fits(ball):
+        return None
+    K = _proof(f, fp, ball)
+    return _meet(ball, K) if K is not None else None
+
+
+def _refined(f, fp, z, target):
+    """The root enclosure z narrowed below ``target``: a certificate inside z
+    from its midpoint, else ``_contract``."""
+    if _width(z) < target:
+        return z
+    x = z.mid() if isinstance(z, RealBall) else mp.mpc(z.re.mid(), z.im.mid())
+    fine = _certified(f, fp, x, target,
+                      lambda b: all(p.contains(q) for p, q in zip(_parts(z), _parts(b))))
+    return fine if fine is not None else _contract(f, fp, z, target)
+
+
 def _polish(f: IntPolynomial, roots, bits: int) -> list:
-    """Every enclosure of a root of f contracted to about 2^-(bits+16)
+    """Every enclosure of a root of f narrowed to about 2^-(bits+16)
     relative width: the one path behind isolation and refinement."""
     fp = f.derivative()
     with precision(bits + 48):
-        return [_contract(f, fp, z, _target(bits + 16, z)) for z in roots]
+        return [_refined(f, fp, z, _target(bits + 16, z)) for z in roots]
+
+
+def _seeded(f, fp, z: complex, bits: int) -> ComplexBall:
+    """A certified box of width about 2^-(bits+16), relative above 1, around
+    the root of f near the float seed z in the upper half plane: a
+    certificate from z, else ``_box`` then ``_contract``."""
+    target = mpf(2) ** -(bits + 16) * int(max(1, abs(z.real), abs(z.imag)))
+    with precision(bits + 48):
+        fine = _certified(f, fp, mp.mpc(z), target, lambda b: b.im.is_positive())
+    if fine is not None:
+        return fine
+    with precision(max(bits, 64) + 32):
+        box = _box(f, fp, z)
+    with precision(bits + 48):
+        return _contract(f, fp, box, _target(bits + 16, box))
 
 
 def _complex_seeds(f: IntPolynomial, t: int) -> list[complex]:
@@ -195,14 +256,14 @@ def _box(f, fp, z: complex) -> ComplexBall:
             continue
         box = ComplexBall(RealBall.from_endpoints(z.real - h, z.real + h),
                           RealBall.from_endpoints(z.imag - h, z.imag + h))
-        if _proves(f, fp, box):
+        if _proof(f, fp, box) is not None:
             return box
     raise ArithmeticError(f"could not certify a complex root near {z}")
 
 
 def isolate_roots(f: IntPolynomial, bits: int | None = None) -> list:
     """Certified, disjoint enclosures for every root of monic squarefree ``f``,
-    contracted to about 2^-(bits+16): a RealBall per real root, ascending,
+    narrowed to about 2^-(bits+16): a RealBall per real root, ascending,
     then a ComplexBall per upper complex root; NotSquarefreeError from its
     Sturm chain otherwise."""
     if not f.is_monic():
@@ -221,7 +282,7 @@ def isolate_roots(f: IntPolynomial, bits: int | None = None) -> list:
         for lo, hi in _isolate_real(f, chain):
             r = next((r for r in exact if lo < r <= hi), None)
             real.append(RealBall(r) if r is not None
-                        else _ball(*_bisect(f, lo, hi, coarse)))
+                        else RealBall.from_endpoints(*_bisect(f, lo, hi, coarse)))
 
     s = len(real)
     n = f.degree
@@ -235,13 +296,11 @@ def isolate_roots(f: IntPolynomial, bits: int | None = None) -> list:
         if len(seeds) != t:
             raise ArithmeticError("could not seed the complex roots")
         fp = f.derivative()
-        with precision(max(bits, 64) + 32):
-            boxes = [_box(f, fp, z) for z in seeds]
-    roots = _polish(f, real + boxes, bits)
-    upper = sorted(roots[s:], key=lambda z: (z.re.lower, z.re.upper,
-                                             z.im.lower, z.im.upper))
+        boxes = [_seeded(f, fp, z, bits) for z in seeds]
+    real = _polish(f, real, bits)
+    upper = sorted(boxes, key=lambda z: (z.re.lower, z.re.upper, z.im.lower, z.im.upper))
     # disjointness across all enclosures is a hard guarantee
     for z, w in combinations(upper, 2):
         if z.re.overlaps(w.re) and z.im.overlaps(w.im):
             raise ArithmeticError("complex enclosures overlap")
-    return roots[:s] + upper
+    return real + upper

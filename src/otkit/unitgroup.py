@@ -7,8 +7,9 @@ its chain reached one step earlier, reweighted and scaled so that its
 shortest row keeps a fixed number of bits.  Each step is integer
 arithmetic: its LLL input comes from the embedding table's fixed-point rows
 (midpoints times 2^bits) and integer weights, and each candidate the sweep
-has not met before, up to sign, costs one HNF of its multiplication matrix,
-which is both its ideal's key and |N(x)|.  Every numeric decision funnels
+has not met before, up to sign, costs one determinant of its multiplication
+matrix, |N(x)|; the HNF that keys its ideal is built only when that norm has
+been met before.  Every numeric decision funnels
 through exact integer verification; floats and intervals only steer the
 search.
 
@@ -265,6 +266,13 @@ def _sweep_lll(order: SubOrder, table: EmbeddingTable, weights_log, basis):
     return rows, combos
 
 
+def _entry_ideal(order: SubOrder, entry: list) -> IdealHNF:
+    """The ideal of a sweep entry [x, M_x, ideal or None], built on first use."""
+    if entry[2] is None:
+        entry[2] = IdealHNF(order, entry[1])
+    return entry[2]
+
+
 def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -> None:
     """Walk skew directions, harvesting units as equal-ideal element quotients.
 
@@ -280,8 +288,12 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
 
     A candidate met before, up to sign, is skipped: it has the same ideal
     and gives the same quotient up to sign, which the lattice, grown since,
-    turns down again.  Each new one is keyed by its principal ideal, the
-    ``IdealHNF`` of its multiplication matrix, whose norm is |N(x)|.
+    turns down again.  Each new one is keyed by its principal ideal, and
+    equal ideals have equal norms: it goes into the bucket of its |N(x)|,
+    and only in a bucket that already holds an element are the ideals, the
+    ``IdealHNF`` of x's multiplication matrix and those of the earlier
+    elements, built, the latter once each.  The rep is the first element
+    with x's ideal, as a key by ideal alone would give.
     """
     n, s, t = order.n, table.s, table.t
     r = s + t - 1
@@ -291,7 +303,7 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
     with mp.workprec(53):
         norm_bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** t
                          * mp.sqrt(mp.mpf(abs(order.disc)))) + 8
-    reps: dict = {}         # ideal -> the first element with that ideal
+    reps: dict = {}         # |N(x)| -> entries [x, its matrix, its ideal or None]
     seen: set = set()       # the coordinates tried so far, up to sign
     grid_radius_cap = 220 if r == 1 else 8
     steps = failed = 0
@@ -320,12 +332,17 @@ def sweep_units(order: SubOrder, table: EmbeddingTable, lattice: _UnitLattice) -
                     continue
                 seen.add(seen_key)
                 x = order.element(coords)
-                ideal = IdealHNF(order, order.mult_matrix(x))
-                if ideal.norm > norm_bound:
+                M = order.mult_matrix(x)
+                norm = abs(intmat.det_bareiss(M))
+                if norm > norm_bound:
                     continue
-                rep = reps.get(ideal)
+                # the first element with x's ideal has x's norm; a new norm
+                # needs no ideal until it repeats
+                bucket = reps.setdefault(norm, [])
+                ideal = IdealHNF(order, M) if bucket else None
+                rep = next((e[0] for e in bucket if _entry_ideal(order, e) == ideal), None)
                 if rep is None:
-                    reps[ideal] = x
+                    bucket.append([x, M, ideal])
                     continue
                 q = order.divide_exact(x, rep)
                 if q is None or q.is_pm_one():

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from otkit.polynomials import (IntPolynomial, NotSquarefreeError, integer_roots,
+from otkit.polynomials import (IntPolynomial, NotSquarefreeError, _sign_at, integer_roots,
                                is_irreducible, poly_discriminant, resultant,
                                sturm_count, sturm_sequence)
 
@@ -87,6 +87,13 @@ def test_resultant_multiplicative(f, g, h):
 
 def _real_roots(text):
     return sturm_count(sturm_sequence(P.parse(text)), None, None)
+
+
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=8),
+       st.one_of(st.integers(-10 ** 4, 10 ** 4), st.fractions(max_denominator=2 ** 40)))
+def test_sign_at_is_the_sign_of_the_rational_value(coeffs, q):
+    v = P(coeffs)(Fraction(q))
+    assert _sign_at(P(coeffs), q) == (v > 0) - (v < 0)
 
 
 def test_sturm_and_signature_counts():

@@ -15,7 +15,7 @@ from otkit.config import PrecisionError, precision, working_precision
 from otkit.embeddings import EmbeddingTable
 from otkit.geometry import _scan_polynomials, min_volume_scan
 from otkit.orders import build_order, maximalize
-from otkit.polynomials import IntPolynomial, NotSquarefreeError
+from otkit.polynomials import IntPolynomial, NotSquarefreeError, sturm_sequence
 from otkit.roots import _contract, _polish, isolate_roots
 
 P = IntPolynomial
@@ -371,3 +371,59 @@ def test_only_float_failures_fall_back_to_polyroots(monkeypatch, error, falls_ba
     else:
         with pytest.raises(RuntimeError, match="not a float failure"):
             isolate_roots(f)
+
+
+def _encloses_a_root(f, z) -> bool:
+    v = f(z)
+    return v.contains_zero() if isinstance(z, RealBall) else \
+        v.re.contains_zero() and v.im.contains_zero()
+
+
+def _overlap(z, w) -> bool:
+    return all(a.overlaps(b) for a, b in zip(_balls([z]), _balls([w])))
+
+
+# a purely imaginary root, huge coefficients, and two complex places
+FALLBACK_POLYS = ["T^4 - T^2 - 1", f"T^3 + T + {10 ** 160 + 7}", "T^5 - T - 3"]
+
+
+@pytest.mark.parametrize("text", FALLBACK_POLYS)
+def test_failed_certificates_fall_back_to_contraction(monkeypatch, text):
+    # a Newton step that lands far from every root fails each certificate, so
+    # _contract narrows every real enclosure and _box seeds every complex one
+    f = P.parse(text)
+    certified = isolate_roots(f, 128)
+    calls = {"_contract": 0, "_box": 0}
+    for name in calls:
+        original = getattr(otkit.roots, name)
+        monkeypatch.setattr(otkit.roots, name,
+                            lambda *a, _o=original, _n=name: calls.__setitem__(
+                                _n, calls[_n] + 1) or _o(*a))
+    monkeypatch.setattr(otkit.roots, "_newton", lambda f, fp, x: x * 0 + 10 ** 6)
+    fallback = isolate_roots(f, 128)
+    s, t = _signature(certified)
+    assert _signature(fallback) == (s, t)
+    assert calls == {"_contract": s + t, "_box": t}
+    target = mpf(2) ** -144
+    for z, w in zip(certified, fallback):
+        assert _encloses_a_root(f, z) and _encloses_a_root(f, w)
+        assert _overlap(z, w)
+        for b in _balls([z]):
+            assert b.upper - b.lower < target * max(1, abs(b.lower), abs(b.upper))
+    refined = _polish(f, fallback, 256)
+    assert all(_overlap(z, w) for z, w in zip(certified, refined))
+    assert calls["_contract"] == 2 * (s + t)
+
+
+@pytest.mark.parametrize("text", FALLBACK_POLYS + [
+    "T^3 - 2*T", "T^7 - 3*T^5 - T^4 + T^3 + 3*T^2 + T - 1"])
+def test_certified_real_balls_lie_in_their_sturm_intervals(text):
+    f = P.parse(text)
+    e = isolate_roots(f, 192)
+    real = [z for z in e if isinstance(z, RealBall)]
+    intervals = otkit.roots._isolate_real(f, sturm_sequence(f))
+    assert len(real) == len(intervals)
+    for z, (lo, hi) in zip(real, intervals):
+        a, b = (Fraction(*to_rational(x._mpf_)) for x in (z.lower, z.upper))
+        assert lo <= a and b <= hi
+        assert _encloses_a_root(f, z)

@@ -134,6 +134,24 @@ def test_cli_out_of_range_options_keep_the_reason(capsys):
     assert "at least 10^3 samples" in json.loads(capsys.readouterr().err)["error"]
 
 
+@pytest.mark.parametrize("poly", [
+    # signature (1, 4): all totally positive units have rank 4, not s = 1
+    "T^9 + 9*T^6 + 3*T^5 - 9*T^4 - 27*T^3 + 36*T^2 - 31*T + 31",
+    "T^3 - 3*T + 1",        # totally real, t = 0
+])
+def test_cli_h1_of_a_field_needs_one_complex_place(capsys, monkeypatch, poly):
+    def no_unit_work(*args, **kwargs):
+        raise AssertionError("unit work before the signature check")
+
+    monkeypatch.setattr(cli, "maximalize", no_unit_work)
+    monkeypatch.setattr(cli, "unit_group", no_unit_work)
+    rc = main(["h1", "--poly", poly, "--format", "json"])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert rc == 1 and err["exit_code"] == 1 and "one complex place" in err["error"]
+    assert captured.out == ""
+
+
 def test_cli_precision_error_is_json(capsys, monkeypatch):
     def undecided(*args, **kwargs):
         raise PrecisionError("undecidable even at 8192 bits")

@@ -592,6 +592,84 @@ def _panel_fields():
             + [poly for kind, poly in LEDGER if kind != "large"])
 
 
+def _divisions(monkeypatch, order):
+    """The (x, rep) coordinate pairs that reach ``order.divide_exact``."""
+    pairs = []
+    divide = order.divide_exact
+    monkeypatch.setattr(order, "divide_exact",
+                        lambda x, y: pairs.append((x.coords, y.coords)) or divide(x, y))
+    return pairs
+
+
+def test_sweep_keeps_equal_norms_with_other_ideals_apart(monkeypatch):
+    # in Z[2^(1/3)], 5 = P Q with N(P) = 5 and N(Q) = 25: P^2 and Q have one
+    # norm and two ideals, so their generators are not associate
+    order = build_order(P.parse("T^3 - 2"))
+    elements = [order.element(c) for c in product(range(-2, 3), repeat=3) if any(c)]
+    by_norm = {}
+    for x in elements:
+        by_norm.setdefault(abs(order.norm(x)), []).append(x)
+    x, y = next((a, b) for norm, xs in sorted(by_norm.items()) if norm > 1
+                for a in xs for b in xs
+                if IdealHNF(order, order.mult_matrix(a)) != IdealHNF(order, order.mult_matrix(b)))
+    unit = order.element([-1, 1, 0])                # 2^(1/3) - 1, of norm 1
+    z = y * unit
+    assert order.is_unit(unit) and abs(order.norm(z)) == abs(order.norm(x))
+    combos = [[list(x.coords), list(y.coords), list(z.coords)]]
+    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll",
+                        lambda order, table, w, basis: (basis, combos.pop() if combos else []))
+    pairs = _divisions(monkeypatch, order)
+    table = EmbeddingTable(order)
+    lattice = _UnitLattice(order, table, 1)
+    sweep_units(order, table, lattice)
+    # y is not divided by x; z, y's associate, is divided by y alone
+    assert pairs == [(z.coords, y.coords)]
+    assert [g.coords for g in lattice.gens] == [unit.coords]
+
+
+def _per_candidate_pairs(order, table, steps):
+    """The (x, rep) pairs of a sweep that keys every candidate by its ideal's
+    HNF, over the candidate lists ``steps`` of its LLL steps."""
+    with mp.workprec(53):
+        bound = int(2 ** ((order.n + 3) / 2) * (2 / 3.14159) ** table.t
+                    * mp.sqrt(mp.mpf(abs(order.disc)))) + 8
+    reps, seen, pairs = {}, set(), []
+    for combos in steps:
+        for coords in combos:
+            key = min(tuple(coords), tuple(-c for c in coords))
+            if key in seen or not any(coords):
+                continue
+            seen.add(key)
+            x = order.element(coords)
+            ideal = IdealHNF(order, order.mult_matrix(x))
+            if ideal.norm > bound:
+                continue
+            rep = reps.setdefault(ideal, x)
+            if rep is not x:
+                pairs.append((x.coords, rep.coords))
+    return pairs
+
+
+@pytest.mark.parametrize("poly", _panel_fields()[:10])
+def test_norm_buckets_divide_as_per_candidate_ideals(monkeypatch, poly):
+    order, _, _ = maximalize(build_order(P.parse(poly)))
+    table = EmbeddingTable(order)
+    steps = []
+    sweep_lll = otkit.unitgroup._sweep_lll
+
+    def recorded(*args):
+        out = sweep_lll(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(otkit.unitgroup, "_sweep_lll", recorded)
+    pairs = _divisions(monkeypatch, order)
+    sweep_units(order, table, _UnitLattice(order, table, table.s + table.t - 1))
+    monkeypatch.undo()
+    # the sweep stops inside its last step; the full replay may go on
+    assert pairs and pairs == _per_candidate_pairs(order, table, steps)[:len(pairs)]
+
+
 def _minima():
     return [row["min_poly"] for row in load_expected()["minvol"]["rows"] if row["s"] >= 4]
 
