@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, log, prod
+from math import factorial, isqrt, log, prod
 
 import numpy as np
 from mpmath import mp
@@ -24,7 +24,7 @@ from .balls import BallElimination, ComplexBall, RealBall, ball_det, ball_pi
 from .config import PrecisionError
 from .embeddings import EmbeddingTable
 from .factorint import trial_factor
-from .orders import SubOrder, maximalize
+from .orders import SubOrder, dedekind_maximal, maximalize
 from .polynomials import IntPolynomial, is_irreducible, poly_discriminant
 from .unitgroup import (InsufficientUnitsError, UnitGroupData, j_ideal,
                         torsion_group, unit_group)
@@ -406,6 +406,12 @@ class ScanRecord:
     torsion_factors: list[int]
 
 
+def _square_quotient(a: int, b: int) -> bool:
+    """Whether a / b is the square of an integer."""
+    q, r = divmod(a, b)
+    return not r and q > 0 and isqrt(q) ** 2 == q
+
+
 def _scan_polynomials(degree: int, coeff_bound: int):
     """Monic polynomials of the box with nonzero constant term, in ascending
     order of their coefficient tuples."""
@@ -427,14 +433,23 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
     keeps its first certified polynomial, else its first polynomial, and its
     unit group is computed once.
 
+    Each candidate meets the cheap exact tests first: the sign of disc f,
+    then a lower bound on |disc K| from the square part of disc f, which
+    Dedekind's criterion sharpens by the primes at which Z[T] is maximal.
+    Only then is f tested for irreducibility, and then for a root in the
+    order of a record whose disc times a square is disc f; a root in a
+    certified record's order ends f before ``maximalize``, at the record
+    that the merge after ``maximalize`` would find.  Round 2 runs only on
+    the candidates that are left.
+
     Each mirror pair is settled once.  The box is closed under f -> f* =
     (-1)^n f(-T), and T -> -T maps Z[T]/(f) onto Z[T]/(f*), so f* has the
-    same disc f, irreducibility, maximal order disc and index, and -alpha
-    lies in every order that holds a root alpha of f.  Every filter reads
-    only those, and root_of finds -alpha where it found alpha, so f* ends
-    as f did and is skipped.  The exceptions are a unit_group that raised
-    for f and an uncertified record from f: there f* may still end
-    otherwise, so it is scanned in full.
+    same disc f, irreducibility, Dedekind verdicts, maximal order disc and
+    index, and -alpha lies in every order that holds a root alpha of f.
+    Every filter reads only those, and root_of finds -alpha where it found
+    alpha, so f* ends as f did and is skipped.  The exceptions are a
+    unit_group that raised for f and an uncertified record from f: there f*
+    may still end otherwise, so it is scanned in full.
     """
     if s not in (1, 2, 3):
         raise ValueError("certified scans cover s in {1, 2, 3}")
@@ -456,20 +471,35 @@ def min_volume_scan(s: int, coeff_bound: int, disc_bound: int,
         if disc_f >= 0:
             continue
         # for irreducible f, index^2 divides disc f, so |disc K| >= |disc f| /
-        # (its largest square divisor) once the square part is fully known;
-        # the filter drops only reducible f and fields beyond the bound
+        # (its largest square divisor) once disc f is fully factored; and no
+        # prime at which Dedekind's criterion finds Z[T] maximal divides the
+        # index, which drops that prime from the divisor.  The filters drop
+        # only reducible f and fields beyond the bound
         factors, _, complete = trial_factor(disc_f)
-        if complete and abs(disc_f) > disc_bound * prod(p ** (e - e % 2)
-                                                         for p, e in factors):
+        squares = [(p, p ** (e - e % 2)) for p, e in factors if e >= 2]
+        if complete and abs(disc_f) > disc_bound * prod(q for _, q in squares):
+            continue
+        if complete and abs(disc_f) > disc_bound * prod(
+                q for p, q in squares if not dedekind_maximal(f, p)):
             continue
         if not is_irreducible(f)[0]:
+            continue
+        # a root of f in a record's order proves the fields equal, so disc f
+        # = index^2 rec.disc and only such records are tried.  With disc f
+        # fully factored, maximalize would reach rec.disc, so a certified
+        # first record ends f here; otherwise f merges, after maximalize,
+        # into the first record found that has its disc
+        merges = (i for i, (rec, table) in enumerate(done)
+                  if _square_quotient(disc_f, rec.disc) and table.root_of(f) is not None)
+        same = next(merges, None)
+        if complete and same is not None and done[same][0].certified:
             continue
         order, index, order_cert = maximalize(
             SubOrder(f, disc_f, intmat.identity(degree), 1))
         if abs(order.disc) > disc_bound:
             continue
-        same = next((i for i, (rec, table) in enumerate(done)
-                     if rec.disc == order.disc and table.root_of(f) is not None), None)
+        while same is not None and done[same][0].disc != order.disc:
+            same = next(merges, None)
         if same is not None and done[same][0].certified:
             continue
         try:

@@ -17,10 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_quo, gf_sqf_part
-
-from . import intmat
+from . import fpx, intmat
 from .factorint import trial_factor
 from .intmat import det_bareiss, hnf, kernel_mod_p
 from .polynomials import (IntPolynomial, is_irreducible, poly_discriminant, sturm_count,
@@ -257,10 +254,6 @@ class SubOrder:
     def norm(self, x: OrderElement) -> int:
         return det_bareiss(self.mult_matrix(x))
 
-    def trace(self, x: OrderElement) -> int:
-        M = self.mult_matrix(x)
-        return sum(M[i][i] for i in range(self.n))
-
     def is_unit(self, x: OrderElement) -> bool:
         return abs(self.norm(x)) == 1
 
@@ -348,14 +341,14 @@ def dedekind_maximal(f: IntPolynomial, p: int) -> bool:
     With g = rad(f mod p) and h = (f mod p) / g, both lifted to Z, and
     F = (g h - f) / p, the order is p-maximal exactly when
     gcd(F, g, h) = 1 in F_p[x].  In characteristic p the radical is not
-    f / gcd(f, f'), so it is taken from the squarefree decomposition.
+    f / gcd(f, f') (see ``fpx.radical``).
     """
-    fbar = gf_from_int_poly(f.coeffs[::-1], p)
-    g = gf_sqf_part(fbar, p, ZZ)
-    h = gf_quo(fbar, g, p, ZZ)
-    gh = (IntPolynomial(g[::-1]) * IntPolynomial(h[::-1]) - f).coeffs
-    F = gf_from_int_poly([c // p for c in reversed(gh)], p)
-    return gf_gcd(gf_gcd(g, h, p, ZZ), F, p, ZZ) == [1]
+    fbar = fpx.reduce(f.coeffs, p)
+    g = fpx.radical(fbar, p)
+    h = fpx.quo(fbar, g, p)
+    gh = (IntPolynomial(g) * IntPolynomial(h) - f).coeffs
+    F = fpx.reduce([c // p for c in gh], p)
+    return len(fpx.gcd(fpx.gcd(g, h, p), F, p)) == 1
 
 
 def maximalize(order: SubOrder):

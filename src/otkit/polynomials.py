@@ -322,10 +322,10 @@ def _linear_roots(factors) -> list[int]:
     return sorted(-g.coeffs[0] for g, _ in factors if g.coeffs[1:] == (1,))
 
 
-def _sign_at(f: IntPolynomial, q: "Fraction|int") -> int:
-    """The sign of f(a/b) for q = a/b, b > 0: that of sum c_i a^i b^(n-i),
-    in integers."""
-    a, b = q.numerator, q.denominator
+def _sign_at(f: IntPolynomial, q: "Fraction|int", k: int = 0) -> int:
+    """The sign of f(a/b) for q / 2^k = a/b, b > 0: that of sum c_i a^i
+    b^(n-i), in integers."""
+    a, b = q.numerator, q.denominator << k
     acc, bp = f.leading(), 1
     for c in reversed(f.coeffs[:-1]):
         bp *= b

@@ -74,16 +74,19 @@ def _isolate_real(f: IntPolynomial, chain) -> list[tuple[Fraction, Fraction]]:
 
 
 def _bisect(f: IntPolynomial, lo: Fraction, hi: Fraction, narrow):
-    """Halve the interval (lo, hi], which holds one root of f, a simple and
-    irrational one, until ``narrow(lo, hi)`` holds."""
-    s_hi = _sign_at(f, hi)      # lo may be another root of f; hi is none
-    while not narrow(lo, hi):
-        m = (lo + hi) / 2
-        if _sign_at(f, m) == s_hi:
-            hi = m
+    """Halve the dyadic interval (lo, hi], which holds one root of f, a
+    simple and irrational one, until ``narrow(a, b, k)`` holds for its ends
+    a / 2^k and b / 2^k.  The halving runs on those integer numerators."""
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    a, b = int(lo * (1 << k)), int(hi * (1 << k))
+    s_hi = _sign_at(f, b, k)     # lo may be another root of f; hi is none
+    while not narrow(a, b, k):
+        m, a, b, k = a + b, 2 * a, 2 * b, k + 1
+        if _sign_at(f, m, k) == s_hi:
+            b = m
         else:
-            lo = m
-    return lo, hi
+            a = m
+    return Fraction(a, 1 << k), Fraction(b, 1 << k)
 
 
 def _quarter(f: IntPolynomial, z: RealBall) -> RealBall:
@@ -91,7 +94,8 @@ def _quarter(f: IntPolynomial, z: RealBall) -> RealBall:
     bisection steps."""
     lo, hi = (Fraction(*to_rational(x._mpf_)) for x in (z.lower, z.upper))
     w = (hi - lo) / 4
-    return RealBall.from_endpoints(*_bisect(f, lo, hi, lambda a, b: b - a <= w))
+    return RealBall.from_endpoints(*_bisect(f, lo, hi,
+                                            lambda a, b, k: Fraction(b - a, 1 << k) <= w))
 
 
 def _target(bits: int, z) -> mpf:
@@ -273,8 +277,8 @@ def isolate_roots(f: IntPolynomial, bits: int | None = None) -> list:
     chain = sturm_sequence(f)
     bits = bits or working_precision()
 
-    def coarse(a, b):
-        return b - a <= max(Fraction(1), abs(a), abs(b)) / (1 << 16)
+    def coarse(a, b, k):
+        return (b - a) << 16 <= max(1 << k, abs(a), abs(b))
 
     exact = integer_roots(f)
     real = []

@@ -16,10 +16,12 @@ search.
 Certification alone closes the index of that system, with proven regulator
 lower bounds: the quotient regulator/floor bounds the index.  For each prime
 k up to the bound, k-th power residue characters at degree-one primes are
-linear maps to F_k, and only the classes in their common kernel can be
-+-k-th powers; root extraction on those classes either finds a missing root,
-which replaces a generator and divides the index by k, or rules k out.  The
-bound ends at 1, or at 0 when no proven regulator floor applies.
+linear maps to F_k (the primes above q = 1 mod 2k are read off the roots of
+f mod q, which ``fpx`` finds), and only the classes in their common kernel
+can be +-k-th powers; root extraction on those classes either finds a
+missing root, which replaces a generator and divides the index by k, or
+rules k out.  The bound ends at 1, or at 0 when no proven regulator floor
+applies.
 
 For cubics with one complex place the floor grows with the discriminant.
 Artin's inequality |disc(minpoly e)| < 4e^3 + 24 holds for every unit e > 1
@@ -38,16 +40,13 @@ import numpy as np
 from mpmath import mp
 from mpmath.libmp import to_rational
 from sympy import discrete_log, isprime, primerange
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_edf_zassenhaus, gf_from_int_poly, gf_gcd
 
-from . import intmat
+from . import fpx, intmat
 from .balls import RealBall, ball_det
 from .config import MIN_PRECISION, precision
 from .embeddings import EmbeddingTable
 from .intmat import hnf, kernel_mod_p, snf
 from .orders import IdealHNF, OrderElement, SubOrder
-from .polynomials import IntPolynomial
 
 
 class InsufficientUnitsError(RuntimeError):
@@ -422,18 +421,9 @@ CHARACTER_PRIMES = 24
 
 def _roots_mod(f, q: int) -> list[int]:
     """The roots of f in F_q, ascending: the linear factors of gcd(f, T^q - T)."""
-    fq = IntPolynomial([c % q for c in f.coeffs])
-
-    def mul(a, b):
-        return IntPolynomial([c % q for c in (a * b).divmod_monic(fq)[1].coeffs])
-
-    T = IntPolynomial([0, 1])
-    tq_minus_t = intmat.power(T, q, mul, IntPolynomial([1])) - T
-    g = gf_gcd(gf_from_int_poly(fq.coeffs[::-1], q),
-               gf_from_int_poly(tq_minus_t.coeffs[::-1], q), q, ZZ)
-    if len(g) < 2:
-        return []
-    return sorted(-h[1] % q for h in gf_edf_zassenhaus(g, 1, q, ZZ))
+    fq = fpx.reduce(f.coeffs, q)
+    tq = fpx.xpow(q, fq, q)
+    return fpx.linear_roots(fpx.gcd(fq, fpx.sub(tq, [0, 1], q), q), q)
 
 
 def _character_kernel(order: SubOrder, gens, k: int) -> list[tuple]:

@@ -19,8 +19,8 @@ from otkit.geometry import (MC_EMPTY_TAIL, _scan_polynomials, apply_group_elemen
                             metric_det_check, min_volume_scan, ot_volume,
                             reduce_to_domain, torsion_upper_bound,
                             volume_determinant_path, volume_lower_bound)
-from otkit.orders import SubOrder, build_order, signature
-from otkit.polynomials import IntPolynomial, NotSquarefreeError, poly_discriminant
+from otkit.orders import SubOrder, build_order, maximalize, signature
+from otkit.polynomials import IntPolynomial, NotSquarefreeError, is_irreducible, poly_discriminant
 from otkit.unitgroup import InsufficientUnitsError, units_from_generators
 
 P = IntPolynomial
@@ -387,6 +387,53 @@ def test_scan_maximalizes_only_within_the_disc_bound(monkeypatch):
     monkeypatch.setattr(otkit.geometry, "maximalize", checked)
     records = min_volume_scan(1, 3, 100)
     assert records and bounds and max(bounds) <= 100
+
+
+def _early_decisions(monkeypatch, s, bound, disc):
+    """The polynomials of ``min_volume_scan(s, bound, disc)`` that Dedekind's
+    bound drops, and those that the merge ends before ``maximalize``, each
+    with the disc of the record whose order holds its root."""
+    tested, irreducible, maximalized, records = set(), {}, set(), {}
+    dedekind, is_irreducible = otkit.geometry.dedekind_maximal, otkit.geometry.is_irreducible
+    maximalize, root_of = otkit.geometry.maximalize, EmbeddingTable.root_of
+
+    def irreducible_test(f):
+        out = is_irreducible(f)
+        irreducible[f] = out[0]
+        return out
+
+    def rooted(table, f):
+        x = root_of(table, f)
+        if x is not None:
+            records.setdefault(f, table.order.disc)
+        return x
+
+    monkeypatch.setattr(otkit.geometry, "dedekind_maximal",
+                        lambda f, p: tested.add(f) or dedekind(f, p))
+    monkeypatch.setattr(otkit.geometry, "is_irreducible", irreducible_test)
+    monkeypatch.setattr(otkit.geometry, "maximalize",
+                        lambda mo: maximalized.add(mo.f) or maximalize(mo))
+    monkeypatch.setattr(EmbeddingTable, "root_of", rooted)
+    min_volume_scan(s, bound, disc)
+    monkeypatch.undo()
+    dropped = [f for f in tested if f not in irreducible]
+    merged = {f: records[f] for f, ok in irreducible.items() if ok and f not in maximalized}
+    return dropped, merged
+
+
+@pytest.mark.parametrize("s, bound, disc", [(1, 3, 100), (1, 6, 200), (2, 2, 500), (3, 2, 4600)])
+def test_scan_decides_before_round_2_as_round_2_would(monkeypatch, s, bound, disc):
+    # a polynomial that Dedekind's bound drops is reducible or maximalizes
+    # beyond the disc bound; one that merges early maximalizes to the disc
+    # of its record, as the merge after maximalize would find
+    dropped, merged = _early_decisions(monkeypatch, s, bound, disc)
+    assert dropped and merged
+    for f in dropped:
+        if is_irreducible(f)[0]:
+            assert abs(maximalize(build_order(f))[0].disc) > disc
+    for f, record_disc in merged.items():
+        order, _, certified = maximalize(build_order(f))
+        assert certified and order.disc == record_disc
 
 
 def test_scan_computes_each_unit_group_once(monkeypatch):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from math import lcm
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_quo, gf_sqf_part
 
 import otkit.geometry
+from otkit import fpx
 from otkit.geometry import min_volume_scan
 from otkit.intmat import charpoly, identity
 from otkit.orders import (ReduciblePolynomialError, SubOrder, _p_enlarge, build_order,
@@ -69,7 +71,8 @@ def test_norm_trace_examples():
         one, tb = po.one(), po.tbar()
         assert abs(po.norm(one - tb)) == m
     po = build_order(P.parse("T^3 + 4*T^2 + 2*T + 2"))
-    assert po.trace(po.tbar()) == -4
+    M = po.mult_matrix(po.tbar())
+    assert sum(M[i][i] for i in range(po.n)) == -4
 
 
 def test_maximalize_published_indexes():
@@ -161,34 +164,29 @@ def test_power_product_inverts_under_negated_exponents(quartic275, exps):
 
 
 def test_dedekind_agrees_with_round_2_on_the_published_scans(monkeypatch):
-    # every (f, p) with p^2 | disc f that reaches maximalize in the three
-    # scans; the stand-in order (disc above every bound) ends each candidate
-    # before its unit group, which changes no later candidate.  The scan
-    # settles the mirror (-1)^n f(-T) with f, and T -> -T keeps Z[T]
-    # p-maximal or not, so the mirrors of the recorded f are added back.
-    orders = []
+    # every (f, p) that the disc filter of the three scans tests by
+    # Dedekind's criterion, reducible f included.  The scan settles the
+    # mirror (-1)^n f(-T) with f, and T -> -T keeps Z[T] p-maximal or not,
+    # so the mirrors of the recorded f are added back.
+    calls = []
 
-    def recorded(mo):
-        orders.append(mo)
-        return SimpleNamespace(disc=10 ** 9), 1, True
+    def recorded(f, p):
+        calls.append((f, p))
+        return dedekind_maximal(f, p)
 
-    monkeypatch.setattr(otkit.geometry, "maximalize", recorded)
+    monkeypatch.setattr(otkit.geometry, "dedekind_maximal", recorded)
     for s, bound, disc in ((1, 6, 200), (2, 2, 500), (3, 2, 4600)):
-        assert min_volume_scan(s, bound, disc) == []
-    mirrors = []
-    for mo in orders:
-        n = mo.f.degree
-        mirror = P([-c if (n - i) % 2 else c for i, c in enumerate(mo.f.coeffs)])
-        if mirror != mo.f:
-            mirrors.append(SubOrder(mirror, mo.disc_f, identity(n), 1))
-    orders += mirrors
-    assert len({mo.f for mo in orders}) == len(orders)
-    pairs = [(mo, p) for mo in orders for p, e in mo.disc_factors[0] if e >= 2]
-    assert len(orders) == 901 and len(pairs) == 963
-    verdicts = [(dedekind_maximal(mo.f, p), _p_enlarge(mo, p) is None)
-                for mo, p in pairs]
+        min_volume_scan(s, bound, disc)
+    pairs = set(calls)
+    for f, p in calls:
+        n = f.degree
+        pairs.add((P([-c if (n - i) % 2 else c for i, c in enumerate(f.coeffs)]), p))
+    assert len(calls) == len(set(calls)) == 882 and len(pairs) == 1748
+    verdicts = [(dedekind_maximal(f, p),
+                 _p_enlarge(SubOrder(f, poly_discriminant(f), identity(f.degree), 1), p) is None)
+                for f, p in pairs]
     assert all(d == r for d, r in verdicts)
-    assert sum(d for d, _ in verdicts) == 733
+    assert sum(d for d, _ in verdicts) == 918
 
 
 @pytest.mark.parametrize("text, p, maximal", [
@@ -211,6 +209,14 @@ def test_dedekind_criterion_hard_cases(text, p, maximal):
     assert mo.disc_f % (p * p) == 0
     assert dedekind_maximal(mo.f, p) is maximal
     assert (_p_enlarge(mo, p) is None) is maximal
+    # the radical and the verdict as sympy's galoistools give them
+    fbar = gf_from_int_poly(mo.f.coeffs[::-1], p)
+    g = gf_sqf_part(fbar, p, ZZ)
+    assert fpx.radical(fpx.reduce(mo.f.coeffs, p), p) == g[::-1]
+    h = gf_quo(fbar, g, p, ZZ)
+    gh = (P(g[::-1]) * P(h[::-1]) - mo.f).coeffs
+    F = gf_from_int_poly([c // p for c in reversed(gh)], p)
+    assert (gf_gcd(gf_gcd(g, h, p, ZZ), F, p, ZZ) == [1]) is maximal
 
 
 def test_dedekind_cubic_has_index_2():

@@ -124,26 +124,44 @@ def test_roots_mod_are_every_root(poly):
                                     if sum(c * a ** j for j, c in enumerate(f.coeffs)) % q == 0]
 
 
-def test_roots_mod_match_sympy_frobenius_near_two_million():
-    # the G family of computeJ; the reference raises T to the q-th power with
-    # sympy's gf_pow_mod
-    def reference(f, q):
-        F = gf_from_int_poly(list(reversed(f.coeffs)), q)
-        g = gf_gcd(F, gf_sub(gf_pow_mod([1, 0], q, F, q, ZZ), [1, 0], q, ZZ), q, ZZ)
-        if len(g) < 2:
-            return []
-        return sorted(-h[1] % q for h in gf_edf_zassenhaus(g, 1, q, ZZ))
+def _sympy_roots_mod(f, q):
+    """The roots of f in F_q by sympy's galoistools: gcd(f, T^q - T), with T^q
+    from gf_pow_mod, split by gf_edf_zassenhaus."""
+    F = gf_from_int_poly(list(reversed(f.coeffs)), q)
+    g = gf_gcd(F, gf_sub(gf_pow_mod([1, 0], q, F, q, ZZ), [1, 0], q, ZZ), q, ZZ)
+    if len(g) < 2:
+        return []
+    return sorted(-h[1] % q for h in gf_edf_zassenhaus(g, 1, q, ZZ))
 
+
+def test_roots_mod_match_sympy_frobenius_near_two_million():
+    # the G family of computeJ
     qs = [q for q in range(2_000_000, 2_000_400) if isprime(q)]
     found = 0
     for m in range(1, 8):
         f = P([-m, -1, 0, 0, 0, 0, 0, 1])
         for q in qs:
             roots = _roots_mod(f, q)
-            assert roots == reference(f, q)
+            assert roots == _sympy_roots_mod(f, q)
             assert all(f(a) % q == 0 for a in roots)
             found += len(roots)
     assert found > 0
+
+
+def test_roots_mod_match_sympy_on_a_fields_pass(monkeypatch):
+    # every (f, q) at which certification of the panel fields reads roots
+    pairs = []
+    roots_mod = otkit.unitgroup._roots_mod
+    monkeypatch.setattr(otkit.unitgroup, "_roots_mod",
+                        lambda f, q: pairs.append((f, q)) or roots_mod(f, q))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+    from panel import PANEL
+
+    for _, poly, _, _ in PANEL:
+        unit_group(maximalize(build_order(P.parse(poly)))[0])
+    monkeypatch.undo()
+    assert len(set(pairs)) > 200
+    assert all(_roots_mod(f, q) == _sympy_roots_mod(f, q) for f, q in set(pairs))
 
 
 def _normalized_classes(k, r):
