@@ -177,6 +177,9 @@ class FundamentalDomainData:
     L: list              # s x s ball matrix: log columns of the generators
     A: list              # n x n ball Minkowski matrix (basis columns)
     density: Fraction
+    # (bits, ns) -> (eps^-ns, its values at the real places, at the complex one)
+    unit_values: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def s(self) -> int:
@@ -219,8 +222,10 @@ def reduce_to_domain(point, dom: FundamentalDomainData):
     """Move a point of H^s x C into the fundamental cell.
 
     ``point`` is a sequence of s+1 complex numbers (the first s with positive
-    imaginary part).  Returns ``(reduced_point, (translation, unit_exponents))``
-    with the group element acting as z |-> sigma(eps^e) z + sigma(a).
+    imaginary part).  Returns ``(reduced_point, (translation, unit_exponents,
+    unit))`` with the group element acting as z |-> sigma(eps^e) z + sigma(a).
+    The unit eps^e and its values at the places are made once per precision
+    and exponent vector, and kept on ``dom`` for later points.
     """
     s = dom.s
     pts = [(_to_ball(z.real), _to_ball(z.imag)) for z in _as_complex_list(point, s)]
@@ -247,13 +252,16 @@ def _reduce_once(pts, dom, tb):
     ns = _floor_vector(beta)
     if ns is None:
         return None
-    w = order.power_product(dom.eps, [-e for e in ns])
-    scale_r = [tb.real_value(w, j) for j in range(s)]
+    key = (tb.bits, tuple(ns))
+    if key not in dom.unit_values:
+        w = order.power_product(dom.eps, [-e for e in ns])
+        dom.unit_values[key] = (w, [tb.real_value(w, j) for j in range(s)],
+                                tb.complex_value(w, 0))
+    w, scale_r, scale_c = dom.unit_values[key]
     # w is totally positive, yet the floors of alpha below can be decided
     # while a tiny sigma(w) straddles zero
     if not all(v.is_positive() for v in scale_r):
         return None
-    scale_c = tb.complex_value(w, 0)
     zs = []
     for j in range(s):
         zs.append((pts[j][0] * scale_r[j], pts[j][1] * scale_r[j]))
@@ -286,26 +294,6 @@ def _as_complex_list(point, s):
 
 def _to_ball(x) -> RealBall:
     return RealBall(mp.mpf(x))
-
-
-def apply_group_element(point, elem, dom: FundamentalDomainData):
-    """Act by (translation a, unit exponents e): z |-> sigma(eps^e) z + sigma(a)."""
-    a, exps, *_ = elem
-    s = dom.s
-    table = dom.table
-    w = dom.order.power_product(dom.eps, exps)
-    pts = _as_complex_list(point, s)
-    out = []
-    for j in range(s):
-        sc = float(table.real_value(w, j).mid())
-        sh = float(table.real_value(a, j).mid())
-        out.append(pts[j] * sc + sh)
-    scz = table.complex_value(w, 0)
-    shz = table.complex_value(a, 0)
-    zc = pts[s] * complex(float(scz.re.mid()), float(scz.im.mid())) \
-        + complex(float(shz.re.mid()), float(shz.im.mid()))
-    out.append(zc)
-    return out
 
 
 def domain_contains(point, dom: FundamentalDomainData) -> bool:
@@ -343,38 +331,44 @@ def mc_volume(dom: FundamentalDomainData, samples: int, seed: int) -> VolumeResu
     fraction times the box volume times dens.  Samples are drawn from a
     counter-based generator keyed by the seed, in fixed-size blocks, so reruns
     with the same (seed, samples) are bit-exact.
+
+    One kernel maps a block of uniform draws u to cell coordinates: with M =
+    diag(A^-1, L^-1) and the box [lo, lo + width), the coordinates are
+    (M diag(width)) u + M lo, one contiguous row per coordinate, and a sample
+    hits when every row lies in [0, 1).
     """
     check_mc_samples(samples)
     s = dom.s
     n = dom.order.n
     Bf = np.array([[float(v.mid()) for v in row] for row in dom.L])
     Af = np.array([[float(v.mid()) for v in row] for row in dom.A])
-    Binv = np.linalg.inv(Bf)
-    Ainv = np.linalg.inv(Af)
+    M = np.zeros((n + s, n + s))
+    M[:n, :n] = np.linalg.inv(Af)
+    M[n:, n:] = np.linalg.inv(Bf)
     lo = np.concatenate([np.minimum(Af, 0).sum(axis=1), np.minimum(Bf, 0).sum(axis=1)])
     hi = np.concatenate([np.maximum(Af, 0).sum(axis=1), np.maximum(Bf, 0).sum(axis=1)])
     width = hi - lo
     scale = float(np.prod(width)) * float(dom.density)
+    W = M * width           # M diag(width)
+    c = (M @ lo)[:, None]
     gen = np.random.Generator(np.random.Philox(key=seed))
     hits = 0
     block = min(1 << 16, samples)
-    buf = np.empty((block, n + s))
-    alpha_buf = np.empty((block, n))
-    beta_buf = np.empty((block, s))
+    u_buf = np.empty((block, n + s))
+    coords_buf = np.empty((n + s, block))
+    test_buf = np.empty(block, dtype=bool)
     inside_buf = np.empty(block, dtype=bool)
     done = 0
     while done < samples:
         k = min(block, samples - done)
-        xr, alpha, beta, inside = buf[:k], alpha_buf[:k], beta_buf[:k], inside_buf[:k]
-        gen.random(out=xr)
-        xr *= width         # lo + u * width, bit for bit: addition commutes
-        xr += lo
-        np.matmul(xr[:, :n], Ainv.T, out=alpha)
-        np.matmul(xr[:, n:], Binv.T, out=beta)
+        u, coords, test, inside = u_buf[:k], coords_buf[:, :k], test_buf[:k], inside_buf[:k]
+        gen.random(out=u)
+        np.matmul(W, u.T, out=coords)
+        coords += c
         inside.fill(True)
-        for col in (*alpha.T, *beta.T):
-            inside &= col >= 0
-            inside &= col < 1
+        for row in coords:
+            inside &= np.greater_equal(row, 0, out=test)
+            inside &= np.less(row, 1, out=test)
         hits += int(np.count_nonzero(inside))
         done += k
     frac = hits / samples

@@ -133,10 +133,12 @@ def group_inverse(a: SemidirectElement, p: GroupPresentation) -> SemidirectEleme
 
 def commutator(a: SemidirectElement, b: SemidirectElement,
                p: GroupPresentation) -> SemidirectElement:
-    ab = group_multiply(a, b, p)
-    ia = group_inverse(a, p)
-    ib = group_inverse(b, p)
-    return group_multiply(group_multiply(ab, ia, p), ib, p)
+    """a b a^-1 b^-1 in closed form: the actions commute, so it is
+    ((1 - rho(v_b)) u_a - (1 - rho(v_a)) u_b, 0)."""
+    rb_ua = intmat.mat_vec(p.rho(b.v), a.u)
+    ra_ub = intmat.mat_vec(p.rho(a.v), b.u)
+    return SemidirectElement([x - y - z + w for x, y, z, w in zip(a.u, rb_ua, b.u, ra_ub)],
+                             [0] * len(a.v))
 
 
 def h1(p: GroupPresentation) -> tuple[int, AbelianGroupInvariants]:

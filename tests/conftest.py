@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import settings
 
+from otkit.geometry import _as_complex_list
 from otkit.orders import build_order, maximalize
 from otkit.polynomials import IntPolynomial
 from otkit.unitgroup import unit_group
@@ -22,6 +23,27 @@ def field_data(text_or_poly):
         ug = unit_group(order)
         _FIELD_CACHE[key] = (order, index, cert, ug)
     return _FIELD_CACHE[key]
+
+
+def apply_group_element(point, elem, dom):
+    """Act by (translation a, unit exponents e) on a point of the cell ``dom``:
+    z |-> sigma(eps^e) z + sigma(a), in floats."""
+    a, exps, *_ = elem
+    s = dom.s
+    table = dom.table
+    w = dom.order.power_product(dom.eps, exps)
+    pts = _as_complex_list(point, s)
+    out = []
+    for j in range(s):
+        sc = float(table.real_value(w, j).mid())
+        sh = float(table.real_value(a, j).mid())
+        out.append(pts[j] * sc + sh)
+    scz = table.complex_value(w, 0)
+    shz = table.complex_value(a, 0)
+    zc = pts[s] * complex(float(scz.re.mid()), float(scz.im.mid())) \
+        + complex(float(shz.re.mid()), float(shz.im.mid()))
+    out.append(zc)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -11,12 +11,12 @@ import time
 import pytest
 from mpmath import mp
 
-from conftest import field_data
+from conftest import apply_group_element, field_data
 from otkit.embeddings import EmbeddingTable
 from otkit.geometry import (fundamental_domain, inoue_closed_form, mc_volume,
                             metric_det_check, min_volume_scan, ot_volume,
-                            reduce_to_domain, apply_group_element,
-                            domain_contains, torsion_upper_bound,
+                            reduce_to_domain, domain_contains,
+                            torsion_upper_bound,
                             volume_determinant_path, volume_lower_bound)
 from otkit.intmat import hnf
 from otkit.orders import ReduciblePolynomialError, build_order, maximalize, signature

@@ -4,9 +4,11 @@ from functools import cached_property
 from hashlib import sha256
 from math import prod
 
+import numpy as np
 import pytest
 from mpmath import mp
 
+from conftest import apply_group_element
 import otkit.geometry
 import otkit.orders
 import otkit.polynomials
@@ -14,7 +16,7 @@ from otkit.balls import RealBall
 from otkit.config import PrecisionError
 from otkit.embeddings import MAX_BITS, EmbeddingTable
 from otkit.factorint import trial_factor
-from otkit.geometry import (MC_EMPTY_TAIL, _scan_polynomials, apply_group_element, domain_contains,
+from otkit.geometry import (MC_EMPTY_TAIL, _scan_polynomials, domain_contains,
                             fundamental_domain, inoue_closed_form, mc_volume,
                             metric_det_check, min_volume_scan, ot_volume,
                             reduce_to_domain, torsion_upper_bound,
@@ -255,6 +257,51 @@ def test_mc_volume_stream_is_pinned(fields, poly, samples, seed, estimate):
         == estimate
 
 
+def _two_matmul_hits(dom, samples, seed):
+    """Hits and box scale of the kernel that mc_volume replaced: per block,
+    x = u * width + lo, then one matmul by A^-T and one by L^-T."""
+    s, n = dom.s, dom.order.n
+    Bf = np.array([[float(v.mid()) for v in row] for row in dom.L])
+    Af = np.array([[float(v.mid()) for v in row] for row in dom.A])
+    Binv, Ainv = np.linalg.inv(Bf), np.linalg.inv(Af)
+    lo = np.concatenate([np.minimum(Af, 0).sum(axis=1), np.minimum(Bf, 0).sum(axis=1)])
+    hi = np.concatenate([np.maximum(Af, 0).sum(axis=1), np.maximum(Bf, 0).sum(axis=1)])
+    width = hi - lo
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    hits, done, block = 0, 0, min(1 << 16, samples)
+    while done < samples:
+        k = min(block, samples - done)
+        xr = gen.random((k, n + s))
+        xr *= width
+        xr += lo
+        inside = np.ones(k, dtype=bool)
+        for col in (*(xr[:, :n] @ Ainv.T).T, *(xr[:, n:] @ Binv.T).T):
+            inside &= col >= 0
+            inside &= col < 1
+        hits += int(np.count_nonzero(inside))
+        done += k
+    return hits, float(np.prod(width)) * float(dom.density)
+
+
+@pytest.mark.parametrize("poly", ["T^3 - T + 1", "T^4 - T^3 + 2*T - 1", "T^3 - 2*T - 7",
+                                  "T^5 + 2*T^3 + T^2 - 2*T - 1"])
+def test_mc_kernel_hits_as_the_two_matmul_kernel(fields, poly):
+    # the fused kernel folds the box into the inverse matrices, which moves
+    # rounding at the ulp level; no sample may change sides.  Block edges,
+    # four blocks, and 64- and 128-bit keys.  The quintic's cell fills
+    # about 0.1 % of its box
+    order, _, _, ug = fields(poly)
+    dom = fundamental_domain(order, ug)
+    rng = random.Random(f"mc-kernel/{poly}")
+    for samples in (1000, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 200003):
+        for seed in (rng.getrandbits(64), rng.getrandbits(128)):
+            hits, scale = _two_matmul_hits(dom, samples, seed)
+            est = mc_volume(dom, samples, seed).meta["estimate"]
+            assert hits < samples and (hits > 0 or samples == 1000)
+            assert round(est / scale * samples) == hits
+            assert est == scale * (hits / samples)
+
+
 def test_mc_volume_ball_when_every_sample_hits(disc23):
     # unit matrices make the cell its own box: every sample hits, and the
     # binomial ball, a point there, becomes [scale (1 - q/N), scale]
@@ -266,6 +313,7 @@ def test_mc_volume_ball_when_every_sample_hits(disc23):
     box = replace(dom, L=unit(dom.s), A=unit(order.n))
     v = mc_volume(box, 1000, seed=4)
     scale = float(dom.density)
+    assert _two_matmul_hits(box, 1000, 4) == (1000, scale)
     assert v.meta["estimate"] == scale and v.stderr == 0.0
     assert float(v.value.upper) == scale
     assert float(v.value.lower) == scale * (1 - MC_EMPTY_TAIL / 1000)
@@ -338,6 +386,38 @@ def test_cell_eliminates_each_matrix_once(fields, monkeypatch):
     text = _reductions(fields, "T^3 + 2*T + 2000", 40)
     assert "PrecisionError" in text
     assert made == [1, 3]
+
+
+def test_reduction_makes_each_unit_value_once(fields, monkeypatch):
+    # w = eps^-ns and its values are made once per (bits, ns) of a cell and
+    # then read from the cell's memo
+    for poly in ("T^3 - T + 1", "T^4 - T^3 + 2*T - 1", "T^3 + 2*T + 2000"):
+        fields(poly)
+    rungs, made = [], []
+    reduce_once, power_product = otkit.geometry._reduce_once, SubOrder.power_product
+
+    def watched(pts, dom, tb):
+        rungs.append(tb.bits)
+        return reduce_once(pts, dom, tb)
+
+    def counted(self, gens, exps):
+        made.append((rungs[-1], tuple(-e for e in exps)))
+        return power_product(self, gens, exps)
+
+    monkeypatch.setattr(otkit.geometry, "_reduce_once", watched)
+    monkeypatch.setattr(SubOrder, "power_product", counted)
+    for poly in ("T^3 - T + 1", "T^4 - T^3 + 2*T - 1", "T^3 + 2*T + 2000"):
+        rungs.clear()
+        made.clear()
+        _reductions(fields, poly, 40)
+        assert made and len(set(made)) == len(made) < len(rungs)
+    order, _, _, ug = fields("T^3 - T + 1")
+    dom = fundamental_domain(order, ug)
+    made.clear()
+    pt = [complex(0.3, 2.1e-3), complex(-1.2, 0.8)]
+    first = reduce_to_domain(pt, dom)
+    assert len(made) == 1 and list(dom.unit_values) == made
+    assert reduce_to_domain(pt, dom) == first and len(made) == 1
 
 
 def test_mc_volume_large_cell_is_sharp(fields):

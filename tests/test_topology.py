@@ -79,31 +79,25 @@ def test_rho_memo_is_the_product_of_powers(quartic275, disc23):
     assert r.rho((1,)) != p.rho((1, 0)) and r.rho((1,)) is not p.rho((1,))
 
 
-def test_group_law_and_commutator(f2_field):
-    order, ug, p = _presentation(f2_field)[0], f2_field[3], None
-    p = presentation_from_field(order, ug.totally_positive_generators)
-    rng = random.Random(2)
-    e = SemidirectElement([0] * p.lattice_rank, [0] * p.free_rank)
-    for _ in range(12):
-        a = SemidirectElement([rng.randint(-3, 3) for _ in range(3)],
-                              [rng.randint(-2, 2)])
-        b = SemidirectElement([rng.randint(-3, 3) for _ in range(3)],
-                              [rng.randint(-2, 2)])
-        assert group_multiply(a, group_inverse(a, p), p) == e
-        assert group_multiply(e, a, p) == a
-        c = commutator(a, b, p)
-        assert c.v == (0,)
-        # the closed form of the commutator lattice part
-        M_va = p.rho(a.v)
-        M_vb = p.rho(b.v)
-        n = p.lattice_rank
-        I = intmat.identity(n)
-        want = [
-            sum((I[i][j] - M_vb[i][j]) * a.u[j] for j in range(n))
-            - sum((I[i][j] - M_va[i][j]) * b.u[j] for j in range(n))
-            for i in range(n)
-        ]
-        assert list(c.u) == want
+def test_group_law_and_commutator(f2_field, quartic275):
+    # the commutator against the group law: a b a^-1 b^-1 built from
+    # group_multiply and group_inverse, at unit ranks 1 and 2
+    for field in (f2_field, quartic275):
+        _, _, p = _presentation(field)
+        n, r = p.lattice_rank, p.free_rank
+        rng = random.Random(2)
+        e = SemidirectElement([0] * n, [0] * r)
+        for _ in range(12):
+            a, b = (SemidirectElement([rng.randint(-3, 3) for _ in range(n)],
+                                      [rng.randint(-2, 2) for _ in range(r)])
+                    for _ in range(2))
+            assert group_multiply(a, group_inverse(a, p), p) == e
+            assert group_multiply(e, a, p) == a
+            ab = group_multiply(a, b, p)
+            want = group_multiply(group_multiply(ab, group_inverse(a, p), p),
+                                  group_inverse(b, p), p)
+            assert want.v == (0,) * r
+            assert commutator(a, b, p) == want
 
 
 def test_h1_examples(disc23):

@@ -17,7 +17,9 @@ directory), one fresh process per command, and writes one JSON file:
 * ``scan``: stdout and exit code of ``otkit scan --format csv`` for
   (s, B, D) = (1, 6, 200), (2, 2, 500) and (3, 2, 4600);
 * ``commands``: stdout and exit code of one run each of ``jideal``,
-  ``volume``, ``bound``, ``inoue``, ``mcvol``, ``paper-tables prop5index``,
+  ``volume``, ``bound``, ``inoue``, ``mcvol`` (on ``T^3 - T + 1``, and with
+  200003 samples, four blocks, on ``T^4 - T^3 + 2*T - 1`` (s = 2) and ``T^5
+  + 2*T^3 + T^2 - 2*T - 1`` (s = 3)), ``paper-tables prop5index``,
   ``paper-tables computeJ`` (whose "tp" and "alt" cells depend on which
   totally positive generator comes back), ``paper-tables computeJ
   --with-g`` (the degree-7 G column, where the k-th root characters find
@@ -78,6 +80,11 @@ COMMANDS = [
     ["bound", "T^3 + 8*T - 3", "--format", "json"],
     ["inoue", "7", "--format", "json"],
     ["mcvol", "T^3 - T + 1", "--samples", "20000", "--seed", "1", "--format", "json"],
+    # four blocks of the Monte Carlo kernel at s = 2 and s = 3
+    ["mcvol", "T^4 - T^3 + 2*T - 1", "--samples", "200003", "--seed", "1",
+     "--format", "json"],
+    ["mcvol", "T^5 + 2*T^3 + T^2 - 2*T - 1", "--samples", "200003", "--seed", "1",
+     "--format", "json"],
     ["paper-tables", "prop5index"],
     ["paper-tables", "computeJ"],
     ["paper-tables", "computeJ", "--with-g"],
